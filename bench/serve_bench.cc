@@ -1,5 +1,5 @@
 // SERVB — the serving benchmark: sustained anonymized-COUNT throughput of
-// the full online stack (TCP framing -> handshake -> admission -> catalog ->
+// the full online stack (TCP framing -> handshake -> quota -> catalog ->
 // indexed estimation) under concurrent clients. Emits BENCH_service.json
 // (CWD) with every number.
 //
@@ -36,7 +36,6 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 
 using namespace secreta;
 
@@ -159,16 +158,11 @@ int main(int argc, char** argv) {
   bench_tenant.access = AccessLevel::kDirect;  // also used for oracle checks
   bench::CheckOk(tenants.AddTenant(bench_tenant), "tenant");
 
-  SchedulerOptions scheduler_options;
-  scheduler_options.num_workers = clients;
-  scheduler_options.max_queue = 4096;
-  JobScheduler scheduler(scheduler_options);
-
   ServerOptions server_options;
   server_options.port = 0;  // ephemeral
   server_options.max_connections = clients + 1;
-  server_options.admission.default_deadline_seconds = 30;
-  QueryServer server(&catalog, &tenants, &scheduler, server_options);
+  server_options.count_deadline_seconds = 30;
+  QueryServer server(&catalog, &tenants, server_options);
   bench::CheckOk(server.Start(), "start server");
   printf("server on port %u, published \"bench\" in %.2fs\n",
          static_cast<unsigned>(server.port()), publish_seconds);
@@ -238,7 +232,7 @@ int main(int argc, char** argv) {
   RunStats paired_totals;  // ok/failed/mismatched over every paired run
   for (int rep = 0; rep < telemetry_reps; ++rep) {
     {
-      QueryServer off_server(&catalog, &tenants, &scheduler, server_options);
+      QueryServer off_server(&catalog, &tenants, server_options);
       bench::CheckOk(off_server.Start(), "start telemetry-off server");
       RunStats run =
           HammerConcurrently(off_server.port(), "bench-token", "bench",
@@ -250,7 +244,7 @@ int main(int argc, char** argv) {
       paired_totals.mismatched += run.mismatched;
     }
     {
-      QueryServer on_server(&catalog, &tenants, &scheduler, telemetry_options);
+      QueryServer on_server(&catalog, &tenants, telemetry_options);
       bench::CheckOk(on_server.Start(), "start telemetry-on server");
       RunStats run =
           HammerConcurrently(on_server.port(), "bench-token", "bench",

@@ -133,8 +133,7 @@ int main(int argc, char** argv) {
       server_options.max_connections =
           static_cast<size_t>(std::atol(next("--max-connections")));
     } else if (std::strcmp(argv[i], "--deadline") == 0) {
-      server_options.admission.default_deadline_seconds =
-          std::atof(next("--deadline"));
+      server_options.count_deadline_seconds = std::atof(next("--deadline"));
     } else if (std::strcmp(argv[i], "--idle-timeout") == 0) {
       server_options.idle_timeout_seconds = std::atof(next("--idle-timeout"));
     } else if (std::strcmp(argv[i], "--metrics-listen") == 0) {
@@ -213,7 +212,7 @@ int main(int argc, char** argv) {
   }
 
   JobScheduler scheduler(scheduler_options);
-  QueryServer server(&catalog, &tenants, &scheduler, server_options);
+  QueryServer server(&catalog, &tenants, server_options);
   if (Status s = server.Start(); !s.ok()) Fail(s, "start server");
 
   std::unique_ptr<HttpMetricsServer> metrics_server;

@@ -35,11 +35,9 @@ inline constexpr char kServeCountSeconds[] = "serve.count_seconds";
 /// COUNTs that crossed the slow-query threshold, per {tenant, dataset}.
 inline constexpr char kServeSlowQueries[] = "serve.slow_queries";
 
-// --- serve.admission: admission control (src/serve/admission.cc) -----------
+// --- serve.admission: COUNT quota and deadline (src/serve/server.cc) -------
 inline constexpr char kAdmissionQuotaRejected[] =
     "serve.admission.quota_rejected";
-inline constexpr char kAdmissionBackpressureRejected[] =
-    "serve.admission.backpressure_rejected";
 inline constexpr char kAdmissionAdmitted[] = "serve.admission.admitted";
 inline constexpr char kAdmissionDeadlineExceeded[] =
     "serve.admission.deadline_exceeded";

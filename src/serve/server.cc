@@ -65,12 +65,8 @@ void SetReceiveTimeout(int fd, double seconds) {
 }  // namespace
 
 QueryServer::QueryServer(DatasetCatalog* catalog, TenantRegistry* tenants,
-                         JobScheduler* scheduler,
                          const ServerOptions& options)
-    : catalog_(catalog),
-      tenants_(tenants),
-      admission_(scheduler, options.admission),
-      options_(options) {}
+    : catalog_(catalog), tenants_(tenants), options_(options) {}
 
 QueryServer::~QueryServer() { Stop(); }
 
@@ -299,8 +295,7 @@ void QueryServer::HandleConnection(int fd) {
 
 void QueryServer::RecordCountTelemetry(ClientSession& session,
                                        const ServeRequest& request,
-                                       const Status& status,
-                                       const AdmissionTiming& timing,
+                                       const Status& status, double run_seconds,
                                        bool cached, double total_seconds) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   // The common case — a healthy request on a dataset this session has seen
@@ -353,8 +348,7 @@ void QueryServer::RecordCountTelemetry(ClientSession& session,
   trace.query_shape = QueryShape(request.query);
   trace.outcome = status.ok() ? "ok" : StatusCodeToString(status.code());
   trace.kernel_tier = kernels::ActiveTierName();
-  trace.queue_seconds = timing.queue_seconds;
-  trace.run_seconds = timing.run_seconds;
+  trace.run_seconds = run_seconds;
   trace.total_seconds = total_seconds;
   trace.cached = cached;
   trace.slow = slow;
@@ -369,7 +363,6 @@ void QueryServer::RecordCountTelemetry(ClientSession& session,
     record.query_shape = trace.query_shape;
     record.outcome = trace.outcome;
     record.kernel_tier = trace.kernel_tier;
-    record.queue_seconds = trace.queue_seconds;
     record.run_seconds = trace.run_seconds;
     record.total_seconds = trace.total_seconds;
     record.threshold_seconds = threshold;
@@ -420,55 +413,54 @@ Result<std::string> QueryServer::HandleRequest(const ServeRequest& request,
       if (!request.access.empty()) {
         Result<AccessLevel> parsed = ParseAccessLevel(request.access);
         if (!parsed.ok()) {
-          RecordCountTelemetry(session, request, parsed.status(), {},
+          RecordCountTelemetry(session, request, parsed.status(), 0,
                                /*cached=*/false, frame_timer.ElapsedSeconds());
           return parsed.status();
         }
         access = *parsed;
       }
       if (!session.Allows(access)) {
-        session.RecordQuery(false);
         Status denied = Status::PermissionDenied(StrFormat(
             "tenant \"%s\" is not cleared for %s access",
             session.tenant().c_str(), AccessLevelToString(access)));
-        RecordCountTelemetry(session, request, denied, {}, /*cached=*/false,
+        RecordCountTelemetry(session, request, denied, 0, /*cached=*/false,
                              frame_timer.ElapsedSeconds());
         return denied;
       }
       Result<std::shared_ptr<const PublishedRelease>> release =
           catalog_->Get(request.dataset);
       if (!release.ok()) {
-        session.RecordQuery(false);
-        RecordCountTelemetry(session, request, release.status(), {},
+        RecordCountTelemetry(session, request, release.status(), 0,
                              /*cached=*/false, frame_timer.ElapsedSeconds());
         return release.status();
       }
-      // The admission callback runs on a scheduler worker; the shared_ptrs
-      // keep the release (and the cached flag slot) alive even if this
-      // handler unwinds first.
-      auto cached = std::make_shared<bool>(false);
-      std::shared_ptr<const PublishedRelease> rel = std::move(*release);
-      std::string query_line = request.query;
+      MetricsRegistry& metrics = MetricsRegistry::Global();
+      if (Status quota = session.ChargeQuota(); !quota.ok()) {
+        metrics.counter(metric_names::kAdmissionQuotaRejected)->Increment();
+        RecordCountTelemetry(session, request, quota, 0, /*cached=*/false,
+                             frame_timer.ElapsedSeconds());
+        return quota;
+      }
+      metrics.counter(metric_names::kAdmissionAdmitted)->Increment();
+      // Evaluated on this handler thread. The deadline is checked after the
+      // count returns: a late answer is discarded, never sent.
       Stopwatch timer;
-      AdmissionTiming timing;
-      Result<double> count = admission_.RunCount(
-          session,
-          StrFormat("serve:%s:%s", session.tenant().c_str(),
-                    request.dataset.c_str()),
-          [rel, query_line, access, cached]() -> Result<double> {
-            SECRETA_ASSIGN_OR_RETURN(PublishedRelease::CountAnswer answer,
-                                     rel->CountLine(query_line, access));
-            *cached = answer.cached;
-            return answer.count;
-          },
-          &timing);
-      session.RecordQuery(count.ok());
-      RecordCountTelemetry(session, request, count.status(), timing, *cached,
+      Result<PublishedRelease::CountAnswer> answer =
+          (*release)->CountLine(request.query, access);
+      const double run_seconds = timer.ElapsedSeconds();
+      Status status = answer.status();
+      const double deadline = options_.count_deadline_seconds;
+      if (status.ok() && deadline > 0 && run_seconds >= deadline) {
+        metrics.counter(metric_names::kAdmissionDeadlineExceeded)->Increment();
+        status = Status::DeadlineExceeded("count ran past its deadline");
+      }
+      const bool cached = status.ok() && answer->cached;
+      RecordCountTelemetry(session, request, status, run_seconds, cached,
                            frame_timer.ElapsedSeconds());
-      if (!count.ok()) return count.status();
-      return CountResponsePayload(request.id, *count,
-                                  AccessLevelToString(access), *cached,
-                                  timer.ElapsedSeconds());
+      if (!status.ok()) return status;
+      return CountResponsePayload(request.id, answer->count,
+                                  AccessLevelToString(access), cached,
+                                  run_seconds);
     }
     case ServeOp::kHello:
     case ServeOp::kBye:

@@ -3,16 +3,18 @@
 //
 //   QueryServer (accept thread + per-connection handlers on a ThreadPool)
 //     └─ protocol.h   framing + request/response JSON
-//     └─ session.h    hello handshake → tenant auth → ClientSession
-//     └─ admission.h  quota / backpressure / deadline gates (JobScheduler)
+//     └─ session.h    hello handshake → tenant auth → ClientSession (quota)
 //     └─ catalog.h    DatasetCatalog → PublishedRelease::CountLine
 //
 // Threading model: one blocking accept thread plus a named handler pool.
 // Each connection occupies one pool worker for its lifetime (blocking reads
-// with an idle timeout). Connections beyond the pool size are answered with
-// a ResourceExhausted error frame and closed immediately instead of queueing
-// — a parked connection that nobody will serve is indistinguishable from a
-// hang to the client.
+// with an idle timeout), and that worker answers the connection's COUNTs
+// itself: charge the tenant quota, evaluate, check the deadline, reply. No
+// other thread takes part, so in-flight COUNTs are capped at
+// max_connections. Connections beyond the pool size are answered with a
+// ResourceExhausted error frame (plus retry-after) and closed immediately
+// instead of queueing — a parked connection that nobody will serve is
+// indistinguishable from a hang to the client.
 //
 // Shutdown: Stop() flips the running flag, shuts the listen socket down (to
 // unblock accept), shuts down every live connection socket (to unblock
@@ -35,11 +37,9 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "serve/admission.h"
 #include "serve/catalog.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 
 namespace secreta {
 
@@ -62,18 +62,19 @@ struct ServerOptions {
   /// there too. 0 marks every COUNT slow (useful for capture-everything
   /// debugging and tests).
   double slow_query_threshold_seconds = 0.25;
-  /// Admission knobs (per-query deadline, scheduler priority).
-  AdmissionOptions admission;
+  /// Wall-clock budget per COUNT evaluation: a count that takes at least
+  /// this long is answered DeadlineExceeded. 0 disables the deadline.
+  double count_deadline_seconds = 5.0;
 };
 
 /// \brief Accepts connections and speaks the serve protocol. Thread-safe.
 ///
-/// Borrows the catalog, tenant registry, and scheduler — they outlive the
-/// server (the daemon owns all four and stops the server first).
+/// Borrows the catalog and tenant registry — they outlive the server (the
+/// daemon owns all three and stops the server first).
 class QueryServer {
  public:
   QueryServer(DatasetCatalog* catalog, TenantRegistry* tenants,
-              JobScheduler* scheduler, const ServerOptions& options = {});
+              const ServerOptions& options = {});
   /// Calls Stop().
   ~QueryServer();
 
@@ -108,9 +109,10 @@ class QueryServer {
   /// Records one COUNT outcome everywhere the telemetry pipeline looks:
   /// labeled request counter + latency histogram, the tail-trace ring, and
   /// (when slow and a log is open) the slow-query JSONL log — all under one
-  /// freshly minted trace id.
+  /// freshly minted trace id. `run_seconds` is the evaluation time (0 when
+  /// the COUNT was refused before evaluating).
   void RecordCountTelemetry(ClientSession& session, const ServeRequest& request,
-                            const Status& status, const AdmissionTiming& timing,
+                            const Status& status, double run_seconds,
                             bool cached, double total_seconds);
 
   void RegisterConnection(int fd) SECRETA_EXCLUDES(mutex_);
@@ -118,7 +120,6 @@ class QueryServer {
 
   DatasetCatalog* const catalog_;
   TenantRegistry* const tenants_;
-  AdmissionController admission_;
   const ServerOptions options_;
 
   std::atomic<bool> running_{false};

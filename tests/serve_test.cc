@@ -1,9 +1,9 @@
 // Serving-subsystem tests: the hardened JSON parser, wire framing over real
 // sockets (partial reads, truncation, oversized frames, mid-request
-// disconnects), tenants/quotas/access levels, admission control riding the
-// JobScheduler (backpressure retry-after, deadlines), the publication
-// catalog (counts bit-identical to the scan oracles, answer LRU, versioned
-// republication), a full client/server round trip over loopback, fault
+// disconnects), tenants/quotas/access levels, the publication catalog
+// (counts bit-identical to the scan oracles, answer LRU, versioned
+// republication), a full client/server round trip over loopback (COUNT
+// deadline, connection-capacity refusal), fault
 // injection at serve.request, and an 8-client concurrency hammer whose
 // results must be byte-identical to a serial reference (TSan-clean; listed
 // in the sanitizers workflow's tsan filter).
@@ -31,10 +31,11 @@
 #include "hierarchy/hierarchy_builder.h"
 #include "query/query_evaluator.h"
 #include "query/workload_generator.h"
+#include "obs/metric_names.h"
+#include "obs/metrics_registry.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace_tail.h"
 #include "robust/fault_injection.h"
-#include "serve/admission.h"
 #include "serve/catalog.h"
 #include "serve/client.h"
 #include "serve/http_metrics.h"
@@ -42,7 +43,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 #include "tests/test_util.h"
 
 namespace secreta {
@@ -298,105 +298,6 @@ TEST(ServeSessionTest, RegistryAuthenticatesAndRejects) {
 }
 
 // ---------------------------------------------------------------------------
-// ServeAdmissionTest — quota/backpressure/deadline gates on the scheduler.
-
-std::shared_ptr<ClientSession> UnlimitedSession() {
-  TenantConfig config;
-  config.name = "t";
-  return std::make_shared<ClientSession>(
-      1, config, std::make_shared<TokenBucket>(0, 0));
-}
-
-TEST(ServeAdmissionTest, RunsTheCallbackAndReturnsItsValue) {
-  JobScheduler scheduler;
-  AdmissionController admission(&scheduler);
-  auto session = UnlimitedSession();
-  ASSERT_OK_AND_ASSIGN(
-      double count,
-      admission.RunCount(*session, "test", [] { return Result<double>(41.5); }));
-  EXPECT_EQ(count, 41.5);
-  // Callback errors propagate unchanged.
-  Result<double> failed = admission.RunCount(*session, "test", [] {
-    return Result<double>(Status::NotFound("no such dataset"));
-  });
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kNotFound);
-}
-
-TEST(ServeAdmissionTest, QuotaRejectionCarriesRetryAfter) {
-  JobScheduler scheduler;
-  AdmissionController admission(&scheduler);
-  TenantConfig config;
-  config.name = "throttled";
-  config.quota_qps = 0.001;  // effectively one query per session
-  config.quota_burst = 1;
-  auto session = std::make_shared<ClientSession>(
-      1, config, std::make_shared<TokenBucket>(config.quota_qps,
-                                               config.quota_burst));
-  ASSERT_OK(admission
-                .RunCount(*session, "q1", [] { return Result<double>(1.0); })
-                .status());
-  Result<double> rejected =
-      admission.RunCount(*session, "q2", [] { return Result<double>(2.0); });
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(rejected.status().has_retry_after());
-}
-
-TEST(ServeAdmissionTest, SchedulerBackpressureCarriesRetryAfter) {
-  SchedulerOptions options;
-  options.num_workers = 1;
-  options.max_queue = 1;  // one running job + one queued job, no more
-  JobScheduler scheduler(options);
-  AdmissionController admission(&scheduler);
-  auto session = UnlimitedSession();
-
-  // Occupy the only worker with a job that blocks until released, then fill
-  // the single queue slot behind it.
-  std::atomic<bool> release{false};
-  JobScheduler::JobFn blocker_fn =
-      [&release](const CancellationToken&) -> Result<EvaluationReport> {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return EvaluationReport{};
-  };
-  ASSERT_OK_AND_ASSIGN(uint64_t blocker,
-                       scheduler.SubmitFn(blocker_fn, "blocker"));
-  while (scheduler.num_running() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_OK_AND_ASSIGN(uint64_t filler,
-                       scheduler.SubmitFn(blocker_fn, "queue filler"));
-
-  Result<double> rejected =
-      admission.RunCount(*session, "q", [] { return Result<double>(1.0); });
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(rejected.status().has_retry_after())
-      << rejected.status().ToString();
-
-  release.store(true);
-  ASSERT_OK(scheduler.WaitJob(blocker).status());
-  ASSERT_OK(scheduler.WaitJob(filler).status());
-}
-
-TEST(ServeAdmissionTest, DeadlineMapsToDeadlineExceeded) {
-  JobScheduler scheduler;
-  AdmissionOptions options;
-  options.default_deadline_seconds = 0.05;
-  AdmissionController admission(&scheduler, options);
-  auto session = UnlimitedSession();
-  Result<double> timed_out =
-      admission.RunCount(*session, "slow", []() -> Result<double> {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        return 1.0;
-      });
-  ASSERT_FALSE(timed_out.ok());
-  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-// ---------------------------------------------------------------------------
 // ServeCatalogTest — publication and counts vs the scan oracles.
 
 ReleaseOptions SmallReleaseOptions() {
@@ -522,6 +423,10 @@ class RawConnection {
   // ServeResponse (error responses surface as the carried Status).
   Result<ServeResponse> RoundTrip(const std::string& payload) {
     SECRETA_RETURN_IF_ERROR(WriteFrame(fd_, payload));
+    return ReadResponse();
+  }
+  // Reads one frame the server sent, unprompted or in reply.
+  Result<ServeResponse> ReadResponse() {
     std::string response;
     bool clean_eof = false;
     SECRETA_RETURN_IF_ERROR(
@@ -558,14 +463,12 @@ class ServeServerTest : public ::testing::Test {
 
   void StartServer(ServerOptions options = {}) {
     options.port = 0;
-    server_ = std::make_unique<QueryServer>(&catalog_, &tenants_, &scheduler_,
-                                            options);
+    server_ = std::make_unique<QueryServer>(&catalog_, &tenants_, options);
     ASSERT_OK(server_->Start());
   }
 
   DatasetCatalog catalog_;
   TenantRegistry tenants_;
-  JobScheduler scheduler_;
   std::unique_ptr<QueryServer> server_;
 };
 
@@ -692,6 +595,56 @@ TEST_F(ServeServerTest, QuotaExhaustionReturnsRetryAfter) {
   EXPECT_TRUE(rejected.status().has_retry_after());
   // Rejected queries do not kill the session.
   EXPECT_OK(client.Ping());
+}
+
+TEST_F(ServeServerTest, CountPastDeadlineIsDeadlineExceeded) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter* exceeded = metrics.counter(metric_names::kAdmissionDeadlineExceeded);
+  const MetricLabels labels = {
+      {"tenant", "analyst"}, {"dataset", "demo"}, {"code", "DeadlineExceeded"}};
+  Counter* late_series = metrics.counter(metric_names::kServeRequests, labels);
+  const uint64_t exceeded_before = exceeded->value();
+  const uint64_t late_before = late_series->value();
+  ServerOptions options;
+  options.count_deadline_seconds = 1e-9;  // every evaluation is late
+  StartServer(options);
+
+  ServeClient client;
+  ASSERT_OK(client.Connect("127.0.0.1", server_->port()));
+  ASSERT_OK(client.Hello("analyst-token"));
+  Result<ServeClient::CountResult> late = client.Count("demo", "Age:25..40");
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(exceeded->value(), exceeded_before + 1);
+  EXPECT_EQ(late_series->value(), late_before + 1);
+  // A late COUNT is an application error: the connection stays usable.
+  EXPECT_OK(client.Ping());
+}
+
+TEST_F(ServeServerTest, ConnectionBeyondCapacityGetsRetryAfter) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter* rejected_busy = metrics.counter(metric_names::kServeRejectedBusy);
+  const uint64_t rejected_before = rejected_busy->value();
+  ServerOptions options;
+  options.max_connections = 1;
+  StartServer(options);
+
+  // The completed hello proves the only handler slot is taken.
+  ServeClient holder;
+  ASSERT_OK(holder.Connect("127.0.0.1", server_->port()));
+  ASSERT_OK(holder.Hello("analyst-token"));
+
+  // The refusal frame is sent on accept, before the client says anything.
+  RawConnection refused;
+  ASSERT_TRUE(refused.Connect(server_->port()));
+  Result<ServeResponse> busy = refused.ReadResponse();
+  ASSERT_FALSE(busy.ok());
+  EXPECT_EQ(busy.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(busy.status().has_retry_after());
+  EXPECT_EQ(rejected_busy->value(), rejected_before + 1);
+
+  // The held session was not disturbed by the refusal.
+  ASSERT_OK(holder.Count("demo", "Age:25..40").status());
 }
 
 TEST_F(ServeServerTest, GarbageJsonGetsTypedErrorAndConnectionSurvives) {
@@ -998,14 +951,10 @@ TEST(ServeConcurrencyTest, EightClientsMatchSerialReference) {
   tenant.name = "hammer";
   tenant.token = "hammer-token";
   ASSERT_OK(tenants.AddTenant(tenant));
-  SchedulerOptions scheduler_options;
-  scheduler_options.num_workers = 4;
-  scheduler_options.max_queue = 1024;
-  JobScheduler scheduler(scheduler_options);
   ServerOptions options;
   options.max_connections = 9;
-  options.admission.default_deadline_seconds = 30;
-  QueryServer server(&catalog, &tenants, &scheduler, options);
+  options.count_deadline_seconds = 30;
+  QueryServer server(&catalog, &tenants, options);
   ASSERT_OK(server.Start());
 
   const std::vector<std::string> queries = {
