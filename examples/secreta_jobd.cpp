@@ -33,7 +33,6 @@
 #include "serve/http_metrics.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 
 using namespace secreta;
 
@@ -68,9 +67,8 @@ void Usage() {
       "                       repeatable (default: demo)\n"
       "  --records N          records per synthetic dataset (default 1500)\n"
       "  --seed N             synthetic data seed (default 2014)\n"
-      "  --workers N          scheduler workers (default 4)\n"
       "  --max-connections N  concurrent client connections (default 8)\n"
-      "  --deadline SECONDS   per-query deadline (default 5)\n"
+      "  --deadline SECONDS   per-COUNT deadline, 0 = none (default 5)\n"
       "  --idle-timeout SECONDS  drop idle connections (default 300)\n"
       "  --kernels TIER       force the SIMD kernel tier (scalar, avx2, neon)\n"
       "                       instead of the CPU-detected best; the\n"
@@ -92,8 +90,6 @@ void Usage() {
 int main(int argc, char** argv) {
   bool have_listen = false;
   ServerOptions server_options;
-  SchedulerOptions scheduler_options;
-  scheduler_options.num_workers = 4;
   SyntheticOptions gen;
   gen.num_records = 1500;
   gen.seed = 2014;
@@ -126,9 +122,6 @@ int main(int argc, char** argv) {
       gen.num_records = static_cast<size_t>(std::atol(next("--records")));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       gen.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      scheduler_options.num_workers =
-          static_cast<size_t>(std::atol(next("--workers")));
     } else if (std::strcmp(argv[i], "--max-connections") == 0) {
       server_options.max_connections =
           static_cast<size_t>(std::atol(next("--max-connections")));
@@ -211,7 +204,6 @@ int main(int argc, char** argv) {
                 server_options.slow_query_threshold_seconds);
   }
 
-  JobScheduler scheduler(scheduler_options);
   QueryServer server(&catalog, &tenants, server_options);
   if (Status s = server.Start(); !s.ok()) Fail(s, "start server");
 
