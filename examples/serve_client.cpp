@@ -177,12 +177,11 @@ int main(int argc, char** argv) {
     for (const RequestTrace& trace : Check(client.AdminTraces())) {
       std::printf(
           "trace_id=%llu tenant=%s dataset=%s shape=\"%s\" outcome=%s "
-          "queue=%.6fs run=%.6fs total=%.6fs cached=%s slow=%s error=%s "
-          "tier=%s\n",
+          "run=%.6fs total=%.6fs cached=%s slow=%s error=%s tier=%s\n",
           static_cast<unsigned long long>(trace.trace_id),
           trace.tenant.c_str(), trace.dataset.c_str(),
           trace.query_shape.c_str(), trace.outcome.c_str(),
-          trace.queue_seconds, trace.run_seconds, trace.total_seconds,
+          trace.run_seconds, trace.total_seconds,
           trace.cached ? "true" : "false", trace.slow ? "true" : "false",
           trace.error ? "true" : "false", trace.kernel_tier.c_str());
     }

@@ -83,8 +83,6 @@ std::string SlowQueryRecordToJsonLine(const SlowQueryRecord& record) {
   writer.String(record.outcome);
   writer.Key("kernel_tier");
   writer.String(record.kernel_tier);
-  writer.Key("queue_seconds");
-  writer.Number(record.queue_seconds);
   writer.Key("run_seconds");
   writer.Number(record.run_seconds);
   writer.Key("total_seconds");

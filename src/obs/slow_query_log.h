@@ -31,7 +31,6 @@ struct SlowQueryRecord {
   std::string query_shape;  ///< values wildcarded, bounded cardinality
   std::string outcome = "ok";
   std::string kernel_tier;
-  double queue_seconds = 0;
   double run_seconds = 0;
   double total_seconds = 0;
   double threshold_seconds = 0;

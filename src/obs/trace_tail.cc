@@ -26,8 +26,6 @@ void WriteTraceFields(const RequestTrace& trace, JsonWriter* writer) {
   writer->String(trace.outcome);
   writer->Key("kernel_tier");
   writer->String(trace.kernel_tier);
-  writer->Key("queue_seconds");
-  writer->Number(trace.queue_seconds);
   writer->Key("run_seconds");
   writer->Number(trace.run_seconds);
   writer->Key("total_seconds");

@@ -38,8 +38,7 @@ struct RequestTrace {
   /// "ok" or the StatusCode name of the failure.
   std::string outcome = "ok";
   std::string kernel_tier;
-  double queue_seconds = 0;  ///< admission queue wait
-  double run_seconds = 0;    ///< evaluation time inside the job
+  double run_seconds = 0;    ///< COUNT evaluation on the handler thread
   double total_seconds = 0;  ///< end-to-end frame handling
   bool cached = false;
   bool slow = false;

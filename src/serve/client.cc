@@ -185,8 +185,6 @@ Result<std::vector<RequestTrace>> ServeClient::AdminTraces() {
     SECRETA_ASSIGN_OR_RETURN(trace.outcome, row.GetStringOr("outcome", "ok"));
     SECRETA_ASSIGN_OR_RETURN(trace.kernel_tier,
                              row.GetStringOr("kernel_tier", ""));
-    SECRETA_ASSIGN_OR_RETURN(trace.queue_seconds,
-                             row.GetNumberOr("queue_seconds", 0));
     SECRETA_ASSIGN_OR_RETURN(trace.run_seconds,
                              row.GetNumberOr("run_seconds", 0));
     SECRETA_ASSIGN_OR_RETURN(trace.total_seconds,

@@ -337,7 +337,6 @@ TEST(SlowQueryLogTest, WritesParsableJsonlRecords) {
   record.dataset = "demo";
   record.query_shape = "Age:*;items:*";
   record.kernel_tier = "scalar";
-  record.queue_seconds = 0.01;
   record.run_seconds = 0.3;
   record.total_seconds = 0.32;
   record.threshold_seconds = 0.25;
