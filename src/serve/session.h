@@ -92,8 +92,9 @@ class TokenBucket {
 };
 
 /// \brief One authenticated connection. Created by TenantRegistry on a
-/// successful hello; holds the tenant's shared quota bucket and per-session
-/// counters (lock-free, read by the server's metrics path).
+/// successful hello; holds the tenant's shared quota bucket and the
+/// session's metric handle cache. Per-tenant outcomes are counted in the
+/// serve.requests{tenant,dataset,code} family, not here.
 class ClientSession {
  public:
   ClientSession(uint64_t id, const TenantConfig& config,
@@ -110,17 +111,6 @@ class ClientSession {
   /// Charges one query against the tenant quota.
   Status ChargeQuota() { return quota_->TryAcquire(); }
 
-  void RecordQuery(bool ok) {
-    (ok ? queries_ok_ : queries_failed_).fetch_add(1,
-                                                   std::memory_order_relaxed);
-  }
-  uint64_t queries_ok() const {
-    return queries_ok_.load(std::memory_order_relaxed);
-  }
-  uint64_t queries_failed() const {
-    return queries_failed_.load(std::memory_order_relaxed);
-  }
-
   /// Per-dataset telemetry handle cache. A session belongs to exactly one
   /// connection and is only touched by that connection's handler thread, so
   /// the map needs no lock.
@@ -133,8 +123,6 @@ class ClientSession {
   const std::string tenant_;
   const AccessLevel access_;
   std::shared_ptr<TokenBucket> quota_;
-  std::atomic<uint64_t> queries_ok_{0};
-  std::atomic<uint64_t> queries_failed_{0};
   std::unordered_map<std::string, CountMetricHandles> telemetry_handles_;
 };
 
