@@ -93,9 +93,9 @@ class [[nodiscard]] Status {
   const std::string& message() const { return message_; }
 
   /// Backpressure hint: how long the caller should wait before retrying.
-  /// Populated by admission layers on kResourceExhausted rejections (queue
-  /// full, quota exhausted) so servers can surface HTTP-429-style responses;
-  /// 0 = no hint.
+  /// Populated on kResourceExhausted rejections the query server answers
+  /// (tenant quota exhausted, connection table full) so clients get
+  /// HTTP-429-style responses; 0 = no hint.
   double retry_after_seconds() const { return retry_after_seconds_; }
   bool has_retry_after() const { return retry_after_seconds_ > 0; }
 

@@ -158,20 +158,9 @@ Result<uint64_t> JobScheduler::Enqueue(std::shared_ptr<Job> job) {
   }
   if (queue_.size() >= options_.max_queue) {
     metrics_.IncrRejected();
-    // Backpressure hint: roughly how long until a queue slot frees up —
-    // mean execution time scaled by the queue depth per worker. Callers
-    // serving clients surface it as an HTTP-429-style retry-after instead
-    // of hammering a full queue. Clamped so a cold scheduler (no samples
-    // yet) still suggests a sane pause.
-    double mean_run = metrics_.Snapshot().execution.mean_seconds();
-    double per_worker =
-        static_cast<double>(queue_.size()) /
-        static_cast<double>(std::max<size_t>(1, options_.num_workers));
-    double hint = std::clamp(mean_run * per_worker, 0.05, 10.0);
-    return Status::ResourceExhausted(
-               StrFormat("job queue full (%zu queued, max %zu)", queue_.size(),
-                         options_.max_queue))
-        .WithRetryAfter(hint);
+    return Status::ResourceExhausted(StrFormat(
+        "job queue full (%zu queued, max %zu)", queue_.size(),
+        options_.max_queue));
   }
   job->id = next_id_++;
   job->seq = next_seq_++;

@@ -1,6 +1,9 @@
 // The job service: turns the one-shot, blocking engine entry points into a
-// long-running, multi-client execution core (the harness layer the SECRETA
-// Fig. 1 architecture fans runs out over). A JobScheduler owns
+// long-running, multi-client execution core for batch anonymize/evaluate
+// runs (the harness layer the SECRETA Fig. 1 architecture fans runs out
+// over). Its callers are the CLI's `submit`, example_jobs_demo and
+// service_bench; the online query server (src/serve/) answers COUNTs on its
+// own connection handlers and never submits here. A JobScheduler owns
 //   - a priority FIFO queue layered over the common ThreadPool (higher
 //     priority first, FIFO within a priority),
 //   - bounded-queue backpressure (Submit fails with
