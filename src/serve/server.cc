@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -74,6 +73,14 @@ Status QueryServer::Start() {
   if (running_.load(std::memory_order_acquire) || listen_fd_ >= 0) {
     return Status::FailedPrecondition("server already started");
   }
+  if (options_.max_connections == 0) {
+    // The accept loop refuses every connection beyond max_connections, so
+    // zero slots would start a server that serves nobody.
+    return Status::InvalidArgument("max_connections must be at least 1");
+  }
+  if (options_.count_deadline_seconds < 0) {
+    return Status::InvalidArgument("count_deadline_seconds must be >= 0");
+  }
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::IOError(
@@ -118,8 +125,7 @@ Status QueryServer::Start() {
   port_.store(ntohs(bound.sin_port), std::memory_order_release);
 
   listen_fd_ = fd;
-  handlers_ = std::make_unique<ThreadPool>(
-      std::max<size_t>(1, options_.max_connections), "serve");
+  handlers_ = std::make_unique<ThreadPool>(options_.max_connections, "serve");
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();

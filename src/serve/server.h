@@ -49,7 +49,7 @@ struct ServerOptions {
   /// Bind address. Loopback by default: exposing an anonymization service
   /// beyond the host is a deployment decision, not a default.
   std::string bind_address = "127.0.0.1";
-  /// Concurrent connections (handler pool size).
+  /// Concurrent connections (handler pool size); Start() rejects 0.
   size_t max_connections = 8;
   /// Listen backlog for not-yet-accepted connections.
   int backlog = 16;
@@ -63,7 +63,8 @@ struct ServerOptions {
   /// debugging and tests).
   double slow_query_threshold_seconds = 0.25;
   /// Wall-clock budget per COUNT evaluation: a count that takes at least
-  /// this long is answered DeadlineExceeded. 0 disables the deadline.
+  /// this long is answered DeadlineExceeded. 0 disables the deadline;
+  /// Start() rejects a negative value.
   double count_deadline_seconds = 5.0;
 };
 
@@ -82,7 +83,8 @@ class QueryServer {
   QueryServer& operator=(const QueryServer&) = delete;
 
   /// Binds, listens, and starts the accept thread. FailedPrecondition when
-  /// already started; IOError when the port cannot be bound.
+  /// already started; InvalidArgument for max_connections == 0 or a
+  /// negative count deadline; IOError when the port cannot be bound.
   Status Start() SECRETA_EXCLUDES(mutex_);
 
   /// Graceful shutdown (see file comment). Idempotent; returns after every

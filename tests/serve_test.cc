@@ -3,7 +3,7 @@
 // disconnects), tenants/quotas/access levels, the publication catalog
 // (counts bit-identical to the scan oracles, answer LRU, versioned
 // republication), a full client/server round trip over loopback (COUNT
-// deadline, connection-capacity refusal), fault
+// deadline, connection-capacity refusal, option validation), fault
 // injection at serve.request, and an 8-client concurrency hammer whose
 // results must be byte-identical to a serial reference (TSan-clean; listed
 // in the sanitizers workflow's tsan filter).
@@ -645,6 +645,20 @@ TEST_F(ServeServerTest, ConnectionBeyondCapacityGetsRetryAfter) {
 
   // The held session was not disturbed by the refusal.
   ASSERT_OK(holder.Count("demo", "Age:25..40").status());
+}
+
+TEST_F(ServeServerTest, StartRejectsZeroConnectionsAndNegativeDeadline) {
+  ServerOptions no_slots;
+  no_slots.max_connections = 0;
+  QueryServer unservable(&catalog_, &tenants_, no_slots);
+  EXPECT_EQ(unservable.Start().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(unservable.running());
+
+  ServerOptions negative_deadline;
+  negative_deadline.count_deadline_seconds = -1;
+  QueryServer impatient(&catalog_, &tenants_, negative_deadline);
+  EXPECT_EQ(impatient.Start().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(impatient.running());
 }
 
 TEST_F(ServeServerTest, GarbageJsonGetsTypedErrorAndConnectionSurvives) {
