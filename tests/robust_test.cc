@@ -28,6 +28,9 @@
 namespace secreta {
 namespace {
 
+using testing::ReadFileBytes;
+using testing::WriteFileBytes;
+
 // ---------------------------------------------------------------------------
 // Fault injector (the class is compiled in every build; only the engine
 // SECRETA_FAULT_POINT sites are gated behind -DSECRETA_FAULTS=ON).
@@ -200,6 +203,7 @@ TEST(CheckpointLogTest, RejectsMismatchedFingerprints) {
     ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 11, 22));
     ASSERT_OK(log->Append(1, 2.0, MakeReport()));
   }
+  const std::string bytes = ReadFileBytes(path);
   Result<std::unique_ptr<CheckpointLog>> wrong_ds =
       CheckpointLog::Open(path, 33, 22);
   ASSERT_FALSE(wrong_ds.ok());
@@ -207,8 +211,73 @@ TEST(CheckpointLogTest, RejectsMismatchedFingerprints) {
   Result<std::unique_ptr<CheckpointLog>> wrong_wl =
       CheckpointLog::Open(path, 11, 44);
   EXPECT_FALSE(wrong_wl.ok());
+  // A refused Open neither writes to nor cuts the file.
+  EXPECT_EQ(ReadFileBytes(path), bytes);
+  // Nor does it touch a file that is not a checkpoint at all.
+  const std::string csv = "Age,Gender\n35,M\n";
+  WriteFileBytes(path, csv);
+  Result<std::unique_ptr<CheckpointLog>> not_checkpoint =
+      CheckpointLog::Open(path, 11, 22);
+  ASSERT_FALSE(not_checkpoint.ok());
+  EXPECT_EQ(not_checkpoint.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ReadFileBytes(path), csv);
   // The exact same fingerprints still open.
+  WriteFileBytes(path, bytes);
   EXPECT_TRUE(CheckpointLog::Open(path, 11, 22).ok());
+}
+
+// The v1 sweep-checkpoint bytes (docs/FORMATS.md). Files written before a
+// change to the writer must still resume after it, so this literal only
+// changes together with the header version.
+TEST(CheckpointLogTest, WritesAndReadsGoldenV1Bytes) {
+  const std::string golden =
+      "secreta-checkpoint\tv1\t000000000000000b\t0000000000000016\n"
+      "point\t0000000000000064\t0x1p+1\t"
+      // The 13 metrics, gcp first.
+      "0x1.5555555555555p-2\t0x0p+0\t0x0p+0\t0x0p+0\t0x0p+0\t0x0p+0\t"
+      "0x0p+0\t0x0p+0\t0x0p+0\t0x1.1p+4\t0x1.8p+0\t0x0p+0\t0x0p+0\t"
+      // Clusters, guarantee, degradation, phases.
+      "9\t4\t5\t1\t0\tk%095%25\t0\tshed: ARE\t"
+      "2\trelational\t0x1p-1\ttransaction\t0x1p-2\n";
+  std::string path = TempPath("checkpoint_golden.txt");
+  std::remove(path.c_str());
+  EvaluationReport report;
+  report.gcp = 1.0 / 3.0;
+  report.suppressed = 17;
+  report.run.runtime_seconds = 1.5;
+  report.run.initial_clusters = 9;
+  report.run.final_clusters = 4;
+  report.run.merges = 5;
+  report.run.phases.Add("relational", 0.5);
+  report.run.phases.Add("transaction", 0.25);
+  report.guarantee_checked = true;
+  report.guarantee_name = "k\t5%";
+  report.degraded_detail = "shed: ARE";
+  {
+    ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 11, 22));
+    ASSERT_OK(log->Append(100, 2.0, report));
+  }
+  EXPECT_EQ(ReadFileBytes(path), golden);
+
+  WriteFileBytes(path, golden);
+  ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 11, 22));
+  EXPECT_EQ(log->loaded(), 1u);
+  EvaluationReport restored;
+  double value = 0;
+  ASSERT_TRUE(log->Find(100, &restored, &value));
+  EXPECT_EQ(value, 2.0);
+  EXPECT_EQ(restored.gcp, 1.0 / 3.0);
+  EXPECT_EQ(restored.suppressed, 17);
+  EXPECT_EQ(restored.run.runtime_seconds, 1.5);
+  EXPECT_EQ(restored.run.initial_clusters, 9u);
+  EXPECT_EQ(restored.run.final_clusters, 4u);
+  EXPECT_EQ(restored.run.merges, 5u);
+  EXPECT_EQ(restored.run.phases.phases(), report.run.phases.phases());
+  EXPECT_TRUE(restored.guarantee_checked);
+  EXPECT_FALSE(restored.guarantee_ok);
+  EXPECT_EQ(restored.guarantee_name, "k\t5%");
+  EXPECT_FALSE(restored.degraded);
+  EXPECT_EQ(restored.degraded_detail, "shed: ARE");
 }
 
 TEST(CheckpointLogTest, DropsCorruptTrailingRecord) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,23 +28,12 @@
 namespace secreta {
 namespace {
 
+using secreta::testing::ReadFileBytes;
 using secreta::testing::SmallRtDataset;
+using secreta::testing::WriteFileBytes;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good());
 }
 
 std::string CanonicalCsv(const Dataset& dataset) {
@@ -609,12 +597,58 @@ TEST(ShardCheckpointTest, RejectsForeignRunDatasetOrPlan) {
   {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 1, 2, 3));
-    (void)ckpt;
+    ShardRecord record;
+    record.rows = {0};
+    record.lines = {"a,b"};
+    ASSERT_OK(ckpt->Append(record));
   }
+  const std::string bytes = ReadFileBytes(path);
   EXPECT_FALSE(ShardCheckpoint::Open(path, 9, 2, 3).ok());  // other run
   EXPECT_FALSE(ShardCheckpoint::Open(path, 1, 9, 3).ok());  // other dataset
   EXPECT_FALSE(ShardCheckpoint::Open(path, 1, 2, 9).ok());  // other partition
+  // A refused Open neither writes to nor cuts the file.
+  EXPECT_EQ(ReadFileBytes(path), bytes);
   EXPECT_TRUE(ShardCheckpoint::Open(path, 1, 2, 3).ok());
+}
+
+// The v1 shard-checkpoint bytes (docs/FORMATS.md). Files written before a
+// change to the writer must still resume after it, so this literal only
+// changes together with the header version.
+TEST(ShardCheckpointTest, WritesAndReadsGoldenV1Bytes) {
+  const std::string golden =
+      "secreta-shard-checkpoint\tv1\t0000000000000007\t0000000000000008\t"
+      "0000000000000009\n"
+      "shard 2 2 0x1.5555555555555p-2 0x1p-1\n"
+      "4\t30-39,\"a,b\"\n"
+      "9\t40-49,c\n"
+      "done 2 78654d858f8b095b\n";
+  std::string path = TempPath("shard_ckpt_golden.txt");
+  std::remove(path.c_str());
+  ShardRecord record;
+  record.shard = 2;
+  record.rows = {4, 9};
+  record.lines = {"30-39,\"a,b\"", "40-49,c"};
+  record.gcp = 1.0 / 3.0;
+  record.seconds = 0.5;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 7, 8, 9));
+    ASSERT_OK(ckpt->Append(record));
+  }
+  EXPECT_EQ(ReadFileBytes(path), golden);
+
+  WriteFileBytes(path, golden);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                       ShardCheckpoint::Open(path, 7, 8, 9));
+  EXPECT_EQ(ckpt->loaded(), 1u);
+  ShardMeta meta;
+  ASSERT_TRUE(ckpt->FindMeta(2, &meta));
+  EXPECT_EQ(meta.num_rows, 2u);
+  EXPECT_EQ(meta.gcp, 1.0 / 3.0);
+  EXPECT_EQ(meta.seconds, 0.5);
+  ASSERT_OK_AND_ASSIGN(ShardRecord loaded, ckpt->ReadPayload(2));
+  EXPECT_EQ(loaded.rows, record.rows);
+  EXPECT_EQ(loaded.lines, record.lines);
 }
 
 TEST(ShardCheckpointTest, DropsBlocksWithoutValidDoneLine) {

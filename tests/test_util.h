@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "common/status.h"
 #include "data/dataset.h"
 #include "datagen/synthetic.h"
@@ -47,6 +51,21 @@ inline Dataset SmallRtDataset(size_t n = 200, uint64_t seed = 5) {
   options.seed = seed;
   auto ds = GenerateRtDataset(options);
   return std::move(ds).ValueOrDie();
+}
+
+/// The bytes of the file at `path`.
+inline std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Replaces the file at `path` with `bytes`.
+inline void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
 }
 
 }  // namespace secreta::testing
