@@ -1,8 +1,7 @@
 #include "robust/checkpoint.h"
 
-#include <cstdlib>
-
 #include "common/string_util.h"
+#include "robust/record_log.h"
 #include "service/result_cache.h"
 
 namespace secreta {
@@ -10,7 +9,6 @@ namespace secreta {
 namespace {
 
 constexpr const char* kMagic = "secreta-checkpoint";
-constexpr const char* kVersion = "v1";
 
 // Metric fields of one record, in serialization order. "runtime" maps to
 // run.runtime_seconds; everything else is a direct EvaluationReport field.
@@ -62,32 +60,6 @@ bool UnescapeField(const std::string& field, std::string* out) {
   return true;
 }
 
-// Doubles round-trip exactly through C99 hex-float notation; "%a"/strtod is
-// the only printf/scanf pair that guarantees bit-identical restoration
-// (JsonWriter's %.12g does not).
-std::string EncodeDouble(double value) { return StrFormat("%a", value); }
-
-bool DecodeDouble(const std::string& field, double* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(field.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-bool DecodeU64Hex(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(field.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
-
-bool DecodeU64(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(field.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 // Field `index` of kMetricOrder within a report, for serialization
 // (read via the const overload below) and restoration.
 double* MetricSlot(EvaluationReport* report, size_t index) {
@@ -130,25 +102,21 @@ std::string SerializeRecord(uint64_t key, double value,
                             const EvaluationReport& report) {
   std::vector<std::string> fields;
   fields.push_back("point");
-  fields.push_back(StrFormat("%016llx", static_cast<unsigned long long>(key)));
+  fields.push_back(U64Hex(key));
   fields.push_back(EncodeDouble(value));
   for (size_t i = 0; i < kNumMetrics; ++i) {
     fields.push_back(EncodeDouble(MetricValue(report, i)));
   }
-  fields.push_back(StrFormat("%llu", static_cast<unsigned long long>(
-                                         report.run.initial_clusters)));
-  fields.push_back(StrFormat(
-      "%llu", static_cast<unsigned long long>(report.run.final_clusters)));
-  fields.push_back(
-      StrFormat("%llu", static_cast<unsigned long long>(report.run.merges)));
+  fields.push_back(std::to_string(report.run.initial_clusters));
+  fields.push_back(std::to_string(report.run.final_clusters));
+  fields.push_back(std::to_string(report.run.merges));
   fields.push_back(report.guarantee_checked ? "1" : "0");
   fields.push_back(report.guarantee_ok ? "1" : "0");
   fields.push_back(EscapeField(report.guarantee_name));
   fields.push_back(report.degraded ? "1" : "0");
   fields.push_back(EscapeField(report.degraded_detail));
   const auto& phases = report.run.phases.phases();
-  fields.push_back(
-      StrFormat("%llu", static_cast<unsigned long long>(phases.size())));
+  fields.push_back(std::to_string(phases.size()));
   for (const auto& [name, seconds] : phases) {
     fields.push_back(EscapeField(name));
     fields.push_back(EncodeDouble(seconds));
@@ -198,67 +166,33 @@ bool ParseRecord(const std::string& line, uint64_t* key, double* value,
 
 Result<std::unique_ptr<CheckpointLog>> CheckpointLog::Open(
     const std::string& path, uint64_t dataset_fp, uint64_t workload_fp) {
-  std::unique_ptr<CheckpointLog> log(
-      new CheckpointLog(path, dataset_fp, workload_fp));
-  // The log is not published yet, but records_/out_ are guarded fields:
-  // take the (uncontended) lock so the load phase satisfies the
-  // thread-safety analysis instead of opting out of it.
-  MutexLock lock(log->mutex_);
-  bool have_header = false;
-  {
-    std::ifstream in(path);
-    std::string line;
-    if (in && std::getline(in, line)) {
-      std::vector<std::string> header = Split(line, '\t');
-      uint64_t file_ds = 0;
-      uint64_t file_wl = 0;
-      if (header.size() != 4 || header[0] != kMagic ||
-          header[1] != kVersion || !DecodeU64Hex(header[2], &file_ds) ||
-          !DecodeU64Hex(header[3], &file_wl)) {
-        return Status::FailedPrecondition(
-            path + " is not a " + std::string(kVersion) +
-            " secreta checkpoint; delete it to start over");
-      }
-      if (file_ds != dataset_fp || file_wl != workload_fp) {
-        return Status::FailedPrecondition(StrFormat(
-            "checkpoint %s was written for a different dataset/workload "
-            "(recorded %016llx/%016llx, current %016llx/%016llx)",
-            path.c_str(), static_cast<unsigned long long>(file_ds),
-            static_cast<unsigned long long>(file_wl),
-            static_cast<unsigned long long>(dataset_fp),
-            static_cast<unsigned long long>(workload_fp)));
-      }
-      have_header = true;
-      while (std::getline(in, line)) {
+  std::unordered_map<uint64_t, Record> records;
+  size_t loaded = 0;
+  std::ofstream out;
+  SECRETA_RETURN_IF_ERROR(OpenRecordLog(
+      path, kMagic, "dataset/workload", {dataset_fp, workload_fp},
+      [&](std::istream& in) {
+        std::string line;
         uint64_t key = 0;
         Record record;
-        if (!ParseRecord(line, &key, &record.value, &record.report)) {
-          // Truncated trailing record (killed mid-append): the point simply
-          // reruns. Anything after it is unreachable progress either way.
-          break;
+        if (!ReadRecordLine(in, &line) ||
+            !ParseRecord(line, &key, &record.value, &record.report)) {
+          return false;
         }
-        log->records_[key] = std::move(record);
-        ++log->loaded_;
-      }
-    }
-  }
-  log->out_.open(path, std::ios::app);
-  if (!log->out_) {
-    return Status::IOError("cannot open checkpoint for append: " + path);
-  }
-  if (!have_header) {
-    log->out_ << kMagic << '\t' << kVersion << '\t'
-              << StrFormat("%016llx",
-                           static_cast<unsigned long long>(dataset_fp))
-              << '\t'
-              << StrFormat("%016llx",
-                           static_cast<unsigned long long>(workload_fp))
-              << '\n'
-              << std::flush;
-    if (!log->out_) {
-      return Status::IOError("cannot write checkpoint header: " + path);
-    }
-  }
+        records[key] = std::move(record);
+        ++loaded;
+        return true;
+      },
+      &out));
+  std::unique_ptr<CheckpointLog> log(
+      new CheckpointLog(path, dataset_fp, workload_fp));
+  log->loaded_ = loaded;
+  // The log is not published yet, but records_/out_ are guarded fields:
+  // take the (uncontended) lock so filling them satisfies the thread-safety
+  // analysis instead of opting out of it.
+  MutexLock lock(log->mutex_);
+  log->records_ = std::move(records);
+  log->out_ = std::move(out);
   return log;
 }
 

@@ -1,43 +1,13 @@
 #include "robust/shard_checkpoint.h"
 
-#include <cstdlib>
-
 #include "common/string_util.h"
+#include "robust/record_log.h"
 
 namespace secreta {
 
 namespace {
 
 constexpr const char* kMagic = "secreta-shard-checkpoint";
-constexpr const char* kVersion = "v1";
-
-std::string U64Hex(uint64_t v) {
-  return StrFormat("%016llx", static_cast<unsigned long long>(v));
-}
-
-bool DecodeU64Hex(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(field.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
-
-bool DecodeU64(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(field.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-// Doubles round-trip exactly through C99 hex-floats, same as CheckpointLog.
-std::string EncodeDouble(double value) { return StrFormat("%a", value); }
-
-bool DecodeDouble(const std::string& field, double* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(field.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
 
 // The "done" line pins an FNV-1a over the payload, folded incrementally so
 // neither load nor verification has to hold the block in memory.
@@ -66,43 +36,18 @@ bool ParsePayloadLine(const std::string& line, uint32_t* row,
 Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
     const std::string& path, uint64_t run_key, uint64_t dataset_fp,
     uint64_t plan_fp) {
-  std::unique_ptr<ShardCheckpoint> log(
-      new ShardCheckpoint(path, run_key, dataset_fp, plan_fp));
-  MutexLock lock(log->mutex_);
-  bool have_header = false;
-  {
-    std::ifstream in(path);
-    std::string line;
-    if (in && std::getline(in, line)) {
-      std::vector<std::string> header = Split(line, '\t');
-      uint64_t file_run = 0;
-      uint64_t file_ds = 0;
-      uint64_t file_plan = 0;
-      if (header.size() != 5 || header[0] != kMagic ||
-          header[1] != kVersion || !DecodeU64Hex(header[2], &file_run) ||
-          !DecodeU64Hex(header[3], &file_ds) ||
-          !DecodeU64Hex(header[4], &file_plan)) {
-        return Status::FailedPrecondition(
-            path + " is not a " + std::string(kVersion) +
-            " secreta shard checkpoint; delete it to start over");
-      }
-      if (file_run != run_key || file_ds != dataset_fp ||
-          file_plan != plan_fp) {
-        return Status::FailedPrecondition(StrFormat(
-            "shard checkpoint %s was written for a different "
-            "run/dataset/partition (recorded %s/%s/%s, current %s/%s/%s)",
-            path.c_str(), U64Hex(file_run).c_str(), U64Hex(file_ds).c_str(),
-            U64Hex(file_plan).c_str(), U64Hex(run_key).c_str(),
-            U64Hex(dataset_fp).c_str(), U64Hex(plan_fp).c_str()));
-      }
-      have_header = true;
-      // Shard blocks: "shard <s> <rows> <gcp> <secs>", then <rows> payload
-      // lines "<rowid>\t<csv>", then "done <s> <payload-fp>". Payload lines
-      // are folded into the fingerprint but NOT retained — only the offset
-      // of the first one is, for later ReadPayload() calls. A block without
-      // a valid done line is dropped along with everything after it (kill
-      // mid-append).
-      while (std::getline(in, line)) {
+  std::map<size_t, Entry> records;
+  size_t loaded = 0;
+  std::ofstream out;
+  // Shard blocks: "shard <s> <rows> <gcp> <secs>", then <rows> payload
+  // lines "<rowid>\t<csv>", then "done <s> <payload-fp>". Payload lines are
+  // folded into the fingerprint but NOT retained — only the offset of the
+  // first one is, for later ReadPayload() calls.
+  SECRETA_RETURN_IF_ERROR(OpenRecordLog(
+      path, kMagic, "run/dataset/partition", {run_key, dataset_fp, plan_fp},
+      [&](std::istream& in) {
+        std::string line;
+        if (!ReadRecordLine(in, &line)) return false;
         std::vector<std::string> head = SplitWhitespace(line);
         uint64_t shard = 0;
         uint64_t rows = 0;
@@ -111,49 +56,42 @@ Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
             !DecodeU64(head[1], &shard) || !DecodeU64(head[2], &rows) ||
             !DecodeDouble(head[3], &entry.meta.gcp) ||
             !DecodeDouble(head[4], &entry.meta.seconds)) {
-          break;
+          return false;
         }
         entry.meta.shard = static_cast<size_t>(shard);
         entry.meta.num_rows = static_cast<size_t>(rows);
         entry.offset = static_cast<std::streamoff>(in.tellg());
         uint64_t fp = PayloadSeed();
-        bool ok = true;
         for (uint64_t i = 0; i < rows; ++i) {
           uint32_t row = 0;
           std::string csv;
-          if (!std::getline(in, line) || !ParsePayloadLine(line, &row, &csv)) {
-            ok = false;
-            break;
+          if (!ReadRecordLine(in, &line) ||
+              !ParsePayloadLine(line, &row, &csv)) {
+            return false;
           }
           fp = FoldPayloadRow(fp, row, csv);
         }
-        if (!ok || !std::getline(in, line)) break;
+        if (!ReadRecordLine(in, &line)) return false;
         std::vector<std::string> tail = SplitWhitespace(line);
         uint64_t done_shard = 0;
         uint64_t done_fp = 0;
         if (tail.size() != 3 || tail[0] != "done" ||
             !DecodeU64(tail[1], &done_shard) || done_shard != shard ||
             !DecodeU64Hex(tail[2], &done_fp) || done_fp != fp) {
-          break;
+          return false;
         }
         entry.payload_fp = fp;
-        log->records_[entry.meta.shard] = entry;
-        ++log->loaded_;
-      }
-    }
-  }
-  log->out_.open(path, std::ios::app);
-  if (!log->out_) {
-    return Status::IOError("cannot open shard checkpoint for append: " + path);
-  }
-  if (!have_header) {
-    log->out_ << kMagic << '\t' << kVersion << '\t' << U64Hex(run_key) << '\t'
-              << U64Hex(dataset_fp) << '\t' << U64Hex(plan_fp) << '\n'
-              << std::flush;
-    if (!log->out_) {
-      return Status::IOError("cannot write shard checkpoint header: " + path);
-    }
-  }
+        records[entry.meta.shard] = entry;
+        ++loaded;
+        return true;
+      },
+      &out));
+  std::unique_ptr<ShardCheckpoint> log(
+      new ShardCheckpoint(path, run_key, dataset_fp, plan_fp));
+  log->loaded_ = loaded;
+  MutexLock lock(log->mutex_);
+  log->records_ = std::move(records);
+  log->out_ = std::move(out);
   return log;
 }
 
