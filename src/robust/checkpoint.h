@@ -10,10 +10,10 @@
 // fingerprints; opening a checkpoint written for different inputs fails with
 // FailedPrecondition instead of silently mixing experiments.
 //
-// The format is line-based text, one record per line, flushed per append: a
-// process killed mid-sweep loses at most the in-flight point. Doubles are
-// stored as C99 hex-floats (printf %a), which round-trip exactly — a
-// restored report serializes to byte-identical JSON for every
+// The file is a RecordLog (record_log.h) with one line per point, flushed
+// per append: a process killed mid-sweep loses at most the in-flight point.
+// Doubles are stored as C99 hex-floats (printf %a), which round-trip
+// exactly — a restored report serializes to byte-identical JSON for every
 // non-wall-clock field.
 //
 // Restored reports carry the full metric set, phase rows, cluster counts and
@@ -45,8 +45,8 @@ class CheckpointLog {
  public:
   /// Opens (or creates) the checkpoint at `path` for a run over inputs with
   /// the given fingerprints. Loads every complete record of an existing
-  /// file; a corrupt or truncated trailing line (killed mid-append) is
-  /// dropped silently. Fails with FailedPrecondition when the file was
+  /// file and cuts off a corrupt or truncated tail (killed mid-append).
+  /// Fails with FailedPrecondition, leaving the file untouched, when it was
   /// written for different fingerprints.
   static Result<std::unique_ptr<CheckpointLog>> Open(const std::string& path,
                                                      uint64_t dataset_fp,

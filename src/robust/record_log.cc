@@ -1,6 +1,8 @@
 #include "robust/record_log.h"
 
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 
 #include "common/string_util.h"
 
@@ -18,13 +20,14 @@ Status OpenRecordLog(const std::string& path, const char* magic,
   std::vector<std::string> expected;
   for (uint64_t pin : pins) expected.push_back(U64Hex(pin));
   bool have_header = false;
+  std::streamoff end = 0;  // of the last complete record
   {
     std::ifstream in(path);
     std::string line;
     if (in && std::getline(in, line)) {
       std::vector<std::string> fields = Split(line, '\t');
-      if (fields.size() != 2 + pins.size() || fields[0] != magic ||
-          fields[1] != kVersion) {
+      if (in.eof() || fields.size() != 2 + pins.size() ||
+          fields[0] != magic || fields[1] != kVersion) {
         return Status::FailedPrecondition(
             StrFormat("%s is not a %s %s file; delete it to start over",
                       path.c_str(), kVersion, magic));
@@ -37,8 +40,22 @@ Status OpenRecordLog(const std::string& path, const char* magic,
             Join(expected, "/").c_str()));
       }
       have_header = true;
-      while (parse(in)) {
-      }
+      do {
+        end = in.tellg();
+      } while (parse(in));
+    }
+  }
+  // Cut a torn tail: a record appended after it would be glued to it and,
+  // like everything after it, never load again.
+  if (have_header) {
+    std::error_code error;
+    const uintmax_t size = std::filesystem::file_size(path, error);
+    if (!error && size > static_cast<uintmax_t>(end)) {
+      std::filesystem::resize_file(path, static_cast<uintmax_t>(end), error);
+    }
+    if (error) {
+      return Status::IOError("cannot cut the torn tail of " + path + ": " +
+                             error.message());
     }
   }
   out->open(path, std::ios::app);
@@ -52,7 +69,8 @@ Status OpenRecordLog(const std::string& path, const char* magic,
 }
 
 bool ReadRecordLine(std::istream& in, std::string* line) {
-  return static_cast<bool>(std::getline(in, *line));
+  // getline sets eofbit only when the line ran into the end of the file.
+  return std::getline(in, *line) && !in.eof();
 }
 
 std::string U64Hex(uint64_t value) {

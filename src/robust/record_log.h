@@ -10,7 +10,8 @@
 // The pins name the work a log belongs to (dataset, workload, run and
 // shard-plan fingerprints): a file whose header differs is refused and left
 // untouched. Owners append whole records and flush each one, so a process
-// killed mid-append leaves at most one torn record, at the tail.
+// killed mid-append leaves at most one torn record, at the tail; the next
+// open cuts it off, and what a resume appends survives a later crash.
 
 #ifndef SECRETA_ROBUST_RECORD_LOG_H_
 #define SECRETA_ROBUST_RECORD_LOG_H_
@@ -37,12 +38,14 @@ using RecordParser = std::function<bool(std::istream& in)>;
 /// line is not the header of `magic` with `pins` fails with
 /// FailedPrecondition, naming the file and the recorded and expected pins
 /// (labelled by `pin_names`, e.g. "dataset/workload"), and is not written.
-/// Otherwise `parse` runs once per record until it returns false.
+/// Otherwise `parse` runs once per record until it returns false, and the
+/// file is cut at the end of the last record it parsed.
 Status OpenRecordLog(const std::string& path, const char* magic,
                      const char* pin_names, const std::vector<uint64_t>& pins,
                      const RecordParser& parse, std::ofstream* out);
 
-/// std::getline for the lines of a record.
+/// std::getline for the lines of a record: false at end of file and for a
+/// last line without its '\n', so a record counts only when it is whole.
 bool ReadRecordLine(std::istream& in, std::string* line);
 
 // Field codecs of the record formats. Doubles use C99 hex-floats (%a), the

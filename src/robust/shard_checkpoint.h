@@ -12,13 +12,13 @@
 // footprint of a resumed 1M-record run at one shard, which is the whole
 // point of sharding (see docs/OPERATIONS.md "Out-of-core & sharded runs").
 //
-// The header pins (run key, dataset fingerprint, shard-plan fingerprint);
-// opening against a file written for a different run, dataset or partition
-// fails with FailedPrecondition. Each shard block ends with a "done" line
-// carrying an FNV-1a of the block payload: a process killed mid-append
-// leaves a block without a valid "done" line, which is dropped on load
-// (together with anything after it), so resume recomputes exactly the
-// unfinished shards. Line-based text, flushed per shard, like CheckpointLog.
+// The file is a RecordLog (record_log.h), flushed per shard, whose header
+// pins (run key, dataset fingerprint, shard-plan fingerprint); opening
+// against a file written for a different run, dataset or partition fails
+// with FailedPrecondition. Each shard block ends with a "done" line carrying
+// an FNV-1a of the block payload: a process killed mid-append leaves a block
+// without a valid "done" line, which Open cuts off, so resume recomputes
+// exactly the unfinished shards.
 
 #ifndef SECRETA_ROBUST_SHARD_CHECKPOINT_H_
 #define SECRETA_ROBUST_SHARD_CHECKPOINT_H_

@@ -286,16 +286,52 @@ TEST(CheckpointLogTest, DropsCorruptTrailingRecord) {
   {
     ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
     ASSERT_OK(log->Append(1, 2.0, MakeReport()));
+    ASSERT_OK(log->Append(0xff, 4.0, MakeReport()));
   }
+  const std::string bytes = ReadFileBytes(path);
+  const size_t second = bytes.find("point\t00000000000000ff");
+  ASSERT_NE(second, std::string::npos);
+  const std::string first = bytes.substr(0, second);
+  // A process killed mid-append leaves a truncated line; killed one byte
+  // later, a whole record without its newline. Both are torn and cut off.
+  for (const std::string& torn :
+       {std::string("point\t00000000000000ff\t0x1p+1\ttrunc"),
+        bytes.substr(second, bytes.size() - second - 1)}) {
+    WriteFileBytes(path, first + torn);
+    ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
+    EXPECT_EQ(log->loaded(), 1u);
+    EvaluationReport report;
+    EXPECT_TRUE(log->Find(1, &report));
+    EXPECT_FALSE(log->Find(0xff, &report));
+    EXPECT_EQ(ReadFileBytes(path), first);
+  }
+}
+
+TEST(CheckpointLogTest, AppendAfterTornTailSurvivesReopen) {
+  std::string path = TempPath("checkpoint_torn_append.txt");
+  std::remove(path.c_str());
   {
-    // A process killed mid-append leaves a truncated line.
-    std::ofstream out(path, std::ios::app);
-    out << "point\t00000000000000ff\t0x1p+1\ttrunc";
+    ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
+    ASSERT_OK(log->Append(1, 2.0, MakeReport()));
   }
+  WriteFileBytes(path, ReadFileBytes(path) +
+                           "point\t00000000000000ff\t0x1p+1\ttrunc");
+  {
+    // The resume after the first crash.
+    ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
+    EXPECT_EQ(log->loaded(), 1u);
+    ASSERT_OK(log->Append(2, 4.0, MakeReport()));
+    ASSERT_OK(log->Append(3, 6.0, MakeReport()));
+  }
+  // The resume after a second crash still sees everything written.
   ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
-  EXPECT_EQ(log->loaded(), 1u);
+  EXPECT_EQ(log->loaded(), 3u);
   EvaluationReport report;
-  EXPECT_TRUE(log->Find(1, &report));
+  double value = 0;
+  for (uint64_t key : {1, 2, 3}) {
+    ASSERT_TRUE(log->Find(key, &report, &value)) << key;
+    EXPECT_EQ(value, 2.0 * static_cast<double>(key));
+  }
   EXPECT_FALSE(log->Find(0xff, &report));
 }
 

@@ -666,20 +666,65 @@ TEST(ShardCheckpointTest, DropsBlocksWithoutValidDoneLine) {
       ASSERT_OK(ckpt->Append(record));
     }
   }
-  // Kill mid-append: cut the file inside the second block.
-  std::string bytes = ReadFileBytes(path);
+  const std::string bytes = ReadFileBytes(path);
   size_t first_done = bytes.find("\ndone 0 ");
   ASSERT_NE(first_done, std::string::npos);
   size_t cut = bytes.find('\n', first_done + 1);  // end of "done 0" line
   ASSERT_NE(cut, std::string::npos);
-  WriteFileBytes(path, bytes.substr(0, cut + 1 + 10));
+  const std::string first = bytes.substr(0, cut + 1);
+  // Kill mid-append: cut the file inside the second block, or just before
+  // the newline of its "done" line. Both blocks are torn and cut off.
+  for (size_t size : {cut + 1 + 10, bytes.size() - 1}) {
+    WriteFileBytes(path, bytes.substr(0, size));
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 5, 6, 7));
+    EXPECT_EQ(ckpt->loaded(), 1u);
+    EXPECT_TRUE(ckpt->Has(0));
+    EXPECT_FALSE(ckpt->Has(1));
+    ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(0));
+    EXPECT_EQ(record.lines.size(), 2u);
+    EXPECT_EQ(ReadFileBytes(path), first);
+  }
+}
+
+TEST(ShardCheckpointTest, AppendAfterTornBlockSurvivesReopen) {
+  std::string path = TempPath("shard_ckpt_torn_append.txt");
+  std::remove(path.c_str());
+  auto record_for = [](size_t shard) {
+    ShardRecord record;
+    record.shard = shard;
+    record.rows = {static_cast<uint32_t>(2 * shard),
+                   static_cast<uint32_t>(2 * shard + 1)};
+    record.lines = {"x,y", "z,\"w,v\""};
+    return record;
+  };
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 5, 6, 7));
+    ASSERT_OK(ckpt->Append(record_for(0)));
+  }
+  // Killed mid-append: a head line and half its payload.
+  WriteFileBytes(path,
+                 ReadFileBytes(path) + "shard 1 2 0x0p+0 0x0p+0\n2\tx,y\n");
+  {
+    // The resume after the first crash.
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 5, 6, 7));
+    EXPECT_EQ(ckpt->loaded(), 1u);
+    ASSERT_OK(ckpt->Append(record_for(1)));
+    ASSERT_OK(ckpt->Append(record_for(2)));
+  }
+  // The resume after a second crash still reads everything written.
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                        ShardCheckpoint::Open(path, 5, 6, 7));
-  EXPECT_EQ(ckpt->loaded(), 1u);
-  EXPECT_TRUE(ckpt->Has(0));
-  EXPECT_FALSE(ckpt->Has(1));
-  ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(0));
-  EXPECT_EQ(record.lines.size(), 2u);
+  EXPECT_EQ(ckpt->loaded(), 3u);
+  for (size_t shard = 0; shard < 3; ++shard) {
+    ShardMeta meta;
+    EXPECT_TRUE(ckpt->FindMeta(shard, &meta)) << shard;
+    ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(shard));
+    EXPECT_EQ(record.rows, record_for(shard).rows);
+    EXPECT_EQ(record.lines, record_for(shard).lines);
+  }
 }
 
 TEST(ShardCheckpointTest, PointKeyFoldsShardOnlyWhenNonZero) {
