@@ -198,15 +198,9 @@ Result<std::unique_ptr<CheckpointLog>> CheckpointLog::Open(
 
 uint64_t CheckpointLog::PointKey(const AlgorithmConfig& point_config,
                                  uint64_t dataset_fp, uint64_t workload_fp,
-                                 size_t config_index, size_t shard_index) {
-  uint64_t key = HashCombine(RunCacheKey(point_config, dataset_fp, workload_fp),
-                             static_cast<uint64_t>(config_index));
-  // Shard 0 folds in nothing so unsharded checkpoints written before the
-  // (shard, grid) key extension keep resuming byte-identically.
-  if (shard_index != 0) {
-    key = HashCombine(key, static_cast<uint64_t>(shard_index));
-  }
-  return key;
+                                 size_t config_index) {
+  return HashCombine(RunCacheKey(point_config, dataset_fp, workload_fp),
+                     static_cast<uint64_t>(config_index));
 }
 
 bool CheckpointLog::Find(uint64_t key, EvaluationReport* report,

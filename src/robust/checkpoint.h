@@ -54,13 +54,10 @@ class CheckpointLog {
 
   /// Checkpoint key of one unit of work: the run cache key of the fully
   /// substituted point configuration, mixed with the configuration's index
-  /// in the comparison grid (0 for a plain sweep) and the shard index (0
-  /// for unsharded runs — the historical key space is unchanged). Sharded
-  /// runs record one entry per (shard, grid) cell, so an interrupted
-  /// multi-shard run resumes at shard granularity.
+  /// in the comparison grid (0 for a plain sweep).
   static uint64_t PointKey(const AlgorithmConfig& point_config,
                            uint64_t dataset_fp, uint64_t workload_fp,
-                           size_t config_index, size_t shard_index = 0);
+                           size_t config_index);
 
   /// Copies the stored report for `key` into `*report` (and the sweep value
   /// into `*value` when non-null). False when the key is not recorded.

@@ -95,11 +95,6 @@ Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
   return log;
 }
 
-bool ShardCheckpoint::Has(size_t shard) const {
-  MutexLock lock(mutex_);
-  return records_.find(shard) != records_.end();
-}
-
 bool ShardCheckpoint::FindMeta(size_t shard, ShardMeta* out) const {
   MutexLock lock(mutex_);
   auto it = records_.find(shard);

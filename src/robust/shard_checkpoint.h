@@ -58,15 +58,12 @@ struct ShardMeta {
 class ShardCheckpoint {
  public:
   /// Opens (or creates) the checkpoint at `path` for the run identified by
-  /// `run_key` (CheckpointLog::PointKey of the config at shard 0) over the
-  /// dataset and partition with the given fingerprints.
+  /// `run_key` (CheckpointLog::PointKey of the config) over the dataset and
+  /// partition with the given fingerprints.
   static Result<std::unique_ptr<ShardCheckpoint>> Open(const std::string& path,
                                                        uint64_t run_key,
                                                        uint64_t dataset_fp,
                                                        uint64_t plan_fp);
-
-  /// True when `shard` has a complete block.
-  bool Has(size_t shard) const SECRETA_EXCLUDES(mutex_);
 
   /// Copies the stored metadata for `shard`. False if missing.
   bool FindMeta(size_t shard, ShardMeta* out) const SECRETA_EXCLUDES(mutex_);

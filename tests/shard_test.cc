@@ -21,7 +21,6 @@
 #include "engine/sharded_runner.h"
 #include "hierarchy/hierarchy_builder.h"
 #include "kernels/roaring.h"
-#include "robust/checkpoint.h"
 #include "robust/shard_checkpoint.h"
 #include "tests/test_util.h"
 
@@ -574,8 +573,9 @@ TEST(ShardCheckpointTest, AppendReopenReadPayloadRoundTrip) {
                          ShardCheckpoint::Open(path, 7, 8, 9));
     EXPECT_EQ(ckpt->loaded(), 0u);
     ASSERT_OK(ckpt->Append(record));
-    EXPECT_TRUE(ckpt->Has(1));
-    EXPECT_FALSE(ckpt->Has(0));
+    ShardMeta meta;
+    EXPECT_TRUE(ckpt->FindMeta(1, &meta));
+    EXPECT_FALSE(ckpt->FindMeta(0, &meta));
   }
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                        ShardCheckpoint::Open(path, 7, 8, 9));
@@ -679,8 +679,9 @@ TEST(ShardCheckpointTest, DropsBlocksWithoutValidDoneLine) {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 5, 6, 7));
     EXPECT_EQ(ckpt->loaded(), 1u);
-    EXPECT_TRUE(ckpt->Has(0));
-    EXPECT_FALSE(ckpt->Has(1));
+    ShardMeta meta;
+    EXPECT_TRUE(ckpt->FindMeta(0, &meta));
+    EXPECT_FALSE(ckpt->FindMeta(1, &meta));
     ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(0));
     EXPECT_EQ(record.lines.size(), 2u);
     EXPECT_EQ(ReadFileBytes(path), first);
@@ -725,16 +726,6 @@ TEST(ShardCheckpointTest, AppendAfterTornBlockSurvivesReopen) {
     EXPECT_EQ(record.rows, record_for(shard).rows);
     EXPECT_EQ(record.lines, record_for(shard).lines);
   }
-}
-
-TEST(ShardCheckpointTest, PointKeyFoldsShardOnlyWhenNonZero) {
-  AlgorithmConfig config;
-  uint64_t base = CheckpointLog::PointKey(config, 10, 20, 3);
-  // Shard 0 must not perturb pre-existing unsharded checkpoint keys.
-  EXPECT_EQ(base, CheckpointLog::PointKey(config, 10, 20, 3, 0));
-  EXPECT_NE(base, CheckpointLog::PointKey(config, 10, 20, 3, 1));
-  EXPECT_NE(CheckpointLog::PointKey(config, 10, 20, 3, 1),
-            CheckpointLog::PointKey(config, 10, 20, 3, 2));
 }
 
 // ---------------------------------------------------------------------------
