@@ -167,7 +167,6 @@ bool ParseRecord(const std::string& line, uint64_t* key, double* value,
 Result<std::unique_ptr<CheckpointLog>> CheckpointLog::Open(
     const std::string& path, uint64_t dataset_fp, uint64_t workload_fp) {
   std::unordered_map<uint64_t, Record> records;
-  size_t loaded = 0;
   std::ofstream out;
   SECRETA_RETURN_IF_ERROR(OpenRecordLog(
       path, kMagic, "dataset/workload", {dataset_fp, workload_fp},
@@ -180,13 +179,12 @@ Result<std::unique_ptr<CheckpointLog>> CheckpointLog::Open(
           return false;
         }
         records[key] = std::move(record);
-        ++loaded;
         return true;
       },
       &out));
   std::unique_ptr<CheckpointLog> log(
       new CheckpointLog(path, dataset_fp, workload_fp));
-  log->loaded_ = loaded;
+  log->loaded_ = records.size();
   // The log is not published yet, but records_/out_ are guarded fields:
   // take the (uncontended) lock so filling them satisfies the thread-safety
   // analysis instead of opting out of it.

@@ -8,15 +8,12 @@
 
 namespace secreta {
 
-namespace {
-
 constexpr const char* kVersion = "v1";
-
-}  // namespace
 
 Status OpenRecordLog(const std::string& path, const char* magic,
                      const char* pin_names, const std::vector<uint64_t>& pins,
-                     const RecordParser& parse, std::ofstream* out) {
+                     const std::function<bool(std::istream&)>& parse,
+                     std::ofstream* out) {
   std::vector<std::string> expected;
   for (uint64_t pin : pins) expected.push_back(U64Hex(pin));
   bool have_header = false;

@@ -1,17 +1,16 @@
-// RecordLog: the file framing shared by the checkpoint logs. CheckpointLog
-// (sweeps and comparison grids) and ShardCheckpoint (sharded runs) each own
-// a record format, an index and a lock; this file owns what the two files
-// have in common (docs/FORMATS.md "Checkpoint logs"):
+// RecordLog: the checkpoint file framing under CheckpointLog (sweeps and
+// grids) and ShardCheckpoint (sharded runs), which keep their own record
+// formats, indexes and locks. Spec: docs/FORMATS.md "Checkpoint logs".
 //
 //   <magic>\tv1\t<pin>\t<pin>...\n    each pin a %016llx hex u64
 //   <record>                           one or more lines, each ending in \n
 //   ...
 //
 // The pins name the work a log belongs to (dataset, workload, run and
-// shard-plan fingerprints): a file whose header differs is refused and left
-// untouched. Owners append whole records and flush each one, so a process
-// killed mid-append leaves at most one torn record, at the tail; the next
-// open cuts it off, and what a resume appends survives a later crash.
+// shard-plan fingerprints). Owners append whole records and flush each one,
+// so a process killed mid-append leaves at most one torn record, at the
+// tail. The next open cuts it off: what a resume appends after it must
+// survive a later crash.
 
 #ifndef SECRETA_ROBUST_RECORD_LOG_H_
 #define SECRETA_ROBUST_RECORD_LOG_H_
@@ -27,22 +26,18 @@
 
 namespace secreta {
 
-/// Parses the record at the current position of `in` into the owner's index
-/// and returns true, or returns false when no valid record starts there.
-/// Reads lines with ReadRecordLine.
-using RecordParser = std::function<bool(std::istream& in)>;
-
 /// Opens the record log at `path` and leaves `*out` open for appending to it.
-///
 /// A missing or empty file gets the header. An existing file whose first
 /// line is not the header of `magic` with `pins` fails with
 /// FailedPrecondition, naming the file and the recorded and expected pins
 /// (labelled by `pin_names`, e.g. "dataset/workload"), and is not written.
-/// Otherwise `parse` runs once per record until it returns false, and the
-/// file is cut at the end of the last record it parsed.
+/// Otherwise `parse` reads one record (with ReadRecordLine) into the owner's
+/// index per call until it returns false, and the file is cut at the end of
+/// the last record it parsed.
 Status OpenRecordLog(const std::string& path, const char* magic,
                      const char* pin_names, const std::vector<uint64_t>& pins,
-                     const RecordParser& parse, std::ofstream* out);
+                     const std::function<bool(std::istream&)>& parse,
+                     std::ofstream* out);
 
 /// std::getline for the lines of a record: false at end of file and for a
 /// last line without its '\n', so a record counts only when it is whole.

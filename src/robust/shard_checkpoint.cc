@@ -18,16 +18,28 @@ uint64_t FoldPayloadRow(uint64_t fp, uint32_t row, const std::string& line) {
   return HashCombine(fp, Fnv1a64(line));
 }
 
-bool ParsePayloadLine(const std::string& line, uint32_t* row,
-                      std::string* csv) {
-  size_t tab = line.find('\t');
-  uint64_t value = 0;
-  if (tab == std::string::npos || !DecodeU64(line.substr(0, tab), &value) ||
-      value > 0xffffffffull) {
-    return false;
+// Reads `count` payload lines "<rowid>\t<csv>" into their fingerprint
+// `*fp`, keeping them in `*record` when it is non-null. False on a torn or
+// malformed line.
+bool ReadPayloadLines(std::istream& in, size_t count, uint64_t* fp,
+                      ShardRecord* record) {
+  *fp = PayloadSeed();
+  std::string line;
+  for (size_t i = 0; i < count; ++i) {
+    if (!ReadRecordLine(in, &line)) return false;
+    const size_t tab = line.find('\t');
+    uint64_t row = 0;
+    if (tab == std::string::npos || !DecodeU64(line.substr(0, tab), &row) ||
+        row > 0xffffffffull) {
+      return false;
+    }
+    std::string csv = line.substr(tab + 1);
+    *fp = FoldPayloadRow(*fp, static_cast<uint32_t>(row), csv);
+    if (record != nullptr) {
+      record->rows.push_back(static_cast<uint32_t>(row));
+      record->lines.push_back(std::move(csv));
+    }
   }
-  *row = static_cast<uint32_t>(value);
-  *csv = line.substr(tab + 1);
   return true;
 }
 
@@ -37,7 +49,6 @@ Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
     const std::string& path, uint64_t run_key, uint64_t dataset_fp,
     uint64_t plan_fp) {
   std::map<size_t, Entry> records;
-  size_t loaded = 0;
   std::ofstream out;
   // Shard blocks: "shard <s> <rows> <gcp> <secs>", then <rows> payload
   // lines "<rowid>\t<csv>", then "done <s> <payload-fp>". Payload lines are
@@ -61,34 +72,25 @@ Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
         entry.meta.shard = static_cast<size_t>(shard);
         entry.meta.num_rows = static_cast<size_t>(rows);
         entry.offset = static_cast<std::streamoff>(in.tellg());
-        uint64_t fp = PayloadSeed();
-        for (uint64_t i = 0; i < rows; ++i) {
-          uint32_t row = 0;
-          std::string csv;
-          if (!ReadRecordLine(in, &line) ||
-              !ParsePayloadLine(line, &row, &csv)) {
-            return false;
-          }
-          fp = FoldPayloadRow(fp, row, csv);
+        if (!ReadPayloadLines(in, entry.meta.num_rows, &entry.payload_fp,
+                              nullptr) ||
+            !ReadRecordLine(in, &line)) {
+          return false;
         }
-        if (!ReadRecordLine(in, &line)) return false;
         std::vector<std::string> tail = SplitWhitespace(line);
         uint64_t done_shard = 0;
         uint64_t done_fp = 0;
         if (tail.size() != 3 || tail[0] != "done" ||
             !DecodeU64(tail[1], &done_shard) || done_shard != shard ||
-            !DecodeU64Hex(tail[2], &done_fp) || done_fp != fp) {
+            !DecodeU64Hex(tail[2], &done_fp) || done_fp != entry.payload_fp) {
           return false;
         }
-        entry.payload_fp = fp;
         records[entry.meta.shard] = entry;
-        ++loaded;
         return true;
       },
       &out));
-  std::unique_ptr<ShardCheckpoint> log(
-      new ShardCheckpoint(path, run_key, dataset_fp, plan_fp));
-  log->loaded_ = loaded;
+  std::unique_ptr<ShardCheckpoint> log(new ShardCheckpoint(path));
+  log->loaded_ = records.size();
   MutexLock lock(log->mutex_);
   log->records_ = std::move(records);
   log->out_ = std::move(out);
@@ -125,23 +127,11 @@ Result<ShardRecord> ShardCheckpoint::ReadPayload(size_t shard) const {
   record.seconds = entry.meta.seconds;
   record.rows.reserve(entry.meta.num_rows);
   record.lines.reserve(entry.meta.num_rows);
-  uint64_t fp = PayloadSeed();
-  std::string line;
-  for (size_t i = 0; i < entry.meta.num_rows; ++i) {
-    uint32_t row = 0;
-    std::string csv;
-    if (!std::getline(in, line) || !ParsePayloadLine(line, &row, &csv)) {
-      return Status::IOError(StrFormat(
-          "shard checkpoint %s: shard %zu payload changed since load",
-          path_.c_str(), shard));
-    }
-    fp = FoldPayloadRow(fp, row, csv);
-    record.rows.push_back(row);
-    record.lines.push_back(std::move(csv));
-  }
-  if (fp != entry.payload_fp) {
+  uint64_t fp = 0;
+  if (!ReadPayloadLines(in, entry.meta.num_rows, &fp, &record) ||
+      fp != entry.payload_fp) {
     return Status::IOError(StrFormat(
-        "shard checkpoint %s: shard %zu payload fingerprint mismatch",
+        "shard checkpoint %s: shard %zu payload changed since load",
         path_.c_str(), shard));
   }
   return record;

@@ -87,17 +87,9 @@ class ShardCheckpoint {
     std::streamoff offset = 0;
   };
 
-  ShardCheckpoint(std::string path, uint64_t run_key, uint64_t dataset_fp,
-                  uint64_t plan_fp)
-      : path_(std::move(path)),
-        run_key_(run_key),
-        dataset_fp_(dataset_fp),
-        plan_fp_(plan_fp) {}
+  explicit ShardCheckpoint(std::string path) : path_(std::move(path)) {}
 
   const std::string path_;
-  const uint64_t run_key_;
-  const uint64_t dataset_fp_;
-  const uint64_t plan_fp_;
   size_t loaded_ = 0;
 
   mutable Mutex mutex_;
