@@ -151,7 +151,10 @@ bool ParseRecord(const std::string& line, uint64_t* key, double* value,
   if (!UnescapeField(fields[at++], &report->degraded_detail)) return false;
   uint64_t num_phases = 0;
   if (!DecodeU64(fields[at++], &num_phases)) return false;
-  if (fields.size() != kFixed + 2 * num_phases) return false;
+  // Bound the count before doubling it: 2 * (2^63 + 1) wraps to 2.
+  if (num_phases > fields.size() || fields.size() != kFixed + 2 * num_phases) {
+    return false;
+  }
   for (uint64_t i = 0; i < num_phases; ++i) {
     std::string name;
     double seconds = 0;

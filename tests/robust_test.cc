@@ -292,11 +292,16 @@ TEST(CheckpointLogTest, DropsCorruptTrailingRecord) {
   const size_t second = bytes.find("point\t00000000000000ff");
   ASSERT_NE(second, std::string::npos);
   const std::string first = bytes.substr(0, second);
+  // One phase whose count, doubled, wraps to the field count.
+  std::string overflow = bytes.substr(second);
+  overflow = overflow.substr(0, overflow.rfind("\t2\trelational")) +
+             "\t9223372036854775809\trelational\t0x1p-1\n";
   // A process killed mid-append leaves a truncated line; killed one byte
-  // later, a whole record without its newline. Both are torn and cut off.
+  // later, a whole record without its newline. Both are torn and cut off,
+  // like a record that is whole but corrupt.
   for (const std::string& torn :
        {std::string("point\t00000000000000ff\t0x1p+1\ttrunc"),
-        bytes.substr(second, bytes.size() - second - 1)}) {
+        bytes.substr(second, bytes.size() - second - 1), overflow}) {
     WriteFileBytes(path, first + torn);
     ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
     EXPECT_EQ(log->loaded(), 1u);
