@@ -1,5 +1,4 @@
-// Tests for the remaining common substrate: RNG, thread pool, timers,
-// logging.
+// Tests for the remaining common substrate: RNG, thread pool, timers.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 #include <set>
 #include <thread>
 
-#include "common/logging.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -134,15 +132,6 @@ TEST(PhaseTimerTest, AccumulatesNamedPhases) {
   EXPECT_GE(timer.phases()[0].second, 1.5);
   EXPECT_GE(timer.TotalSeconds(), 1.5);
   timer.End();  // idempotent
-}
-
-TEST(LoggingTest, LevelFiltering) {
-  LogLevel old_level = GetLogLevel();
-  SetLogLevel(LogLevel::kOff);
-  SECRETA_LOG(kError) << "must not crash while disabled";
-  SetLogLevel(LogLevel::kDebug);
-  SECRETA_LOG(kDebug) << "enabled path " << 42;
-  SetLogLevel(old_level);
 }
 
 }  // namespace

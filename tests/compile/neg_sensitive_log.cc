@@ -1,6 +1,6 @@
 // Negative compile test: Sensitive values must not be streamable. Logging
-// is the classic accidental exfiltration channel — one SECRETA_LOG of a
-// cell value and raw microdata is in a world-readable log file. The
+// is the classic accidental exfiltration channel — one cell value streamed
+// into a log line and raw microdata is in a world-readable log file. The
 // deleted friend operator<< in src/common/sensitive.h makes the compiler
 // reject it; this test proves the deletion is still in force.
 

@@ -2,8 +2,8 @@
 // concurrency, enable/disable, Reset, Chrome trace-event export — validated
 // by parsing the emitted JSON back), the unified metrics registry (handle
 // stability, histogram bucket boundaries, snapshots, text/JSON export),
-// named thread-pool instrumentation, the structured JSON log sink, and a
-// traced end-to-end mini-experiment.
+// named thread-pool instrumentation, and a traced end-to-end
+// mini-experiment.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +13,10 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "engine/config_io.h"
 #include "export/json_export.h"
@@ -470,51 +468,6 @@ TEST(ThreadPoolInstrumentationTest, UnnamedPoolStaysOffTheRegistry) {
   pool.Submit([] {});
   pool.Wait();
   EXPECT_EQ(global.counter("pool.tasks", pool_labels)->value(), tasks_before);
-}
-
-// ---------------------------------------------------------------------------
-// Structured log sink
-
-TEST(LoggingTest, JsonSinkEmitsOneParsableObjectPerLine) {
-  std::ostringstream captured;
-  SetLogStream(&captured);
-  SetLogSink(LogSink::kJson);
-  LogLevel old_level = GetLogLevel();
-  SetLogLevel(LogLevel::kInfo);
-
-  SECRETA_LOG(kInfo) << "hello \"quoted\"\nline two";
-  SECRETA_LOG(kWarning) << "warn";
-
-  SetLogLevel(old_level);
-  SetLogSink(LogSink::kText);
-  SetLogStream(nullptr);
-
-  std::istringstream lines(captured.str());
-  std::string line;
-  std::vector<JsonValue> records;
-  while (std::getline(lines, line)) {
-    if (!line.empty()) records.push_back(ParseJsonOrDie(line));
-  }
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].at("level").str, "INFO");
-  EXPECT_EQ(records[0].at("msg").str, "hello \"quoted\"\nline two");
-  EXPECT_GT(records[0].at("ts").number, 0.0);
-  EXPECT_NE(records[0].at("src").str.find("obs_test.cc:"), std::string::npos);
-  EXPECT_EQ(records[1].at("level").str, "WARN");
-}
-
-TEST(LoggingTest, TextSinkKeepsClassicFormat) {
-  std::ostringstream captured;
-  SetLogStream(&captured);
-  LogLevel old_level = GetLogLevel();
-  SetLogLevel(LogLevel::kInfo);
-
-  SECRETA_LOG(kWarning) << "plain text";
-
-  SetLogLevel(old_level);
-  SetLogStream(nullptr);
-  EXPECT_NE(captured.str().find("[WARN obs_test.cc:"), std::string::npos);
-  EXPECT_NE(captured.str().find("plain text"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
