@@ -32,12 +32,15 @@ struct AnonParams {
   uint64_t seed = 42;
 
   /// Sets a parameter by name ("k", "m", "delta", "lra_partitions",
-  /// "vpa_parts", "rho"); used by varying-parameter execution.
+  /// "vpa_parts", "rho"); used by varying-parameter execution. Refuses
+  /// non-finite values, and integer parameters an int cannot hold (integer
+  /// parameters round halves away from zero).
   Status Set(const std::string& name, double value);
   /// Reads a parameter by name.
   Result<double> Get(const std::string& name) const;
 
-  /// Validates ranges (k >= 2, m >= 1, delta >= 0, ...).
+  /// Validates ranges (k >= 2, m >= 1, finite delta >= 0, rho in (0, 1],
+  /// ...); NaN is out of every range.
   Status Validate() const;
 };
 

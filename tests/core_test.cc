@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/equivalence.h"
 #include "core/guarantees.h"
 #include "core/params.h"
@@ -36,6 +38,48 @@ TEST(ParamsTest, Validation) {
   EXPECT_FALSE(params.Validate().ok());
   params.m = 1;
   params.rho = 1.5;
+  EXPECT_FALSE(params.Validate().ok());
+}
+
+// Set and Validate refuse NaN, infinities and integers an int cannot hold:
+// a NaN delta made the RT merger merge every cluster, and k=6e9 used to wrap
+// to k=1705032704.
+TEST(ParamsTest, RejectsNonFiniteAndOutOfRangeValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* name :
+       {"k", "m", "delta", "lra_partitions", "vpa_parts", "rho"}) {
+    SCOPED_TRACE(name);
+    AnonParams params;
+    const AnonParams before = params;
+    EXPECT_FALSE(params.Set(name, nan).ok());
+    EXPECT_FALSE(params.Set(name, inf).ok());
+    EXPECT_FALSE(params.Set(name, -inf).ok());
+    EXPECT_EQ(params.Get(name).value(), before.Get(name).value());
+  }
+  for (const char* name : {"k", "m", "lra_partitions", "vpa_parts"}) {
+    SCOPED_TRACE(name);
+    AnonParams params;
+    const AnonParams before = params;
+    EXPECT_FALSE(params.Set(name, 4294967298.0).ok());
+    EXPECT_FALSE(params.Set(name, 6e9).ok());
+    EXPECT_FALSE(params.Set(name, -6e9).ok());
+    EXPECT_FALSE(params.Set(name, 2147483647.5).ok());  // rounds past INT_MAX
+    EXPECT_EQ(params.Get(name).value(), before.Get(name).value());
+    ASSERT_OK(params.Set(name, 2147483647.0));
+    EXPECT_EQ(params.Get(name).value(), 2147483647.0);
+  }
+  AnonParams params;
+  ASSERT_OK(params.Set("k", 2.5));  // halves round away from zero
+  EXPECT_EQ(params.k, 3);
+
+  params = AnonParams();
+  params.delta = nan;
+  EXPECT_FALSE(params.Validate().ok());
+  params.delta = inf;
+  EXPECT_FALSE(params.Validate().ok());
+  params = AnonParams();
+  params.rho = nan;
   EXPECT_FALSE(params.Validate().ok());
 }
 
