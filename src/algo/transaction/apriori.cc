@@ -13,12 +13,13 @@ Result<bool> RunAprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset
                             bool suppress_on_failure, ThreadPool* pool,
                             const CancellationToken* cancel) {
   const Hierarchy& h = cut->context().hierarchy();
+  CutRecords view;
   for (int i = 1; i <= m; ++i) {
     while (true) {
       SECRETA_RETURN_IF_ERROR(CheckCancelled(cancel, "apriori raise"));
-      CutRecoding view = cut->Materialize(subset);
+      cut->Recode(subset, &view);
       // Count-tree support counting ([10] Sec. 5); one pass per iteration.
-      CountTree tree(view.recoding.records, i, pool);
+      CountTree tree(view.records, i, pool);
       auto violations = tree.FindViolations(k, 1);
       if (violations.empty()) break;
       // Candidate raises: the distinct cut nodes of the violating itemset

@@ -1,7 +1,6 @@
 #include "algo/transaction/cut.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace secreta {
 
@@ -9,9 +8,16 @@ HierarchyCut::HierarchyCut(const TransactionContext& context)
     : context_(&context) {
   const Hierarchy& h = context.hierarchy();
   node_of_pos_.resize(h.num_leaves());
+  first_item_under_.assign(h.num_nodes(), -1);
   for (size_t item = 0; item < context.num_items(); ++item) {
     NodeId leaf = context.Leaf(static_cast<ItemId>(item));
     node_of_pos_[static_cast<size_t>(h.leaf_interval_begin(leaf))] = leaf;
+    // Items ascend, so a node already marked has all its ancestors marked.
+    for (NodeId node = leaf;
+         node != kNoNode && first_item_under_[static_cast<size_t>(node)] < 0;
+         node = h.parent(node)) {
+      first_item_under_[static_cast<size_t>(node)] = static_cast<ItemId>(item);
+    }
   }
 }
 
@@ -30,47 +36,58 @@ NodeId HierarchyCut::NodeOf(ItemId item) const {
   return node_of_pos_[static_cast<size_t>(h.leaf_interval_begin(leaf))];
 }
 
-CutRecoding HierarchyCut::Materialize(const std::vector<size_t>& subset) const {
-  const Hierarchy& h = context_->hierarchy();
+void HierarchyCut::Recode(const std::vector<size_t>& subset,
+                          CutRecords* out) const {
   const Dataset& data = context_->dataset();
-  CutRecoding out;
-  out.recoding.item_map.assign(context_->num_items(), kSuppressedGen);
+  out->records.resize(subset.size());
+  out->gen_nodes.clear();
+  out->item_gen.assign(context_->num_items(), kSuppressedGen);
   if (suppress_all_) {
-    out.recoding.records.assign(subset.size(), {});
-    for (size_t j = 0; j < subset.size(); ++j) {
-      out.recoding.suppressed_occurrences += data.items(subset[j]).raw().size();
-    }
-    return out;
+    for (auto& rec : out->records) rec.clear();
+    return;
   }
-  std::unordered_map<NodeId, int32_t> gen_of_node;
-  auto gen_for = [&](NodeId node) -> int32_t {
-    auto [it, inserted] = gen_of_node.emplace(
-        node, static_cast<int32_t>(out.recoding.gens.size()));
-    if (inserted) {
-      std::vector<ItemId> covers;
-      for (NodeId leaf : h.LeavesUnder(node)) {
-        covers.push_back(context_->ItemOfLeaf(leaf));
-      }
-      std::sort(covers.begin(), covers.end());
-      out.recoding.gens.push_back({h.label(node), std::move(covers)});
-      out.gen_nodes.push_back(node);
+  for (size_t item = 0; item < out->item_gen.size(); ++item) {
+    NodeId node = NodeOf(static_cast<ItemId>(item));
+    auto first = static_cast<size_t>(first_item_under_[static_cast<size_t>(node)]);
+    if (first == item) {
+      out->item_gen[item] = static_cast<int32_t>(out->gen_nodes.size());
+      out->gen_nodes.push_back(node);
+    } else {
+      out->item_gen[item] = out->item_gen[first];  // assigned at `first`
     }
-    return it->second;
-  };
-  // Fill item_map for the whole domain so it reflects the global recoding.
-  for (size_t item = 0; item < context_->num_items(); ++item) {
-    out.recoding.item_map[item] = gen_for(NodeOf(static_cast<ItemId>(item)));
   }
-  out.recoding.records.reserve(subset.size());
-  std::vector<int32_t> rec;
-  for (size_t row : subset) {
+  for (size_t j = 0; j < subset.size(); ++j) {
+    std::vector<int32_t>& rec = out->records[j];
     rec.clear();
-    for (ItemId item : data.items(row).raw()) {
-      rec.push_back(out.recoding.item_map[static_cast<size_t>(item)]);
+    for (ItemId item : data.items(subset[j]).raw()) {
+      rec.push_back(out->item_gen[static_cast<size_t>(item)]);
     }
     std::sort(rec.begin(), rec.end());
     rec.erase(std::unique(rec.begin(), rec.end()), rec.end());
-    out.recoding.records.push_back(rec);
+  }
+}
+
+CutRecoding HierarchyCut::Materialize(const std::vector<size_t>& subset) const {
+  const Hierarchy& h = context_->hierarchy();
+  CutRecords view;
+  Recode(subset, &view);
+  CutRecoding out;
+  out.recoding.records = std::move(view.records);
+  out.recoding.item_map = std::move(view.item_gen);
+  out.gen_nodes = std::move(view.gen_nodes);
+  if (suppress_all_) {
+    for (size_t row : subset) {
+      out.recoding.suppressed_occurrences +=
+          context_->dataset().items(row).raw().size();
+    }
+  }
+  for (NodeId node : out.gen_nodes) {
+    std::vector<ItemId> covers;
+    for (NodeId leaf : h.LeavesUnder(node)) {
+      covers.push_back(context_->ItemOfLeaf(leaf));
+    }
+    std::sort(covers.begin(), covers.end());
+    out.recoding.gens.push_back({h.label(node), std::move(covers)});
   }
   return out;
 }

@@ -12,6 +12,18 @@
 
 namespace secreta {
 
+/// The generalized transactions of a record subset under a cut: all that the
+/// AA loops read on each raise. Keep one across Recode calls, so its buffers
+/// keep their capacity from one raise to the next.
+struct CutRecords {
+  /// records[j]: sorted gen ids of subset[j]'s items.
+  std::vector<std::vector<int32_t>> records;
+  /// Hierarchy node of each gen id.
+  std::vector<NodeId> gen_nodes;
+  /// Gen id of each item (kSuppressedGen for every item after SuppressAll).
+  std::vector<int32_t> item_gen;
+};
+
 /// Materialized view of a cut over a record subset.
 struct CutRecoding {
   TransactionRecoding recoding;
@@ -36,9 +48,16 @@ class HierarchyCut {
   bool suppressed() const { return suppress_all_; }
   void SuppressAll() { suppress_all_ = true; }
 
-  /// Builds the generalized transactions of `subset` under the current cut.
-  /// `recoding.records[j]` corresponds to subset[j]. The gen pool contains
-  /// only nodes actually used; item_map is filled (global recoding).
+  /// Recodes `subset` under the current cut into `out`, reusing its buffers.
+  /// Every cut node over the item domain gets a gen id, in order of first
+  /// use over item ids, whether or not `subset` holds one of its items. This
+  /// is the only place gen ids are assigned.
+  void Recode(const std::vector<size_t>& subset, CutRecords* out) const;
+
+  /// Recode plus what a returned recoding needs: each gen's label and
+  /// sorted covers, the item_map (global recoding) and the count of
+  /// suppressed occurrences. `recoding.records[j]` corresponds to subset[j];
+  /// like Recode's, the gen pool holds every cut node over the item domain.
   CutRecoding Materialize(const std::vector<size_t>& subset) const;
 
   const TransactionContext& context() const { return *context_; }
@@ -47,6 +66,9 @@ class HierarchyCut {
   const TransactionContext* context_;
   /// Current cut node for each leaf DFS position.
   std::vector<NodeId> node_of_pos_;
+  /// Smallest item id under each node (fixed by the hierarchy): Recode gives
+  /// a cut node its gen id at this item.
+  std::vector<ItemId> first_item_under_;
   bool suppress_all_ = false;
 };
 

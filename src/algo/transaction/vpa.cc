@@ -51,28 +51,28 @@ Result<TransactionRecoding> VpaAnonymizer::AnonymizeSubset(
   const Hierarchy& h = context.hierarchy();
   std::vector<Part> parts = SplitDomain(h, params.vpa_parts);
   HierarchyCut cut(context);
+  CutRecords view;
+  std::vector<char> in_part;
+  std::vector<std::vector<int32_t>> projected(subset.size());
   // Phase 1: per-part AA, raising only inside the part (min_depth 1 keeps
   // every raise strictly below the root, and parts are unions of root-child
   // subtrees, so a raise never crosses a part boundary).
   for (const Part& part : parts) {
     for (int i = 1; i <= params.m; ++i) {
       while (true) {
-        CutRecoding view = cut.Materialize(subset);
+        cut.Recode(subset, &view);
         // Project records onto this part's gens.
-        std::vector<char> in_part(view.recoding.gens.size(), 0);
+        in_part.assign(view.gen_nodes.size(), 0);
         for (size_t g = 0; g < view.gen_nodes.size(); ++g) {
           NodeId node = view.gen_nodes[g];
           in_part[g] = h.leaf_interval_begin(node) >= part.begin &&
                        h.leaf_interval_end(node) <= part.end;
         }
-        std::vector<std::vector<int32_t>> projected;
-        projected.reserve(view.recoding.records.size());
-        for (const auto& rec : view.recoding.records) {
-          std::vector<int32_t> p;
-          for (int32_t g : rec) {
-            if (in_part[static_cast<size_t>(g)]) p.push_back(g);
+        for (size_t j = 0; j < view.records.size(); ++j) {
+          projected[j].clear();
+          for (int32_t g : view.records[j]) {
+            if (in_part[static_cast<size_t>(g)]) projected[j].push_back(g);
           }
-          projected.push_back(std::move(p));
         }
         CountTree tree(projected, i, pool_);
         auto violations = tree.FindViolations(params.k, 1);
@@ -96,12 +96,11 @@ Result<TransactionRecoding> VpaAnonymizer::AnonymizeSubset(
   }
   // Phase 2: global repair. Cross-part itemsets (and any per-part residue)
   // are fixed by merging generalized items in set space.
-  CutRecoding view = cut.Materialize(subset);
   std::vector<std::vector<ItemId>> txns;
   txns.reserve(subset.size());
   for (size_t row : subset) txns.push_back(context.dataset().items(row).raw());
   GenSpace space(std::move(txns), context.dataset().item_dictionary(),
-                 view.recoding);
+                 cut.Materialize(subset).recoding);
   UtilityPolicy unrestricted =
       UtilityPolicy::Unrestricted(context.num_items());
   while (true) {

@@ -163,6 +163,64 @@ TEST(HierarchyCutTest, MaterializeIsConsistent) {
   }
 }
 
+// The AA loops read Recode's view and the exports read Materialize's; both
+// must show the same gen ids. One CutRecords is reused across raises and
+// across subsets of different sizes, as the loops reuse it.
+TEST(HierarchyCutTest, RecodeMatchesMaterializeAcrossRaises) {
+  Dataset ds = testing::SmallRtDataset(80, 97);
+  ASSERT_OK_AND_ASSIGN(Hierarchy h, BuildItemHierarchy(ds));
+  ASSERT_OK_AND_ASSIGN(TransactionContext ctx,
+                       TransactionContext::Create(ds, &h));
+  std::vector<size_t> all(ds.num_records());
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<size_t> odd;
+  for (size_t row = 1; row < ds.num_records(); row += 2) odd.push_back(row);
+  std::vector<size_t> few{7, 3, 3, 41};
+
+  // Raise leaves of the second root child one by one, then that child, then
+  // a leaf's parent elsewhere, then the root: cuts of every shape, with
+  // gen ids that no longer follow node order.
+  std::vector<NodeId> raises;
+  NodeId second = h.children(h.root())[1];
+  for (NodeId leaf : h.LeavesUnder(second)) raises.push_back(h.parent(leaf));
+  raises.push_back(second);
+  raises.push_back(h.parent(ctx.Leaf(0)));
+  raises.push_back(h.root());
+
+  HierarchyCut cut(ctx);
+  CutRecords view;
+  for (size_t step = 0; step <= raises.size(); ++step) {
+    SCOPED_TRACE("after " + std::to_string(step) + " raises");
+    for (const std::vector<size_t>* subset : {&all, &few, &odd}) {
+      cut.Recode(*subset, &view);
+      CutRecoding full = cut.Materialize(*subset);
+      EXPECT_EQ(view.records, full.recoding.records);
+      EXPECT_EQ(view.gen_nodes, full.gen_nodes);
+      EXPECT_EQ(view.item_gen, full.recoding.item_map);
+      ASSERT_EQ(full.recoding.gens.size(), full.gen_nodes.size());
+      for (size_t g = 0; g < full.gen_nodes.size(); ++g) {
+        EXPECT_EQ(full.recoding.gens[g].label, h.label(full.gen_nodes[g]));
+      }
+      // Gen ids follow first use over item ids.
+      int32_t next = 0;
+      for (int32_t g : full.recoding.item_map) {
+        EXPECT_LE(g, next);
+        if (g == next) ++next;
+      }
+    }
+    if (step < raises.size()) cut.RaiseTo(raises[step]);
+  }
+  EXPECT_EQ(view.gen_nodes, std::vector<NodeId>{h.root()});
+
+  cut.SuppressAll();
+  cut.Recode(few, &view);
+  CutRecoding suppressed = cut.Materialize(few);
+  EXPECT_EQ(view.records, suppressed.recoding.records);
+  EXPECT_EQ(view.records, std::vector<std::vector<int32_t>>(few.size()));
+  EXPECT_TRUE(view.gen_nodes.empty());
+  EXPECT_EQ(view.item_gen, suppressed.recoding.item_map);
+}
+
 TEST(HierarchyCutTest, SuppressAllEmptiesRecords) {
   Dataset ds = testing::SmallRtDataset(30, 95);
   ASSERT_OK_AND_ASSIGN(Hierarchy h, BuildItemHierarchy(ds));
