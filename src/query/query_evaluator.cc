@@ -363,40 +363,38 @@ RecodingCache QueryEvaluator::BuildRecodingCache(
     }
   }
   if (transaction != nullptr) {
-    caches.gen_recs.resize(transaction->gens.size());
-    for (size_t r = 0; r < transaction->records.size(); ++r) {
-      for (int32_t g : transaction->records[r]) {
-        caches.gen_recs[static_cast<size_t>(g)].push_back(
-            static_cast<uint32_t>(r));
+    size_t num_items = dataset_->item_dictionary().size();
+    // The items each gen stands for, as ItemCoverShare reads them: through
+    // the item_map of a global recoding, through the covers of a local one.
+    std::vector<std::vector<ItemId>> items_of_gen(transaction->gens.size());
+    if (!transaction->item_map.empty()) {
+      for (size_t item = 0; item < transaction->item_map.size(); ++item) {
+        int32_t g = transaction->item_map[item];
+        if (g != kSuppressedGen && item < num_items) {
+          items_of_gen[static_cast<size_t>(g)].push_back(
+              static_cast<ItemId>(item));
+        }
+      }
+    } else {
+      caches.gens_of_item = BuildItemToGensMap(*transaction, num_items);
+      for (size_t item = 0; item < num_items; ++item) {
+        for (int32_t g : caches.gens_of_item[item]) {
+          items_of_gen[static_cast<size_t>(g)].push_back(
+              static_cast<ItemId>(item));
+        }
       }
     }
-    if (transaction->item_map.empty()) {
-      caches.gens_of_item =
-          BuildItemToGensMap(*transaction, dataset_->item_dictionary().size());
+    caches.item_cover.assign(num_items, RecordBitmap(n));
+    for (size_t r = 0; r < transaction->records.size(); ++r) {
+      for (int32_t g : transaction->records[r]) {
+        for (ItemId item : items_of_gen[static_cast<size_t>(g)]) {
+          caches.item_cover[static_cast<size_t>(item)].Set(r);
+        }
+      }
     }
   }
   return caches;
 }
-
-namespace {
-
-// Intersection of sorted record lists, smallest list first.
-std::vector<uint32_t> IntersectSorted(
-    std::vector<const std::vector<uint32_t>*> lists) {
-  std::sort(lists.begin(), lists.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  std::vector<uint32_t> result = *lists[0];
-  std::vector<uint32_t> next;
-  for (size_t i = 1; i < lists.size() && !result.empty(); ++i) {
-    next.clear();
-    std::set_intersection(result.begin(), result.end(), lists[i]->begin(),
-                          lists[i]->end(), std::back_inserter(next));
-    result.swap(next);
-  }
-  return result;
-}
-
-}  // namespace
 
 double QueryEvaluator::EstimateFast(
     const BoundWorkload::FastQuery& q, const RelationalRecoding* relational,
@@ -446,66 +444,30 @@ double QueryEvaluator::EstimateFast(
     for (uint32_t r : q.item_recs) {
       if (passes_masks(r)) total += qi_prob(r);
     }
-  } else if (!q.items.empty()) {
-    // A record whose generalized transaction lacks a covering gen for some
-    // query item contributes a 0 factor, so the only records with nonzero
-    // estimates lie in the intersection of the covering gens' posting lists
-    // (per item: one gen for global recodings, the union of covering gens
-    // for local ones).
-    bool zero = false;
-    std::vector<std::vector<uint32_t>> owned;
-    std::vector<const std::vector<uint32_t>*> lists;
-    if (!transaction->item_map.empty()) {
-      for (ItemId item : q.items) {
-        int32_t g = transaction->item_map[static_cast<size_t>(item)];
-        if (g == kSuppressedGen) {
-          zero = true;
-          break;
-        }
-        lists.push_back(&caches.gen_recs[static_cast<size_t>(g)]);
-      }
-    } else {
-      owned.reserve(q.items.size());
-      for (ItemId item : q.items) {
-        const std::vector<int32_t>& gens =
-            caches.gens_of_item[static_cast<size_t>(item)];
-        if (gens.empty()) {
-          zero = true;
-          break;
-        }
-        std::vector<uint32_t> merged;
-        for (int32_t g : gens) {
-          const auto& recs = caches.gen_recs[static_cast<size_t>(g)];
-          merged.insert(merged.end(), recs.begin(), recs.end());
-        }
-        std::sort(merged.begin(), merged.end());
-        merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-        owned.push_back(std::move(merged));
-      }
-      for (const auto& u : owned) lists.push_back(&u);
+  } else if (!q.items.empty() || num_masks > 0) {
+    // Candidates: the records every clause mask selects and, against a
+    // transaction recoding, every query item's coverage holds (a record
+    // lacking a gen for some query item contributes a 0 factor).
+    std::vector<const std::vector<uint64_t>*> sets;
+    for (int m = 0; m < num_masks; ++m) sets.push_back(&masks[m]->words());
+    for (ItemId item : q.items) {
+      sets.push_back(&caches.item_cover[static_cast<size_t>(item)].words());
     }
-    if (!zero) {
-      for (uint32_t r : IntersectSorted(std::move(lists))) {
-        if (!passes_masks(r)) continue;
+    for (size_t w = 0; w < sets[0]->size(); ++w) {
+      uint64_t bits = (*sets[0])[w];
+      for (size_t s = 1; s < sets.size() && bits != 0; ++s) {
+        bits &= (*sets[s])[w];
+      }
+      while (bits != 0) {
+        size_t r = (w << 6) + static_cast<unsigned>(__builtin_ctzll(bits));
+        bits &= bits - 1;
         double p = qi_prob(r);
-        if (p == 0.0) continue;
-        const std::vector<int32_t>& gens = transaction->records[r];
         for (ItemId item : q.items) {
-          p *= ItemCoverShare(*transaction, caches.gens_of_item, gens, item);
           if (p == 0.0) break;
+          p *= ItemCoverShare(*transaction, caches.gens_of_item,
+                              transaction->records[r], item);
         }
         total += p;
-      }
-    }
-  } else if (num_masks > 0) {
-    const std::vector<uint64_t>& first = masks[0]->words();
-    for (size_t w = 0; w < first.size(); ++w) {
-      uint64_t bits = first[w];
-      for (int m = 1; m < num_masks; ++m) bits &= masks[m]->words()[w];
-      while (bits != 0) {
-        unsigned bit = static_cast<unsigned>(__builtin_ctzll(bits));
-        total += qi_prob((w << 6) + bit);
-        bits &= bits - 1;
       }
     }
   } else {
@@ -521,7 +483,7 @@ Result<AreReport> QueryEvaluator::Are(const BoundWorkload& bound,
                                       const TransactionRecoding* transaction,
                                       ThreadPool* pool,
                                       const CancellationToken* cancel) const {
-  // Recoding-derived caches (equivalence classes, gen posting lists), built
+  // Recoding-derived caches (equivalence classes, per-item coverage), built
   // once for this call and shared read-only by every query batch.
   RecodingCache caches = BuildRecodingCache(relational, transaction);
   return Are(bound, relational, transaction, caches, pool, cancel);

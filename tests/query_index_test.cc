@@ -12,8 +12,10 @@
 #include <cmath>
 #include <random>
 
+#include "algo/rt/rt_anonymizer.h"
 #include "common/parallel.h"
 #include "core/recoding.h"
+#include "engine/registry.h"
 #include "hierarchy/hierarchy_builder.h"
 #include "query/query_evaluator.h"
 #include "query/workload_generator.h"
@@ -228,6 +230,19 @@ TEST(IndexedEvaluationProperty, MatchesScanOraclesBitForBit) {
     TransactionRecoding global =
         GroupedTransactionRecoding(ds, 1 + seed % 3);
     TransactionRecoding local = OverlappingLocalRecoding(ds);
+    // What Comparison mode evaluates: an RT pipeline's output, a local
+    // transaction recoding beside a relational one.
+    Hierarchy item_h = std::move(BuildItemHierarchy(ds)).ValueOrDie();
+    TransactionContext txn_ctx =
+        std::move(TransactionContext::Create(ds, &item_h)).ValueOrDie();
+    RtAnonymizer pipeline(MakeRelationalAnonymizer("Cluster").ValueOrDie(),
+                          MakeTransactionAnonymizer("Apriori").ValueOrDie(),
+                          MergerKind::kRTmerger);
+    AnonParams params;
+    params.k = 3;
+    RtResult rt =
+        std::move(pipeline.Anonymize(ctx, txn_ctx, params)).ValueOrDie();
+    ASSERT_TRUE(rt.transaction.item_map.empty());
 
     Workload wl = RandomWorkload(ds, seed, /*items_per_query=*/2);
     ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
@@ -251,7 +266,8 @@ TEST(IndexedEvaluationProperty, MatchesScanOraclesBitForBit) {
              {"txn-global", nullptr, &global},
              {"txn-local", nullptr, &local},
              {"rel+txn", &rel, &global},
-             {"rel+txn-local", &rel, &local}}) {
+             {"rel+txn-local", &rel, &local},
+             {"rt-pipeline", &rt.relational, &rt.transaction}}) {
       SCOPED_TRACE(c.name);
       ASSERT_OK_AND_ASSIGN(AreReport fast,
                            ev.Are(bound, c.rel, c.txn, nullptr, nullptr));
@@ -278,8 +294,8 @@ TEST(IndexedEvaluationProperty, MatchesScanOraclesBitForBit) {
   }
 }
 
-// Item-only workloads exercise the posting-list intersection path (no QI
-// bitmaps at all).
+// Item-only workloads exercise the item-coverage path with no clause masks
+// at all.
 TEST(IndexedEvaluationProperty, ItemOnlyWorkloadMatchesOracle) {
   Dataset ds = testing::SmallRtDataset(222, /*seed=*/9);
   QueryEvaluator ev =
