@@ -27,10 +27,13 @@ double ItemCoverShare(const TransactionRecoding& txn,
     }
     return 0.0;
   }
-  // Local recoding: record gens are sorted ascending, so the first covering
-  // gen in record order is the smallest covering gen id present.
-  for (int32_t g : gens_of_item[static_cast<size_t>(item)]) {
-    if (std::binary_search(record_gens.begin(), record_gens.end(), g)) {
+  // Local recoding: the share is that of the smallest covering gen id the
+  // record holds. Both lists ascend, so it is the first record gen found
+  // among the covering gens. A record holds a few gens while an item may be
+  // covered by one gen per RT cluster, so the record is the list walked.
+  const std::vector<int32_t>& covering = gens_of_item[static_cast<size_t>(item)];
+  for (int32_t g : record_gens) {
+    if (std::binary_search(covering.begin(), covering.end(), g)) {
       return 1.0 /
              static_cast<double>(txn.gens[static_cast<size_t>(g)].covers.size());
     }
