@@ -147,6 +147,19 @@ TEST(QueryEvaluatorTest, ItemEstimateUsesCoverShare) {
   // Records containing {a,b}: 4 of 5; each contributes 1/2.
   ASSERT_OK_AND_ASSIGN(double est, ev.EstimatedCount(q, nullptr, &recoding));
   EXPECT_NEAR(est, 2.0, 1e-9);
+
+  // A local recoding (no item_map) with overlapping gens: row 0 ("a b")
+  // publishes a as itself and b as {a,b,c}, so it holds two gens covering
+  // a, and takes the share of the smaller gen id, {a,b,c}'s 1/3.
+  TransactionRecoding local;
+  int32_t g_abc = local.AddGen("{a,b,c}", {a, b, c});
+  int32_t g_a = local.AddGen("a", {a});
+  local.records = {{g_abc, g_a}, {g_a}, {g_abc}, {g_abc}, {g_abc}};
+  ASSERT_OK_AND_ASSIGN(double local_est, ev.EstimatedCount(q, nullptr, &local));
+  EXPECT_NEAR(local_est, 1.0 / 3 + 1 + 1.0 / 3 + 1.0 / 3 + 1.0 / 3, 1e-9);
+  ASSERT_OK_AND_ASSIGN(Workload wl, Workload::Parse("items:a\n"));
+  ASSERT_OK_AND_ASSIGN(AreReport report, ev.Are(wl, nullptr, &local));
+  EXPECT_EQ(report.estimated[0], local_est);
 }
 
 TEST(WorkloadGeneratorTest, ProducesAnswerableQueries) {
