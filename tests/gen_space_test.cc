@@ -177,9 +177,9 @@ TEST(HierarchyCutTest, RecodeMatchesMaterializeAcrossRaises) {
   for (size_t row = 1; row < ds.num_records(); row += 2) odd.push_back(row);
   std::vector<size_t> few{7, 3, 3, 41};
 
-  // Raise leaves of the second root child one by one, then that child, then
-  // a leaf's parent elsewhere, then the root: cuts of every shape, with
-  // gen ids that no longer follow node order.
+  // Raise the parents of the second root child's leaves one by one, then
+  // that child, then item 0's parent, then the root: cuts of every shape,
+  // with gen ids that no longer follow node order.
   std::vector<NodeId> raises;
   NodeId second = h.children(h.root())[1];
   for (NodeId leaf : h.LeavesUnder(second)) raises.push_back(h.parent(leaf));
