@@ -48,7 +48,8 @@ void HierarchyCut::Recode(const std::vector<size_t>& subset,
   }
   for (size_t item = 0; item < out->item_gen.size(); ++item) {
     NodeId node = NodeOf(static_cast<ItemId>(item));
-    auto first = static_cast<size_t>(first_item_under_[static_cast<size_t>(node)]);
+    auto first =
+        static_cast<size_t>(first_item_under_[static_cast<size_t>(node)]);
     if (first == item) {
       out->item_gen[item] = static_cast<int32_t>(out->gen_nodes.size());
       out->gen_nodes.push_back(node);

@@ -31,7 +31,8 @@ double ItemCoverShare(const TransactionRecoding& txn,
   // record holds. Both lists ascend, so it is the first record gen found
   // among the covering gens. A record holds a few gens while an item may be
   // covered by one gen per RT cluster, so the record is the list walked.
-  const std::vector<int32_t>& covering = gens_of_item[static_cast<size_t>(item)];
+  const std::vector<int32_t>& covering =
+      gens_of_item[static_cast<size_t>(item)];
   for (int32_t g : record_gens) {
     if (std::binary_search(covering.begin(), covering.end(), g)) {
       return 1.0 /
