@@ -3,11 +3,11 @@
 // algorithms. Emits BENCH_kernels.json (CWD) with every number.
 //
 // Three families of checks, all of which also assert correctness:
-//  - micro: the active tier's fused AND+popcount / ANDNOT+popcount /
-//    popcount-range / sorted-intersection kernels against the scalar
-//    reference, on identical inputs (results must match exactly; on an AVX2
-//    host the fused AND+popcount must run >= 4x the scalar loop — the gate
-//    relaxes to >= 1x-within-noise when only the scalar tier exists);
+//  - micro: the active tier's fused AND+popcount / popcount-range /
+//    sorted-intersection kernels against the scalar reference, on identical
+//    inputs (results must match exactly; on an AVX2 host the fused
+//    AND+popcount must run >= 4x the scalar loop — the gate relaxes to
+//    >= 1x-within-noise when only the scalar tier exists);
 //  - end-to-end: Incognito (packed-key counting vs the original
 //    map-of-vector-keys scan) and COAT (posting-list ItemsetSupport vs the
 //    original full-record scan) timed optimized-vs-reference on the same
@@ -127,15 +127,11 @@ int main(int argc, char** argv) {
 
   volatile uint64_t sink = 0;  // defeat dead-code elimination
   uint64_t want_and = kernels::scalar::AndPopcount(a.data(), b.data(), words);
-  uint64_t want_andnot =
-      kernels::scalar::AndNotPopcount(a.data(), b.data(), words);
   uint64_t want_pop = kernels::scalar::PopcountRange(a.data(), words);
   size_t want_isect = kernels::scalar::IntersectCount(la.data(), la.size(),
                                                       lb.data(), lb.size());
   Gate(kernels::AndPopcount(a.data(), b.data(), words) == want_and,
        "AndPopcount diverges from scalar reference");
-  Gate(kernels::AndNotPopcount(a.data(), b.data(), words) == want_andnot,
-       "AndNotPopcount diverges from scalar reference");
   Gate(kernels::PopcountRange(a.data(), words) == want_pop,
        "PopcountRange diverges from scalar reference");
   Gate(kernels::IntersectCount(la.data(), la.size(), lb.data(), lb.size()) ==
@@ -167,12 +163,6 @@ int main(int argc, char** argv) {
       "and_popcount",
       [&] { return kernels::scalar::AndPopcount(a.data(), b.data(), words); },
       [&] { return kernels::AndPopcount(a.data(), b.data(), words); });
-  time_pair(
-      "andnot_popcount",
-      [&] {
-        return kernels::scalar::AndNotPopcount(a.data(), b.data(), words);
-      },
-      [&] { return kernels::AndNotPopcount(a.data(), b.data(), words); });
   time_pair(
       "popcount_range",
       [&] { return kernels::scalar::PopcountRange(a.data(), words); },

@@ -19,14 +19,6 @@ uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
-uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[i] & ~b[i]));
-  }
-  return total;
-}
-
 uint64_t PopcountRange(const uint64_t* w, size_t n) {
   uint64_t total = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -96,7 +88,6 @@ namespace {
 const KernelTable kScalarTable = {
     Tier::kScalar,
     &scalar::AndPopcount,
-    &scalar::AndNotPopcount,
     &scalar::PopcountRange,
     &scalar::IntersectCount,
 };
@@ -177,10 +168,6 @@ Status SetTier(const std::string& name) {
 
 uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
   return ActiveTable()->and_popcount(a, b, n);
-}
-
-uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
-  return ActiveTable()->andnot_popcount(a, b, n);
 }
 
 uint64_t PopcountRange(const uint64_t* w, size_t n) {

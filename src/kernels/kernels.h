@@ -1,9 +1,9 @@
 // Runtime-dispatched SIMD kernels for the bitmap / posting-list hot paths.
 //
 // Every bitwise hot loop in the tree goes through this header instead of
-// hand-rolling `__builtin_popcountll` (the repo linter enforces it): the four
-// fused kernels below are the entire vocabulary the query index, the Roaring
-// containers and the evaluators need. A backend (scalar, AVX2, NEON) is
+// hand-rolling `__builtin_popcountll` (the repo linter enforces it): the three
+// kernels below are the entire vocabulary the query index, the itemset
+// support counts and the evaluators need. A backend (scalar, AVX2, NEON) is
 // selected once at startup from CPU feature detection; tests, benchmarks and
 // the `--kernels=` CLI flag can pin a specific tier, and the scalar
 // reference implementations stay reachable under kernels::scalar so property
@@ -59,9 +59,6 @@ SECRETA_MUST_USE_RESULT Status SetTier(const std::string& name);
 /// popcount(a[i] & b[i]) summed over i in [0, n).
 uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n);
 
-/// popcount(a[i] & ~b[i]) summed over i in [0, n).
-uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-
 /// popcount(w[i]) summed over i in [0, n).
 uint64_t PopcountRange(const uint64_t* w, size_t n);
 
@@ -76,7 +73,6 @@ size_t IntersectCount(const uint32_t* a, size_t na, const uint32_t* b,
 
 namespace scalar {
 uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n);
 uint64_t PopcountRange(const uint64_t* w, size_t n);
 size_t IntersectCount(const uint32_t* a, size_t na, const uint32_t* b,
                       size_t nb);
@@ -90,7 +86,6 @@ size_t IntersectCount(const uint32_t* a, size_t na, const uint32_t* b,
 struct KernelTable {
   Tier tier;
   uint64_t (*and_popcount)(const uint64_t*, const uint64_t*, size_t);
-  uint64_t (*andnot_popcount)(const uint64_t*, const uint64_t*, size_t);
   uint64_t (*popcount_range)(const uint64_t*, size_t);
   size_t (*intersect_count)(const uint32_t*, size_t, const uint32_t*, size_t);
 };

@@ -4,7 +4,7 @@
 // src/CMakeLists.txt) on x86-64 targets only; the dispatcher calls in only
 // after __builtin_cpu_supports("avx2") confirmed the CPU executes it.
 //
-// The popcount kernels fuse the load, the AND/ANDNOT and a Harley-Seal
+// The popcount kernels fuse the load, the AND and a Harley-Seal
 // carry-save adder network (Muła, Kurz, Lemire: "Faster population counts
 // using AVX2 instructions"): 16 x 256-bit words per iteration accumulate
 // into a 16x-weighted counter via in-register full adders, with the in-lane
@@ -96,22 +96,6 @@ uint64_t Avx2AndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
-uint64_t Avx2AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
-  size_t n256 = n / 4;
-  uint64_t total = HarleySeal(n256, [&](size_t i) {
-    __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a) + i);
-    __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b) + i);
-    // andnot computes ~first & second: pass b first for a & ~b.
-    return _mm256_andnot_si256(vb, va);
-  });
-  for (size_t i = n256 * 4; i < n; ++i) {
-    total += static_cast<uint64_t>(_mm_popcnt_u64(a[i] & ~b[i]));
-  }
-  return total;
-}
-
 uint64_t Avx2PopcountRange(const uint64_t* w, size_t n) {
   size_t n256 = n / 4;
   uint64_t total = HarleySeal(n256, [&](size_t i) {
@@ -174,8 +158,10 @@ size_t Avx2IntersectCount(const uint32_t* a, size_t na, const uint32_t* b,
 }
 
 const KernelTable kAvx2Table = {
-    Tier::kAvx2,     &Avx2AndPopcount,   &Avx2AndNotPopcount,
-    &Avx2PopcountRange, &Avx2IntersectCount,
+    Tier::kAvx2,
+    &Avx2AndPopcount,
+    &Avx2PopcountRange,
+    &Avx2IntersectCount,
 };
 
 }  // namespace

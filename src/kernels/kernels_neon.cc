@@ -2,7 +2,7 @@
 
 // NEON backend (aarch64). AdvSIMD is mandatory on aarch64, so availability
 // is a compile-time fact — no runtime CPU probe needed. The popcount kernels
-// fuse the load, the AND/BIC and vcntq_u8 + pairwise widening adds; the
+// fuse the load, the AND and vcntq_u8 + pairwise widening adds; the
 // sorted-list intersection stays on the scalar galloping merge (NEON lacks a
 // cheap 32-bit all-pairs compare, and the merge is branch-predictable).
 
@@ -31,21 +31,6 @@ uint64_t NeonAndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
-uint64_t NeonAndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
-  uint64_t total = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t va = vld1q_u64(a + i);
-    uint64x2_t vb = vld1q_u64(b + i);
-    // vbicq computes first & ~second.
-    total += HorizontalPopcount(vreinterpretq_u8_u64(vbicq_u64(va, vb)));
-  }
-  for (; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[i] & ~b[i]));
-  }
-  return total;
-}
-
 uint64_t NeonPopcountRange(const uint64_t* w, size_t n) {
   uint64_t total = 0;
   size_t i = 0;
@@ -59,8 +44,10 @@ uint64_t NeonPopcountRange(const uint64_t* w, size_t n) {
 }
 
 const KernelTable kNeonTable = {
-    Tier::kNeon,      &NeonAndPopcount,        &NeonAndNotPopcount,
-    &NeonPopcountRange, &scalar::IntersectCount,
+    Tier::kNeon,
+    &NeonAndPopcount,
+    &NeonPopcountRange,
+    &scalar::IntersectCount,
 };
 
 }  // namespace

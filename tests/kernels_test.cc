@@ -59,15 +59,12 @@ TEST(KernelsTest, PopcountKernelsMatchScalarAtEveryWidth) {
       b[n - 1] = ~uint64_t{0};
     }
     uint64_t want_and = kernels::scalar::AndPopcount(a.data(), b.data(), n);
-    uint64_t want_andnot =
-        kernels::scalar::AndNotPopcount(a.data(), b.data(), n);
     uint64_t want_pop = kernels::scalar::PopcountRange(a.data(), n);
     for (const KernelTable* table : AvailableTables()) {
       SCOPED_TRACE(::testing::Message() << "tier="
                                       << kernels::TierName(table->tier)
                                       << " n=" << n);
       EXPECT_EQ(table->and_popcount(a.data(), b.data(), n), want_and);
-      EXPECT_EQ(table->andnot_popcount(a.data(), b.data(), n), want_andnot);
       EXPECT_EQ(table->popcount_range(a.data(), n), want_pop);
     }
   }
