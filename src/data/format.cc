@@ -376,9 +376,10 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(const std::string& path) {
   reader.num_records_ = static_cast<size_t>(num_records);
   if (num_shards == 0) return Corrupt("zero shards");
 
-  // Trailer → footer.
-  ByteReader trailer(file.data() + file.size() - kSbcTrailerBytes,
-                     kSbcTrailerBytes);
+  // Trailer → footer. Every range check below compares by subtraction from
+  // a bound already checked, so hostile u64 fields cannot wrap past it.
+  const uint64_t trailer_offset = file.size() - kSbcTrailerBytes;
+  ByteReader trailer(file.data() + trailer_offset, kSbcTrailerBytes);
   uint64_t footer_offset = 0;
   uint32_t footer_length = 0;
   uint32_t end_magic = 0;
@@ -386,8 +387,8 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(const std::string& path) {
   SECRETA_RETURN_IF_ERROR(trailer.ReadU32(&footer_length));
   SECRETA_RETURN_IF_ERROR(trailer.ReadU32(&end_magic));
   if (end_magic != kSbcEndMagic) return Corrupt("bad end magic");
-  if (footer_offset < kSbcHeaderBytes ||
-      footer_offset + footer_length + kSbcTrailerBytes != file.size()) {
+  if (footer_offset < kSbcHeaderBytes || footer_offset > trailer_offset ||
+      footer_length != trailer_offset - footer_offset) {
     return Corrupt("footer range does not line up with the file size");
   }
   reader.footer_offset_ = footer_offset;
@@ -408,7 +409,8 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(const std::string& path) {
     SECRETA_RETURN_IF_ERROR(footer.ReadU64(&off));
     SECRETA_RETURN_IF_ERROR(footer.ReadU64(&len));
     SECRETA_RETURN_IF_ERROR(footer.ReadU64(&hash));
-    if (off < kSbcHeaderBytes || off + len > footer_offset) {
+    if (off < kSbcHeaderBytes || off > footer_offset ||
+        len > footer_offset - off) {
       return Corrupt(StrFormat("shard %u section out of bounds", s));
     }
     reader.shard_offsets_.push_back(off);
@@ -446,6 +448,14 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(const std::string& path) {
   const bool has_txn = (reader.flags_ & kSbcFlagTransaction) != 0;
   if (has_txn != reader.schema_.has_transaction()) {
     return Corrupt("transaction flag disagrees with schema block");
+  }
+  // Every record owns a 4-byte row id and a 4-byte cell per relational
+  // column in some shard section, all between the header and the footer.
+  // Checked before anything is sized by the record count.
+  const uint64_t record_bytes =
+      4 * (1 + uint64_t{reader.schema_.RelationalIndices().size()});
+  if (num_records > (footer_offset - kSbcHeaderBytes) / record_bytes) {
+    return Corrupt("record count exceeds what the file can hold");
   }
 
   // Dictionary pages.
@@ -508,7 +518,9 @@ Result<Dataset> BinaryDatasetReader::DecodeShard(
   SECRETA_RETURN_IF_ERROR(r.ReadU32(&index));
   if (index != shard) return Corrupt("shard section index mismatch");
   SECRETA_RETURN_IF_ERROR(r.ReadU64(&row_count));
-  if (row_count > num_records_) return Corrupt("shard larger than dataset");
+  if (row_count > num_records_ || row_count > r.remaining() / 4) {
+    return Corrupt("shard row count exceeds the dataset or its section");
+  }
 
   std::vector<uint32_t> rows;
   rows.reserve(static_cast<size_t>(row_count));
@@ -551,6 +563,9 @@ Result<Dataset> BinaryDatasetReader::DecodeShard(
       }
       prev_off = off;
       offsets.push_back(off);
+    }
+    if (offsets.back() > r.remaining() / 4) {
+      return Corrupt("transaction item count exceeds its section");
     }
     const uint8_t* span = nullptr;
     SECRETA_RETURN_IF_ERROR(

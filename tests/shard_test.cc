@@ -478,6 +478,74 @@ TEST(FormatCorruptionTest, RejectsOversizedSectionLength) {
   EXPECT_FALSE(reader.ok());
 }
 
+// Writes a 2-shard file of a small RT dataset to `name`; returns its bytes.
+std::string TwoShardImage(const std::string& name) {
+  std::string path = TempPath(name);
+  BinaryWriteOptions options;
+  options.num_shards = 2;
+  EXPECT_OK(WriteBinaryDataset(SmallRtDataset(150, 41), path, options));
+  return ReadFileBytes(path);
+}
+
+// The status code Open gives `bytes` written to `name`.
+StatusCode OpenCode(const std::string& name, const std::string& bytes) {
+  std::string path = TempPath(name);
+  WriteFileBytes(path, bytes);
+  return BinaryDatasetReader::Open(path).status().code();
+}
+
+// The hostile files below are also in tests/fuzz/corpus/sbc1/, as mutations
+// of tiny.sbc1. Without the check each one targets, the reader reads outside
+// the file or sizes an allocation by a hostile count.
+
+TEST(FormatCorruptionTest, RejectsFooterRangeThatWrapsPastFileSize) {
+  std::string bad = TwoShardImage("trailer_wrap.sbc");
+  // footer_offset + footer_length + 16 equals the file size only modulo
+  // 2^64, with footer_offset far past the end of the file.
+  const uint64_t length = 0xFFFFFFFF;
+  const size_t trailer = bad.size() - kSbcTrailerBytes;
+  PutU64LE(&bad, trailer, uint64_t{trailer} - length);
+  bad.replace(trailer + 8, 4, 4, '\xff');
+  EXPECT_EQ(OpenCode("trailer_wrap.sbc", bad), StatusCode::kInvalidArgument);
+}
+
+TEST(FormatCorruptionTest, RejectsSectionRangeThatWraps) {
+  std::string bad = TwoShardImage("footer_wrap.sbc");
+  // Shard 0's offset + length wraps to 1, which is below the footer offset.
+  const size_t shard0 = static_cast<size_t>(FooterOffset(bad)) + 8;
+  PutU64LE(&bad, shard0 + 8, uint64_t{0} - GetU64LE(bad, shard0) + 1);
+  EXPECT_EQ(OpenCode("footer_wrap.sbc", bad), StatusCode::kInvalidArgument);
+}
+
+TEST(FormatCorruptionTest, RejectsRecordCountTheFileCannotHold) {
+  std::string bad = TwoShardImage("huge_count.sbc");
+  PutU64LE(&bad, 8, uint64_t{1} << 50);  // header num_records
+  EXPECT_EQ(OpenCode("huge_count.sbc", bad), StatusCode::kInvalidArgument);
+}
+
+TEST(FormatCorruptionTest, RejectsItemCountPastItsSection) {
+  std::string bad = TwoShardImage("csr_count.sbc");
+  // Section 0: magic, index, row count, row ids, cells, then the CSR's
+  // row_count + 1 offsets. Raise the last offset by 2^62: four bytes per
+  // item wraps back to the true byte count. The section fingerprint is
+  // recomputed, so only the bound check can refuse the section.
+  const size_t footer = static_cast<size_t>(FooterOffset(bad));
+  const size_t section = static_cast<size_t>(GetU64LE(bad, footer + 8));
+  const size_t length = static_cast<size_t>(GetU64LE(bad, footer + 16));
+  const size_t rows = static_cast<size_t>(GetU64LE(bad, section + 8));
+  const size_t cols = SmallRtDataset(1, 41).num_relational();
+  const size_t last = section + 16 + 4 * rows * (1 + cols) + 8 * rows;
+  PutU64LE(&bad, last, GetU64LE(bad, last) + (uint64_t{1} << 62));
+  PutU64LE(&bad, footer + 24, Fnv1a64(bad.substr(section, length)));
+  std::string path = TempPath("csr_count.sbc");
+  WriteFileBytes(path, bad);
+  ASSERT_OK_AND_ASSIGN(BinaryDatasetReader reader,
+                       BinaryDatasetReader::Open(path));
+  EXPECT_EQ(reader.ReadShard(0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reader.ReadAll().status().code(), StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // ColumnProvider backends
 
