@@ -46,7 +46,6 @@ inline constexpr char kAdmissionDeadlineExceeded[] =
 inline constexpr char kServeCatalogReleases[] = "serve.catalog.releases";
 inline constexpr char kServeCatalogPublished[] = "serve.catalog.published";
 inline constexpr char kServeKernelsTier[] = "serve.kernels.tier";
-inline constexpr char kServeIndexRoaringBytes[] = "serve.index.roaring_bytes";
 /// Answer-cache lookups per {dataset}.
 inline constexpr char kServeCacheHits[] = "serve.cache.hits";
 inline constexpr char kServeCacheMisses[] = "serve.cache.misses";

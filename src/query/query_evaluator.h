@@ -141,10 +141,6 @@ class QueryEvaluator {
   /// with no further writes to the evaluator.
   Status EnsureIndex();
 
-  /// The dataset's index, or null before EnsureIndex()/BindWorkload built it
-  /// (observability: serve publishes its compressed-index footprint).
-  const QueryIndex* index() const { return index_.get(); }
-
   /// Binds every query of `workload` once: builds (or reuses) the dataset's
   /// QueryIndex, materializes clause bitmaps, itemset intersections and
   /// leaf-overlap caches, and precomputes all exact counts. `pool` (optional)

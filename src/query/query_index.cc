@@ -33,46 +33,48 @@ size_t RecordBitmap::AndCount(const RecordBitmap& a, const RecordBitmap& b) {
       kernels::AndPopcount(a.words_.data(), b.words_.data(), a.words_.size()));
 }
 
+template <typename KeysOf>
+QueryIndex::Csr QueryIndex::Csr::Build(size_t num_records, size_t domain,
+                                       KeysOf keys_of) {
+  // One pass counts each key's records, one places them. Records are placed
+  // in ascending order, so every list comes out ascending.
+  Csr csr;
+  csr.offsets.assign(domain + 1, 0);
+  for (size_t r = 0; r < num_records; ++r) {
+    keys_of(r, [&](size_t key) { ++csr.offsets[key + 1]; });
+  }
+  for (size_t k = 0; k < domain; ++k) csr.offsets[k + 1] += csr.offsets[k];
+  csr.records.resize(csr.offsets[domain]);
+  std::vector<size_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
+  for (size_t r = 0; r < num_records; ++r) {
+    keys_of(r, [&](size_t key) {
+      csr.records[cursor[key]++] = static_cast<uint32_t>(r);
+    });
+  }
+  return csr;
+}
+
 QueryIndex QueryIndex::Build(const Dataset& dataset) {
   QueryIndex index;
   index.num_records_ = dataset.num_records();
-  size_t cols = dataset.num_relational();
-  index.columns_.resize(cols);
-  for (size_t col = 0; col < cols; ++col) {
-    ColumnIndex& ci = index.columns_[col];
-    size_t domain = dataset.dictionary(col).size();
-    // Counting sort into CSR: one pass for counts, one to place records.
-    ci.offsets.assign(domain + 1, 0);
-    for (size_t r = 0; r < index.num_records_; ++r) {
-      ++ci.offsets[static_cast<size_t>(dataset.value(r, col).raw()) + 1];
-    }
-    for (size_t v = 0; v < domain; ++v) ci.offsets[v + 1] += ci.offsets[v];
-    ci.records.resize(index.num_records_);
-    std::vector<uint32_t> cursor(ci.offsets.begin(), ci.offsets.end() - 1);
-    for (size_t r = 0; r < index.num_records_; ++r) {
-      size_t v = static_cast<size_t>(dataset.value(r, col).raw());
-      ci.records[cursor[v]++] = static_cast<uint32_t>(r);
-    }
+  for (size_t col = 0; col < dataset.num_relational(); ++col) {
+    index.columns_.push_back(Csr::Build(
+        index.num_records_, dataset.dictionary(col).size(),
+        [&](size_t r, auto add) {
+          add(static_cast<size_t>(dataset.value(r, col).raw()));
+        }));
   }
-  index.item_bitmaps_.resize(dataset.item_dictionary().size());
-  if (dataset.has_transaction()) {
-    // Record ids arrive ascending, so each item bitmap appends in order and
-    // seals straight into its cheapest container representation.
-    for (size_t r = 0; r < index.num_records_; ++r) {
-      for (ItemId item : dataset.items(r).raw()) {
-        index.item_bitmaps_[static_cast<size_t>(item)].Append(
-            static_cast<uint32_t>(r));
-      }
-    }
-    for (RoaringBitmap& bm : index.item_bitmaps_) bm.Finish();
-  }
+  // Transactions exist only when the schema has a transaction attribute.
+  const size_t txn_records =
+      dataset.has_transaction() ? index.num_records_ : 0;
+  index.items_ = Csr::Build(
+      txn_records, dataset.item_dictionary().size(),
+      [&](size_t r, auto add) {
+        for (ItemId item : dataset.items(r).raw()) {
+          add(static_cast<size_t>(item));
+        }
+      });
   return index;
-}
-
-size_t QueryIndex::roaring_bytes() const {
-  size_t bytes = 0;
-  for (const RoaringBitmap& bm : item_bitmaps_) bytes += bm.MemoryBytes();
-  return bytes;
 }
 
 RecordBitmap QueryIndex::ClauseBitmap(size_t col,
@@ -90,20 +92,42 @@ RecordBitmap QueryIndex::ClauseBitmap(size_t col,
 std::vector<uint32_t> QueryIndex::ItemIntersection(
     const std::vector<ItemId>& items) const {
   if (items.empty()) return {};
-  // Intersect starting from the rarest item so intermediates only shrink.
-  std::vector<const RoaringBitmap*> lists;
+  struct List {
+    const uint32_t* data;
+    size_t size;
+  };
+  std::vector<List> lists;
   lists.reserve(items.size());
   for (ItemId item : items) {
-    lists.push_back(&item_bitmaps_[static_cast<size_t>(item)]);
+    List list{};
+    list.data = item_postings(item, &list.size);
+    lists.push_back(list);
   }
-  std::sort(lists.begin(), lists.end(), [](const auto* a, const auto* b) {
-    return a->Cardinality() < b->Cardinality();
-  });
-  RoaringBitmap result = *lists[0];
-  for (size_t i = 1; i < lists.size() && !result.Empty(); ++i) {
-    result = result.And(*lists[i]);
+  // Merge starting from the rarest item so the running result only shrinks.
+  std::sort(lists.begin(), lists.end(),
+            [](const List& a, const List& b) { return a.size < b.size; });
+  std::vector<uint32_t> result(lists[0].data, lists[0].data + lists[0].size);
+  for (size_t l = 1; l < lists.size() && !result.empty(); ++l) {
+    // Branchless linear merge, in place: the write cursor never passes the
+    // read cursor, and a record is kept only when both lists hold it.
+    const List& other = lists[l];
+    size_t kept = 0;
+    size_t i = 0;
+    size_t j = 0;
+    while (i < result.size() && j < other.size) {
+      const uint32_t x = result[i];
+      const uint32_t y = other.data[j];
+      result[kept] = x;
+      kept += (x == y);
+      i += (x <= y);
+      j += (y <= x);
+    }
+    result.resize(kept);
   }
-  return result.ToVector();
+  // A bound query keeps this vector for the workload's lifetime; do not let
+  // it hold the rarest list's capacity.
+  result.shrink_to_fit();
+  return result;
 }
 
 }  // namespace secreta

@@ -1,12 +1,12 @@
-// Query acceleration structures built once per dataset: per-column posting
-// lists (value -> sorted record ids, CSR layout) and an item inverted index
-// held as Roaring-style compressed bitmaps. A bound clause turns its matching
-// values' posting lists into a record selection bitmap; ExactCount then
-// reduces to a fused AND+popcount kernel call and an itemset clause to a
-// compressed-bitmap intersection — no full dataset scans. EstimatedCount
-// reuses the same bitmaps to enumerate candidate records and memoizes
-// hierarchy leaf-overlap probabilities per (clause, node), so records sharing
-// a recoding node pay the lookup once.
+// Query acceleration structures built once per dataset: posting lists in CSR
+// layout (key -> ascending record ids), one per relational column (keyed by
+// value) and one for the transaction attribute (keyed by item). A bound
+// clause turns its matching values' posting lists into a record selection
+// bitmap; ExactCount then reduces to a fused AND+popcount kernel call and an
+// itemset clause to a merge of the items' lists — no full dataset scans.
+// EstimatedCount reuses the same bitmaps to enumerate candidate records and
+// memoizes hierarchy leaf-overlap probabilities per (clause, node), so
+// records sharing a recoding node pay the lookup once.
 
 #ifndef SECRETA_QUERY_QUERY_INDEX_H_
 #define SECRETA_QUERY_QUERY_INDEX_H_
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "kernels/roaring.h"
 
 namespace secreta {
 
@@ -110,44 +109,43 @@ class QueryIndex {
 
   /// Sorted record ids holding value `id` in relational column `col`.
   const uint32_t* postings(size_t col, ValueId id, size_t* out_size) const {
-    const ColumnIndex& ci = columns_[col];
-    size_t v = static_cast<size_t>(id);
-    *out_size = ci.offsets[v + 1] - ci.offsets[v];
-    return ci.records.data() + ci.offsets[v];
+    return columns_[col].List(static_cast<size_t>(id), out_size);
   }
 
-  /// Sorted record ids whose transaction contains `item`, materialized from
-  /// the compressed bitmap.
-  std::vector<uint32_t> item_postings(ItemId item) const {
-    return item_bitmaps_[static_cast<size_t>(item)].ToVector();
+  /// Sorted record ids whose transaction contains `item`.
+  const uint32_t* item_postings(ItemId item, size_t* out_size) const {
+    return items_.List(static_cast<size_t>(item), out_size);
   }
-
-  /// Compressed posting bitmap for `item`.
-  const RoaringBitmap& item_bitmap(ItemId item) const {
-    return item_bitmaps_[static_cast<size_t>(item)];
-  }
-
-  /// Heap bytes held by the compressed item index (reported as a serve
-  /// gauge; the compression win over 4-byte-per-posting CSR).
-  size_t roaring_bytes() const;
 
   /// Bitmap of records matching a value disjunction on `col`: the union of
   /// the matching values' posting lists. `match` is indexed by ValueId.
   RecordBitmap ClauseBitmap(size_t col, const std::vector<char>& match) const;
 
   /// Sorted record ids containing every item of `items` (sorted ItemIds):
-  /// the intersection of the items' posting bitmaps, rarest item first.
+  /// the intersection of the items' posting lists, merged rarest first.
   std::vector<uint32_t> ItemIntersection(const std::vector<ItemId>& items) const;
 
  private:
-  struct ColumnIndex {
-    std::vector<uint32_t> offsets;  // per ValueId, size = dict size + 1
-    std::vector<uint32_t> records;  // grouped by value, ascending within
+  /// Posting lists of one attribute: key k's records are
+  /// records[offsets[k], offsets[k + 1]).
+  struct Csr {
+    std::vector<size_t> offsets;    // per key, size = domain + 1
+    std::vector<uint32_t> records;  // grouped by key, ascending within
+
+    /// Counting sort over keys [0, domain): `keys_of(r, add)` calls add(key)
+    /// for every key record r holds.
+    template <typename KeysOf>
+    static Csr Build(size_t num_records, size_t domain, KeysOf keys_of);
+
+    const uint32_t* List(size_t key, size_t* out_size) const {
+      *out_size = offsets[key + 1] - offsets[key];
+      return records.data() + offsets[key];
+    }
   };
 
   size_t num_records_ = 0;
-  std::vector<ColumnIndex> columns_;
-  std::vector<RoaringBitmap> item_bitmaps_;
+  std::vector<Csr> columns_;
+  Csr items_;
 };
 
 }  // namespace secreta

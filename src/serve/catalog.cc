@@ -165,16 +165,10 @@ Result<std::shared_ptr<const PublishedRelease>> DatasetCatalog::Publish(
     MetricsRegistry::Global()
         .gauge(metric_names::kServeCatalogReleases)
         ->Set(static_cast<double>(releases_.size()));
-    // Kernel tier (enum value; TierName order) and the published release's
-    // compressed item-index footprint, for the serve dashboards.
+    // Kernel tier (enum value; TierName order), for the serve dashboards.
     MetricsRegistry::Global()
         .gauge(metric_names::kServeKernelsTier)
         ->Set(static_cast<double>(kernels::ActiveTier()));
-    if (const QueryIndex* index = release->evaluator().index()) {
-      MetricsRegistry::Global()
-          .gauge(metric_names::kServeIndexRoaringBytes)
-          ->Set(static_cast<double>(index->roaring_bytes()));
-    }
   }
   MetricsRegistry::Global()
       .counter(metric_names::kServeCatalogPublished)

@@ -92,10 +92,6 @@ class PublishedRelease {
   /// Same, for an already-parsed query (no answer-cache lookup).
   Result<double> Count(const CountQuery& query, AccessLevel access) const;
 
-  /// The release's warm evaluator (index built at publication); valid for the
-  /// lifetime of the release. Observability reads its index footprint.
-  const QueryEvaluator& evaluator() const { return *evaluator_; }
-
  private:
   PublishedRelease(std::string name, uint64_t version, Dataset dataset,
                    ReleaseOptions options);

@@ -146,7 +146,7 @@ Result<std::string> ServeClient::Metrics() {
   }
   // Counters and gauges land as {"counters": {...}, "gauges": {...}};
   // flatten both to "name value" lines (gauges keep their fraction — e.g.
-  // serve.kernels.tier, serve.index.roaring_bytes).
+  // serve.cache.hit_ratio).
   std::string text;
   const JsonValue* counters = metrics->Find("counters");
   if (counters != nullptr && counters->is_object()) {
