@@ -1,6 +1,6 @@
-// Little-endian byte encoding helpers shared by every binary reader/writer
-// (kernels/roaring serialization, data/format). All on-disk integers in
-// SECRETA are little-endian regardless of host order — see docs/FORMATS.md.
+// Little-endian byte encoding helpers for the SBC1 reader and writer
+// (data/format). All on-disk integers in SECRETA are little-endian
+// regardless of host order — see docs/FORMATS.md.
 
 #ifndef SECRETA_COMMON_BYTES_H_
 #define SECRETA_COMMON_BYTES_H_

@@ -11,8 +11,7 @@
 //                     numeric columns), item dictionary with global
 //                     per-item support counts
 //   shard sections    per shard: global row ids, column-major cells,
-//                     transaction CSR, optional Roaring posting lists
-//                     (serialized via RoaringBitmap::AppendTo)
+//                     transaction CSR
 //   footer            per-shard {offset, length, fingerprint}, logical
 //                     content fingerprint, physical file fingerprint
 //   trailer           footer offset/length + end magic (last 16 bytes)
@@ -33,7 +32,6 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "data/shard.h"
-#include "kernels/roaring.h"
 
 namespace secreta {
 
@@ -45,7 +43,9 @@ inline constexpr uint32_t kSbcFooterMagic = 0x46434253; // "SBCF"
 inline constexpr uint32_t kSbcEndMagic = 0x53424331;    // "1CBS"
 inline constexpr uint16_t kSbcVersion = 1;
 inline constexpr uint16_t kSbcFlagTransaction = 1u << 0;
-inline constexpr uint16_t kSbcFlagPostings = 1u << 1;
+/// Set by earlier writers, which appended per-value posting lists to every
+/// shard section. Readers skip that block; nothing writes it any more.
+inline constexpr uint16_t kSbcFlagLegacyPostings = 1u << 1;
 inline constexpr size_t kSbcHeaderBytes = 40;
 inline constexpr size_t kSbcTrailerBytes = 16;
 
@@ -59,9 +59,6 @@ struct BinaryWriteOptions {
   ShardKind shard_kind = ShardKind::kRange;
   size_t num_shards = 1;
   uint64_t salt = 0;
-  /// Write per-shard Roaring posting lists (per column value and per item,
-  /// over shard-local row positions). Costs file size, buys index builds.
-  bool write_postings = true;
 };
 
 /// Serializes `dataset` to an SBC1 file at `path` (atomic: written to a
@@ -82,21 +79,12 @@ bool LooksLikeBinaryDataset(const std::string& path);
 /// peak resident memory is one shard window plus the decoded shard.
 class BinaryDatasetReader {
  public:
-  /// Per-value posting lists of one shard, decoded from the postings block.
-  struct ShardPostings {
-    /// postings[col][value] over shard-local row positions [0, shard rows).
-    std::vector<std::vector<RoaringBitmap>> columns;
-    /// items[item] over shard-local row positions; empty without flag/txn.
-    std::vector<RoaringBitmap> items;
-  };
-
   static Result<BinaryDatasetReader> Open(const std::string& path);
 
   const std::string& path() const { return path_; }
   const Schema& schema() const { return schema_; }
   size_t num_records() const { return num_records_; }
   size_t num_shards() const { return shard_offsets_.size(); }
-  bool has_postings() const { return (flags_ & kSbcFlagPostings) != 0; }
 
   /// The partition the file was written with.
   ShardPlan plan() const {
@@ -120,25 +108,17 @@ class BinaryDatasetReader {
   /// microdata: see the SECRETA_SENSITIVE contract in common/annotations.h.
   SECRETA_SENSITIVE Result<Dataset> ReadShard(size_t shard) const;
 
-  /// Global row ids of shard `s`, ascending (read from the section, equal to
-  /// plan().Rows(s)).
-  Result<std::vector<uint32_t>> ReadShardRows(size_t shard) const;
-
-  /// Decodes shard `s`'s posting lists; error unless has_postings().
-  /// Posting lists are per-value record memberships — raw microdata in
-  /// inverted form.
-  SECRETA_SENSITIVE Result<ShardPostings> ReadShardPostings(size_t shard) const;
-
   /// Materializes the whole dataset in global record order (oracle/testing
   /// path — defeats the out-of-core property on purpose).
   SECRETA_SENSITIVE Result<Dataset> ReadAll() const;
 
   /// Re-hashes the physical bytes and checks both fingerprints in the
-  /// footer (touches every page; used by tests and `convert verify=`).
+  /// footer (touches every page; used by tests and the fuzz harness).
   Status VerifyFile() const;
 
  private:
-  /// Decodes one mapped shard section; optionally returns its global row ids.
+  /// Decodes one mapped shard section; every reader path parses sections
+  /// through it. Optionally returns the section's global row ids.
   Result<Dataset> DecodeShard(size_t shard, const uint8_t* data, size_t size,
                               std::vector<uint32_t>* rows_out) const;
 

@@ -46,7 +46,6 @@ std::string CommandLineInterface::HelpText() {
       "           hist <attr> | set-cell <row> <attr> <value...> |\n"
       "           rename-attr <old> <new> | del-row <row> |\n"
       "           convert <in> <out> [shards=N] [by=range|hash] [salt=S]\n"
-      "                   [no-postings]\n"
       "config:    hierarchies auto [fanout] | hierarchy load <attr> <path> |\n"
       "           hierarchy save <attr> <path> | hierarchy show <attr> |\n"
       "           policies auto | policy load-privacy <path> |\n"
@@ -487,7 +486,7 @@ void CommandLineInterface::PrintReport(const EvaluationReport& report) {
 }
 
 Status CommandLineInterface::CmdConvert(const std::vector<std::string>& args) {
-  SECRETA_RETURN_IF_ERROR(Arity(args, 2, 6));
+  SECRETA_RETURN_IF_ERROR(Arity(args, 2, 5));
   BinaryWriteOptions options;
   for (size_t i = 3; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -501,8 +500,6 @@ Status CommandLineInterface::CmdConvert(const std::vector<std::string>& args) {
     } else if (arg.rfind("salt=", 0) == 0) {
       SECRETA_ASSIGN_OR_RETURN(int64_t salt, ParseInt(arg.substr(5)));
       options.salt = static_cast<uint64_t>(salt);
-    } else if (arg == "no-postings") {
-      options.write_postings = false;
     } else {
       return Status::InvalidArgument("unknown convert option: " + arg);
     }

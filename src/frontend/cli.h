@@ -25,7 +25,7 @@ namespace secreta {
 ///   generate <n> [seed]                synthesize an RT-dataset
 ///   load <path> / save <path>          dataset I/O (load sniffs the file
 ///                                      magic: SBC1 binary or CSV)
-///   convert <in> <out> [shards=N] [by=range|hash] [salt=S] [no-postings]
+///   convert <in> <out> [shards=N] [by=range|hash] [salt=S]
 ///                                      write an SBC1 binary columnar file
 ///                                      (docs/FORMATS.md) partitioned for
 ///                                      out-of-core sharded runs

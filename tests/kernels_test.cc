@@ -1,6 +1,5 @@
 // Property tests for the SIMD kernel layer: bit-identity of every available
-// backend tier against the scalar reference at awkward tail widths, Roaring
-// container transitions and set algebra against brute-force oracles, the
+// backend tier against the scalar reference at awkward tail widths, the
 // arena allocator, and RecordBitmap's memoized cardinality.
 
 #include "kernels/kernels.h"
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "kernels/arena.h"
-#include "kernels/roaring.h"
 #include "query/query_index.h"
 #include "tests/test_util.h"
 
@@ -127,117 +125,6 @@ TEST(KernelsTest, SetTierRejectsUnknownAndUnavailable) {
                      : kernels::TierAvailable(Tier::kNeon) ? "neon"
                                                            : "scalar";
   ASSERT_OK(kernels::SetTier(best));
-}
-
-// --- Roaring ---------------------------------------------------------------
-
-std::vector<uint32_t> RoaringOracle(const RoaringBitmap& bitmap) {
-  std::vector<uint32_t> out;
-  bitmap.ForEachSet([&](uint32_t v) { out.push_back(v); });
-  return out;
-}
-
-TEST(RoaringTest, SparseValuesStayInArrayContainer) {
-  std::vector<uint32_t> vals = {3, 90, 4000, 65535};
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(vals);
-  ASSERT_EQ(bitmap.num_containers(), 1u);
-  EXPECT_EQ(bitmap.container_type(0), RoaringBitmap::ContainerType::kArray);
-  EXPECT_EQ(bitmap.Cardinality(), vals.size());
-  EXPECT_EQ(bitmap.ToVector(), vals);
-  EXPECT_EQ(RoaringOracle(bitmap), vals);
-  for (uint32_t v : vals) EXPECT_TRUE(bitmap.Contains(v));
-  EXPECT_FALSE(bitmap.Contains(4));
-  EXPECT_FALSE(bitmap.Contains(70000));
-}
-
-TEST(RoaringTest, DenseChunkPromotesToBitset) {
-  // > 4096 scattered values in one chunk (stride 2 defeats run packing).
-  std::vector<uint32_t> vals;
-  for (uint32_t v = 0; v < 5000; ++v) vals.push_back(v * 2);
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(vals);
-  ASSERT_EQ(bitmap.num_containers(), 1u);
-  EXPECT_EQ(bitmap.container_type(0), RoaringBitmap::ContainerType::kBitset);
-  EXPECT_EQ(bitmap.Cardinality(), vals.size());
-  EXPECT_EQ(bitmap.ToVector(), vals);
-  EXPECT_TRUE(bitmap.Contains(9998));
-  EXPECT_FALSE(bitmap.Contains(9999));
-}
-
-TEST(RoaringTest, ContiguousRangeSealsToRunContainer) {
-  std::vector<uint32_t> vals;
-  for (uint32_t v = 100; v < 6000; ++v) vals.push_back(v);
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(vals);
-  ASSERT_EQ(bitmap.num_containers(), 1u);
-  EXPECT_EQ(bitmap.container_type(0), RoaringBitmap::ContainerType::kRun);
-  EXPECT_EQ(bitmap.Cardinality(), vals.size());
-  EXPECT_EQ(bitmap.ToVector(), vals);
-  EXPECT_TRUE(bitmap.Contains(100));
-  EXPECT_TRUE(bitmap.Contains(5999));
-  EXPECT_FALSE(bitmap.Contains(99));
-  EXPECT_FALSE(bitmap.Contains(6000));
-  // A run container is far smaller than the 10 KiB array it replaced.
-  EXPECT_LT(bitmap.MemoryBytes(), 256u);
-}
-
-TEST(RoaringTest, ValuesSpanMultipleChunks) {
-  std::vector<uint32_t> vals = {0, 65535, 65536, 131072, 1u << 30};
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(vals);
-  EXPECT_EQ(bitmap.num_containers(), 4u);
-  EXPECT_EQ(bitmap.ToVector(), vals);
-  for (uint32_t v : vals) EXPECT_TRUE(bitmap.Contains(v));
-  EXPECT_FALSE(bitmap.Contains(131073));
-}
-
-TEST(RoaringTest, AppendIgnoresNonIncreasingValues) {
-  RoaringBitmap bitmap;
-  bitmap.Append(10);
-  bitmap.Append(10);  // duplicate: dropped
-  bitmap.Append(5);   // regression: dropped
-  bitmap.Append(11);
-  bitmap.Finish();
-  EXPECT_EQ(bitmap.ToVector(), (std::vector<uint32_t>{10, 11}));
-}
-
-// Intersections across every container-type pairing, against std oracles.
-TEST(RoaringTest, IntersectionMatchesOracleAcrossContainerTypes) {
-  std::mt19937_64 rng(13);
-  auto sparse = [&] { return SortedList(rng, 700, 1 << 17); };    // arrays
-  auto dense = [&] { return SortedList(rng, 30000, 1 << 16); };   // bitset
-  auto runs = [] {
-    std::vector<uint32_t> vals;
-    for (uint32_t v = 1000; v < 9000; ++v) vals.push_back(v);
-    for (uint32_t v = 70000; v < 71000; ++v) vals.push_back(v);
-    return vals;
-  };
-  const std::vector<std::vector<uint32_t>> inputs = {sparse(), dense(), runs(),
-                                                     sparse(), dense()};
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    for (size_t j = 0; j < inputs.size(); ++j) {
-      RoaringBitmap a = RoaringBitmap::FromSorted(inputs[i]);
-      RoaringBitmap b = RoaringBitmap::FromSorted(inputs[j]);
-      std::vector<uint32_t> want;
-      std::set_intersection(inputs[i].begin(), inputs[i].end(),
-                            inputs[j].begin(), inputs[j].end(),
-                            std::back_inserter(want));
-      SCOPED_TRACE(::testing::Message() << "pair " << i << "x" << j);
-      EXPECT_EQ(a.AndCardinality(b), want.size());
-      RoaringBitmap both = a.And(b);
-      EXPECT_EQ(both.Cardinality(), want.size());
-      EXPECT_EQ(both.ToVector(), want);
-    }
-  }
-}
-
-TEST(RoaringTest, EmptyBitmapBehaves) {
-  RoaringBitmap empty;
-  empty.Finish();
-  EXPECT_TRUE(empty.Empty());
-  EXPECT_EQ(empty.Cardinality(), 0u);
-  EXPECT_FALSE(empty.Contains(0));
-  EXPECT_TRUE(empty.ToVector().empty());
-  RoaringBitmap other = RoaringBitmap::FromSorted({1, 2, 3});
-  EXPECT_EQ(empty.AndCardinality(other), 0u);
-  EXPECT_EQ(other.And(empty).Cardinality(), 0u);
 }
 
 // --- Arena -----------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Tests for the out-of-core sharded dataset engine: the SBC1 binary format
-// (writer → mmap reader round trip against the CSV oracle, corruption
-// rejection), Roaring posting-list serialization, ShardPlan determinism,
-// ColumnProvider backend interchangeability, ShardCheckpoint persistence,
-// and the sharded anonymization runner's byte-identity guarantees.
+// (writer → mmap reader round trip against the CSV oracle, pinned v1 bytes,
+// corruption rejection), ShardPlan determinism, ColumnProvider backend
+// interchangeability, ShardCheckpoint persistence, and the sharded
+// anonymization runner's byte-identity guarantees.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "engine/anonymization_module.h"
 #include "engine/sharded_runner.h"
 #include "hierarchy/hierarchy_builder.h"
-#include "kernels/roaring.h"
 #include "robust/shard_checkpoint.h"
 #include "tests/test_util.h"
 
@@ -121,79 +120,6 @@ TEST(ShardPlanTest, ParseShardKindInvertsName) {
 }
 
 // ---------------------------------------------------------------------------
-// Roaring serialization
-
-TEST(RoaringSerializationTest, RoundTripsEveryContainerKind) {
-  // Array (sparse), bitset (dense), run (contiguous), spanning two chunks.
-  std::vector<uint32_t> values;
-  for (uint32_t v = 0; v < 9000; v += 2) values.push_back(v);       // bitset
-  for (uint32_t v = 70000; v < 70500; ++v) values.push_back(v);     // run
-  values.push_back(200000);                                         // array
-  values.push_back(200007);
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(values);
-
-  std::string bytes;
-  bitmap.AppendTo(&bytes);
-  RoaringBitmap decoded;
-  size_t consumed = 0;
-  ASSERT_TRUE(RoaringBitmap::FromBytes(
-      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(), &decoded,
-      &consumed));
-  EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(decoded.Cardinality(), bitmap.Cardinality());
-  EXPECT_EQ(decoded.ToVector(), values);
-  // The decoded bitmap is finished and usable.
-  EXPECT_TRUE(decoded.Contains(200007));
-  EXPECT_FALSE(decoded.Contains(200001));
-}
-
-TEST(RoaringSerializationTest, RunStartingAtZeroRoundTrips) {
-  // Regression: a run container whose first run begins at value 0 — the
-  // shape every all-rows posting list takes — must decode.
-  std::vector<uint32_t> values;
-  for (uint32_t v = 0; v <= 500; ++v) values.push_back(v);
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(values);
-  std::string bytes;
-  bitmap.AppendTo(&bytes);
-  RoaringBitmap decoded;
-  size_t consumed = 0;
-  ASSERT_TRUE(RoaringBitmap::FromBytes(
-      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(), &decoded,
-      &consumed));
-  EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(decoded.ToVector(), values);
-}
-
-TEST(RoaringSerializationTest, RejectsTruncationAndCorruption) {
-  std::vector<uint32_t> values{1, 5, 9, 70000};
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(values);
-  std::string bytes;
-  bitmap.AppendTo(&bytes);
-
-  RoaringBitmap decoded;
-  size_t consumed = 0;
-  // Every proper prefix must be rejected.
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(RoaringBitmap::FromBytes(
-        reinterpret_cast<const uint8_t*>(bytes.data()), len, &decoded,
-        &consumed))
-        << "prefix length " << len << " accepted";
-  }
-  // Unknown container type byte.
-  std::string bad = bytes;
-  bad[4 + 2] = 9;  // first container's type field
-  EXPECT_FALSE(RoaringBitmap::FromBytes(
-      reinterpret_cast<const uint8_t*>(bad.data()), bad.size(), &decoded,
-      &consumed));
-  // Cardinality that disagrees with the payload.
-  bad = bytes;
-  bad[4 + 4] = static_cast<char>(bad[4 + 4] + 1);
-  EXPECT_FALSE(RoaringBitmap::FromBytes(
-      reinterpret_cast<const uint8_t*>(bad.data()), bad.size(), &decoded,
-      &consumed));
-}
-
-// ---------------------------------------------------------------------------
 // SBC1 writer → reader
 
 class FormatTest : public ::testing::Test {
@@ -237,8 +163,7 @@ TEST_F(FormatTest, ShardSectionsMatchPlanSlices) {
   csv::CsvTable full = original.ToCsv();
   ShardPlan plan = reader_->plan();
   for (size_t s = 0; s < plan.num_shards(); ++s) {
-    ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> rows, reader_->ReadShardRows(s));
-    EXPECT_EQ(rows, plan.Rows(s));
+    const std::vector<uint32_t> rows = plan.Rows(s);
     ASSERT_OK_AND_ASSIGN(Dataset shard, reader_->ReadShard(s));
     ASSERT_EQ(shard.num_records(), rows.size());
     // Global dictionaries: the shard sees the whole dataset's id space.
@@ -270,60 +195,6 @@ TEST_F(FormatTest, HashPartitionedFileRoundTrips) {
   EXPECT_EQ(CanonicalCsv(decoded), CanonicalCsv(original));
 }
 
-TEST_F(FormatTest, PostingsMatchCellScan) {
-  Dataset original = SmallRtDataset(220, 29);
-  BinaryWriteOptions options;
-  options.num_shards = 2;
-  WriteAndOpen(original, options, "postings.sbc");
-  ASSERT_TRUE(reader_->has_postings());
-
-  for (size_t s = 0; s < reader_->num_shards(); ++s) {
-    ASSERT_OK_AND_ASSIGN(Dataset shard, reader_->ReadShard(s));
-    ASSERT_OK_AND_ASSIGN(BinaryDatasetReader::ShardPostings postings,
-                         reader_->ReadShardPostings(s));
-    ASSERT_EQ(postings.columns.size(), shard.num_relational());
-    for (size_t col = 0; col < shard.num_relational(); ++col) {
-      ASSERT_EQ(postings.columns[col].size(), shard.dictionary(col).size());
-      for (size_t value = 0; value < postings.columns[col].size(); ++value) {
-        std::vector<uint32_t> expected;
-        for (size_t r = 0; r < shard.num_records(); ++r) {
-          if (static_cast<size_t>(shard.value(r, col).raw()) == value) {
-            expected.push_back(static_cast<uint32_t>(r));
-          }
-        }
-        EXPECT_EQ(postings.columns[col][value].ToVector(), expected)
-            << "shard " << s << " col " << col << " value " << value;
-      }
-    }
-    ASSERT_EQ(postings.items.size(), shard.item_dictionary().size());
-    for (size_t item = 0; item < postings.items.size(); ++item) {
-      std::vector<uint32_t> expected;
-      for (size_t r = 0; r < shard.num_records(); ++r) {
-        for (ItemId it : shard.items(r).raw()) {
-          if (static_cast<size_t>(it) == item) {
-            expected.push_back(static_cast<uint32_t>(r));
-            break;
-          }
-        }
-      }
-      EXPECT_EQ(postings.items[item].ToVector(), expected)
-          << "shard " << s << " item " << item;
-    }
-  }
-}
-
-TEST_F(FormatTest, NoPostingsFlagRoundTrips) {
-  Dataset original = SmallRtDataset(120, 5);
-  BinaryWriteOptions options;
-  options.num_shards = 2;
-  options.write_postings = false;
-  WriteAndOpen(original, options, "noposting.sbc");
-  EXPECT_FALSE(reader_->has_postings());
-  EXPECT_FALSE(reader_->ReadShardPostings(0).ok());
-  ASSERT_OK_AND_ASSIGN(Dataset decoded, reader_->ReadAll());
-  EXPECT_EQ(CanonicalCsv(decoded), CanonicalCsv(original));
-}
-
 TEST_F(FormatTest, ItemSupportsMatchFullScan) {
   Dataset original = SmallRtDataset(180, 23);
   WriteAndOpen(original, BinaryWriteOptions{}, "supports.sbc");
@@ -334,6 +205,87 @@ TEST_F(FormatTest, ItemSupportsMatchFullScan) {
     }
   }
   EXPECT_EQ(reader_->item_supports(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned SBC1 v1 bytes (docs/FORMATS.md). Files written before a change to
+// the writer must still open after it, so these literals only change
+// together with the format version.
+
+// The 3-record dataset behind both images, written in 2 range shards.
+Dataset GoldenDataset() {
+  auto table = csv::ParseCsv("Age,Sex,Items\n30,F,a b\n41,M,b\n30,F,c a\n");
+  return std::move(Dataset::FromCsvInferred(table.value())).ValueOrDie();
+}
+
+std::string FromHex(const char* hex) {
+  std::string bytes;
+  for (size_t i = 0; hex[i] != '\0' && hex[i + 1] != '\0'; i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(std::string(hex + i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// As earlier writers wrote it: flags 0x0003, and every shard section ends in
+// a block of posting lists that readers skip.
+const char kGoldenV1LegacyPostingsHex[] =
+    "5342433101000300030000000000000003000000020000000000000000000000"
+    "0000000000000000030000000300000041676501000000030000005365780000"
+    "0000050000004974656d73020000000200000002000000333002000000343100"
+    "00000000003e400000000000804440020000000100000046010000004d030000"
+    "0001000000610100000062010000006302000000000000000200000000000000"
+    "0100000000000000534852440000000001000000000000000000000000000000"
+    "0000000000000000000000000200000000000000000000000100000002000000"
+    "1200000001000000000000000100000001000000000004000000000000000200"
+    "0000120000000100000000000000010000000100000000000400000000000000"
+    "0300000012000000010000000000000001000000010000000000120000000100"
+    "0000000000000100000001000000000004000000000000005348524401000000"
+    "0200000000000000010000000200000001000000000000000100000000000000"
+    "0000000000000000010000000000000003000000000000000100000000000000"
+    "0200000002000000120000000100000000000000010000000100000001001200"
+    "0000010000000000000001000000010000000000020000001200000001000000"
+    "0000000001000000010000000100120000000100000000000000010000000100"
+    "0000000003000000120000000100000000000000010000000100000001001200"
+    "0000010000000000000001000000010000000000120000000100000000000000"
+    "010000000100000001005342434602000000a800000000000000b00000000000"
+    "0000658b3d4c9961acd15801000000000000f200000000000000b11ba786cb2c"
+    "ffc75b4307c349402345328417de2f6588354a02000000000000480000003143"
+    "4253";
+
+// As the writer writes it now: flags 0x0001, sections end at the CSR.
+const char kGoldenV1Hex[] =
+    "5342433101000100030000000000000003000000020000000000000000000000"
+    "0000000000000000030000000300000041676501000000030000005365780000"
+    "0000050000004974656d73020000000200000002000000333002000000343100"
+    "00000000003e400000000000804440020000000100000046010000004d030000"
+    "0001000000610100000062010000006302000000000000000200000000000000"
+    "0100000000000000534852440000000001000000000000000000000000000000"
+    "0000000000000000000000000200000000000000000000000100000053485244"
+    "0100000002000000000000000100000002000000010000000000000001000000"
+    "0000000000000000000000000100000000000000030000000000000001000000"
+    "00000000020000005342434602000000a8000000000000003400000000000000"
+    "62ca1abcbca11deddc000000000000004c00000000000000c15dec7d17bbdeef"
+    "5b4307c3494023453f09fd96ed745a7628010000000000004800000031434253";
+
+TEST_F(FormatTest, ReadsGoldenV1BytesWithLegacyPostings) {
+  const std::string path = TempPath("golden_legacy.sbc");
+  WriteFileBytes(path, FromHex(kGoldenV1LegacyPostingsHex));
+  ASSERT_OK_AND_ASSIGN(BinaryDatasetReader reader,
+                       BinaryDatasetReader::Open(path));
+  ASSERT_OK(reader.VerifyFile());
+  ASSERT_OK_AND_ASSIGN(Dataset decoded, reader.ReadAll());
+  EXPECT_EQ(CanonicalCsv(decoded), CanonicalCsv(GoldenDataset()));
+}
+
+TEST_F(FormatTest, WritesAndReadsGoldenV1Bytes) {
+  BinaryWriteOptions options;
+  options.num_shards = 2;
+  WriteAndOpen(GoldenDataset(), options, "golden.sbc");
+  EXPECT_EQ(ReadFileBytes(path_), FromHex(kGoldenV1Hex));
+  ASSERT_OK(reader_->VerifyFile());
+  ASSERT_OK_AND_ASSIGN(Dataset decoded, reader_->ReadAll());
+  EXPECT_EQ(CanonicalCsv(decoded), CanonicalCsv(GoldenDataset()));
 }
 
 TEST(FormatCorruptionTest, RejectsNonSbcFiles) {
