@@ -20,6 +20,7 @@
 #include "algo/transaction/coat.h"
 #include "algo/transaction/count_tree.h"
 #include "algo/transaction/gen_space.h"
+#include "algo/transaction/lra.h"
 #include "algo/transaction/pcta.h"
 #include "common/parallel.h"
 #include "hierarchy/hierarchy_builder.h"
@@ -158,8 +159,30 @@ TEST(AlgoParallelTest, TransactionAlgosPoolInvariant) {
   }
 }
 
+// Both AA-loop tests run at >= 2,048 records per AA subset, so each itemset
+// size's first count tree is built in shards over the pool and then updated
+// serially across the raises.
 TEST(AlgoParallelTest, AprioriPoolInvariantWithHierarchy) {
-  Dataset dataset = testing::SmallRtDataset(800, 12);
+  Dataset dataset = testing::SmallRtDataset(2400, 12);
+  auto hierarchy =
+      std::move(BuildItemHierarchy(dataset, {})).ValueOrDie();
+  auto context =
+      std::move(TransactionContext::Create(dataset, &hierarchy)).ValueOrDie();
+  AnonParams params;
+  params.k = 4;
+  params.m = 3;
+  AprioriAnonymizer algo;
+  algo.set_pool(nullptr);
+  TransactionRecoding serial =
+      std::move(algo.Anonymize(context, params)).ValueOrDie();
+  algo.set_pool(&SharedEvalPool());
+  TransactionRecoding parallel =
+      std::move(algo.Anonymize(context, params)).ValueOrDie();
+  EXPECT_TRUE(SameTransaction(serial, parallel));
+}
+
+TEST(AlgoParallelTest, LraPoolInvariantWithHierarchy) {
+  Dataset dataset = testing::SmallRtDataset(4400, 13);
   auto hierarchy =
       std::move(BuildItemHierarchy(dataset, {})).ValueOrDie();
   auto context =
@@ -167,7 +190,8 @@ TEST(AlgoParallelTest, AprioriPoolInvariantWithHierarchy) {
   AnonParams params;
   params.k = 4;
   params.m = 2;
-  AprioriAnonymizer algo;
+  params.lra_partitions = 2;  // 2,200 records per partition
+  LraAnonymizer algo;
   algo.set_pool(nullptr);
   TransactionRecoding serial =
       std::move(algo.Anonymize(context, params)).ValueOrDie();
