@@ -51,27 +51,27 @@ CountTree::CountTree(const std::vector<std::vector<int32_t>>& records, int m,
 
 void CountTree::InsertRecords(const std::vector<std::vector<int32_t>>& records,
                               size_t begin, size_t end) {
-  // Insert every subset of size <= m of every record. The recursion mirrors
-  // combination enumeration but shares prefixes through the tree.
-  struct Frame {
-    int32_t node;
-    size_t start;
-    int depth;
-  };
-  std::vector<Frame> stack;
-  for (size_t r = begin; r < end; ++r) {
-    const auto& rec = records[r];
-    stack.clear();
-    stack.push_back({0, 0, 0});
-    while (!stack.empty()) {
-      Frame frame = stack.back();
-      stack.pop_back();
-      if (frame.depth == m_) continue;
-      for (size_t i = frame.start; i < rec.size(); ++i) {
-        int32_t child = GetOrAddChild(frame.node, rec[i]);
-        ++nodes_[static_cast<size_t>(child)].count;
-        stack.push_back({child, i + 1, frame.depth + 1});
-      }
+  for (size_t r = begin; r < end; ++r) Update(records[r], +1);
+}
+
+void CountTree::Update(const std::vector<int32_t>& record, int delta) {
+  if (m_ > 0) UpdateSubsets(0, record, 0, m_, delta > 0);
+}
+
+void CountTree::UpdateSubsets(int32_t node, const std::vector<int32_t>& record,
+                              size_t start, int sizes_left, bool add) {
+  // Combination enumeration that shares prefixes through the tree.
+  for (size_t i = start; i < record.size(); ++i) {
+    int32_t child =
+        add ? GetOrAddChild(node, record[i]) : FindChild(node, record[i]);
+    size_t& count = nodes_[static_cast<size_t>(child)].count;
+    if (add) {
+      ++count;
+    } else {
+      --count;
+    }
+    if (sizes_left > 1) {
+      UpdateSubsets(child, record, i + 1, sizes_left - 1, add);
     }
   }
 }
@@ -157,6 +157,8 @@ std::vector<KmViolation> CountTree::FindViolations(
     }
     if (frame.next_child < node.children.size()) {
       int32_t child = node.children[frame.next_child++];
+      // A count-0 node is an itemset every record lost; so is its subtree.
+      if (nodes_[static_cast<size_t>(child)].count == 0) continue;
       path.push_back(nodes_[static_cast<size_t>(child)].item);
       stack.push_back({child, 0});
     } else {

@@ -1,17 +1,24 @@
 // Count-tree for itemset support counting (Terrovitis et al. [10], Sec. 5 of
-// the VLDBJ paper): a prefix tree over (generalized) items, ordered by
-// decreasing support, storing the support of every itemset of size <= m.
-// Used by the AA loop in place of hash-based subset enumeration: building the
-// tree is one pass, and violating itemsets are found by a DFS that prunes
-// subtrees whose count already meets k (every descendant extends a subset
-// whose support can only be lower or equal... the tree stores each itemset
-// once, so the DFS simply reports nodes with 0 < count < k).
+// the VLDBJ paper): a prefix tree over sorted itemsets of item keys, storing
+// the support of every itemset of size <= m that occurs in its records.
+// Building the tree is one pass over the records. It can then follow changes
+// to them: Update removes a record's itemsets or adds them. The AA loop
+// builds one tree per itemset size and, after each raise, updates just the
+// records whose keys the raise changed.
+//
+// Children ascend by key, so a DFS visits itemsets in lexicographic order,
+// and FindViolations reports, in that order, the itemsets with
+// 0 < support < k. A removed itemset leaves its node at count 0, and every
+// itemset below that node counts 0 too (no record holds an extension of an
+// itemset it does not hold), so the DFS skips such a node with its subtree.
+// The non-zero nodes of an updated tree are thus exactly the nodes of a tree
+// built afresh over the same records, with the same counts and DFS order.
 //
 // Children vectors bump-allocate from a per-tree arena: tree build is
 // millions of tiny sorted-insert allocations, and the arena turns each into
 // a pointer bump freed wholesale with the tree. With a pool the build
 // partitions the records into per-worker subtrees merged serially; children
-// stay sorted by item, so the merged structure (and every DFS over it) is
+// stay sorted by key, so the merged structure (and every DFS over it) is
 // canonical — byte-identical violations regardless of worker count.
 
 #ifndef SECRETA_ALGO_TRANSACTION_COUNT_TREE_H_
@@ -30,10 +37,15 @@ namespace secreta {
 class CountTree {
  public:
   /// Builds the tree of all itemsets of size <= m occurring in `records`
-  /// (each record a sorted vector of gen ids). `pool` (may be null) fans the
-  /// build out across per-worker subtrees; the result is identical.
+  /// (each record a sorted vector of distinct keys). `pool` (may be null)
+  /// fans the build out across per-worker subtrees; the result is identical.
   CountTree(const std::vector<std::vector<int32_t>>& records, int m,
             ThreadPool* pool = nullptr);
+
+  /// Counts `record` (sorted, distinct keys) once more when `delta` is +1,
+  /// or once less when it is -1; a record removed must be one counted
+  /// before. Every itemset of size <= m of the record moves by one.
+  void Update(const std::vector<int32_t>& record, int delta);
 
   /// Support of `itemset` (must be sorted); 0 if absent.
   size_t Support(const std::vector<int32_t>& itemset) const;
@@ -53,7 +65,7 @@ class CountTree {
   struct Node {
     explicit Node(const ArenaAllocator<int32_t>& alloc) : children(alloc) {}
 
-    int32_t item = -1;
+    int32_t item = -1;  // the key this node adds to its parent's itemset
     size_t count = 0;
     ChildVec children;  // node ids, sorted by item
   };
@@ -65,6 +77,10 @@ class CountTree {
   // Inserts all itemsets of records[begin, end).
   void InsertRecords(const std::vector<std::vector<int32_t>>& records,
                      size_t begin, size_t end);
+  // Moves by one (up when `add`) the count of every itemset that extends
+  // `node`'s itemset by 1..`sizes_left` keys of `record` from `start` on.
+  void UpdateSubsets(int32_t node, const std::vector<int32_t>& record,
+                     size_t start, int sizes_left, bool add);
   // Adds `other`'s structure and counts into this tree.
   void MergeFrom(const CountTree& other);
 

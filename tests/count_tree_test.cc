@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <string>
 
 #include "common/random.h"
 
@@ -86,6 +88,75 @@ TEST(CountTreeTest, MaxViolationsCap) {
   std::vector<std::vector<int32_t>> records{{1}, {2}, {3}, {4}};
   auto violations = CountTree(records, 1).FindViolations(2, 2);
   EXPECT_EQ(violations.size(), 2u);
+}
+
+// A tree kept in step by Update must answer exactly like a tree built afresh
+// over the current records: every support, and every violation report in
+// order. The steps mix the AA loop's remove-then-add of a changed record with
+// records removed outright and records added.
+TEST(CountTreeTest, UpdateMatchesRebuild) {
+  constexpr int32_t kKeys = 12;
+  Rng rng(4321);
+  auto random_record = [&] {
+    std::vector<int32_t> rec;
+    size_t len = static_cast<size_t>(rng.UniformInt(0, 6));
+    for (size_t idx : rng.Sample(static_cast<size_t>(kKeys), len)) {
+      rec.push_back(static_cast<int32_t>(idx));
+    }
+    std::sort(rec.begin(), rec.end());
+    return rec;
+  };
+  for (int m = 1; m <= 3; ++m) {
+    // Every itemset of size <= m over the key universe.
+    std::vector<std::vector<int32_t>> itemsets;
+    for (int32_t a = 0; a < kKeys; ++a) {
+      itemsets.push_back({a});
+      for (int32_t b = a + 1; m >= 2 && b < kKeys; ++b) {
+        itemsets.push_back({a, b});
+        for (int32_t c = b + 1; m >= 3 && c < kKeys; ++c) {
+          itemsets.push_back({a, b, c});
+        }
+      }
+    }
+    std::vector<std::vector<int32_t>> records(30);
+    for (auto& rec : records) rec = random_record();
+    CountTree tree(records, m);
+    for (int step = 0; step < 80; ++step) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " step " + std::to_string(step));
+      int action = static_cast<int>(rng.UniformInt(0, 3));
+      auto last = static_cast<int64_t>(records.size()) - 1;
+      size_t j = records.empty()
+                     ? 0
+                     : static_cast<size_t>(rng.UniformInt(0, last));
+      if (records.empty() || action == 0) {
+        records.push_back(random_record());
+        tree.Update(records.back(), +1);
+      } else if (action == 1) {
+        tree.Update(records[j], -1);
+        records.erase(records.begin() + static_cast<ptrdiff_t>(j));
+      } else {
+        tree.Update(records[j], -1);
+        records[j] = random_record();
+        tree.Update(records[j], +1);
+      }
+      CountTree fresh(records, m);
+      for (const auto& itemset : itemsets) {
+        ASSERT_EQ(tree.Support(itemset), fresh.Support(itemset))
+            << ::testing::PrintToString(itemset);
+      }
+      for (int k : {2, 3, 5}) {
+        for (size_t max_violations : {size_t{1}, size_t{3}, SIZE_MAX}) {
+          auto got = tree.FindViolations(k, max_violations);
+          auto want = fresh.FindViolations(k, max_violations);
+          ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+          for (size_t v = 0; v < got.size(); ++v) {
+            EXPECT_EQ(got[v].itemset, want[v].itemset) << "k=" << k;
+            EXPECT_EQ(got[v].support, want[v].support) << "k=" << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
