@@ -2,52 +2,135 @@
 
 #include <algorithm>
 
-#include "algo/transaction/count_tree.h"
 #include "metrics/information_loss.h"
 #include "obs/trace.h"
 
 namespace secreta {
 
-Result<bool> RunAprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset,
-                            int k, int m, int min_depth,
-                            bool suppress_on_failure, ThreadPool* pool,
-                            const CancellationToken* cancel) {
-  const Hierarchy& h = cut->context().hierarchy();
-  CutRecords view;
-  for (int i = 1; i <= m; ++i) {
-    while (true) {
-      SECRETA_RETURN_IF_ERROR(CheckCancelled(cancel, "apriori raise"));
-      cut->Recode(subset, &view);
-      // Count-tree support counting ([10] Sec. 5); one pass per iteration.
-      CountTree tree(view.records, i, pool);
-      auto violations = tree.FindViolations(k, 1);
-      if (violations.empty()) break;
-      // Candidate raises: the distinct cut nodes of the violating itemset
-      // that are still below the raise ceiling.
-      NodeId best_target = kNoNode;
-      double best_cost = 0;
-      for (int32_t gen : violations[0].itemset) {
-        NodeId node = view.gen_nodes[static_cast<size_t>(gen)];
-        if (h.depth(node) <= min_depth) continue;  // cannot raise further
-        NodeId parent = h.parent(node);
-        double cost = NodeNcp(h, parent);
-        if (best_target == kNoNode || cost < best_cost) {
-          best_target = parent;
-          best_cost = cost;
-        }
-      }
-      if (best_target == kNoNode) {
-        // Every node of the violating itemset is at the ceiling.
-        if (suppress_on_failure) {
-          cut->SuppressAll();
-          return true;
-        }
-        return false;
-      }
-      cut->RaiseTo(best_target);
+AprioriLoop::AprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset,
+                         int32_t leaf_begin, int32_t leaf_end)
+    : cut_(cut), subset_(&subset), leaf_begin_(leaf_begin) {
+  const TransactionContext& context = cut->context();
+  const Hierarchy& h = context.hierarchy();
+  const Dataset& data = context.dataset();
+  auto pos_of = [&](ItemId item) {
+    return h.leaf_interval_begin(context.Leaf(item));
+  };
+  key_of_item_.assign(context.num_items(), -1);
+  for (size_t item = 0; item < key_of_item_.size(); ++item) {
+    int32_t pos = pos_of(static_cast<ItemId>(item));
+    if (pos >= leaf_begin && pos < leaf_end) {
+      key_of_item_[item] =
+          cut->FirstItemUnder(cut->NodeOf(static_cast<ItemId>(item)));
     }
   }
-  return true;
+  rows_begin_.assign(static_cast<size_t>(leaf_end - leaf_begin) + 1, 0);
+  for (size_t row : subset) {
+    for (ItemId item : data.items(row).raw()) {
+      if (key_of_item_[static_cast<size_t>(item)] < 0) continue;
+      ++rows_begin_[static_cast<size_t>(pos_of(item) - leaf_begin) + 1];
+    }
+  }
+  for (size_t p = 1; p < rows_begin_.size(); ++p) {
+    rows_begin_[p] += rows_begin_[p - 1];
+  }
+  rows_.resize(rows_begin_.back());
+  std::vector<uint32_t> next(rows_begin_.begin(), rows_begin_.end() - 1);
+  for (size_t j = 0; j < subset.size(); ++j) {
+    for (ItemId item : data.items(subset[j]).raw()) {
+      if (key_of_item_[static_cast<size_t>(item)] < 0) continue;
+      rows_[next[static_cast<size_t>(pos_of(item) - leaf_begin)]++] =
+          static_cast<uint32_t>(j);
+    }
+  }
+  records_.resize(subset.size());
+  for (size_t j = 0; j < subset.size(); ++j) Rekey(j);
+  stamp_.assign(subset.size(), 0);
+}
+
+void AprioriLoop::Rekey(size_t j) {
+  std::vector<int32_t>& rec = records_[j];
+  rec.clear();
+  for (ItemId item : cut_->context().dataset().items((*subset_)[j]).raw()) {
+    int32_t key = key_of_item_[static_cast<size_t>(item)];
+    if (key >= 0) rec.push_back(key);
+  }
+  std::sort(rec.begin(), rec.end());
+  rec.erase(std::unique(rec.begin(), rec.end()), rec.end());
+}
+
+void AprioriLoop::Raise(NodeId target, CountTree* tree) {
+  const TransactionContext& context = cut_->context();
+  const Hierarchy& h = context.hierarchy();
+  int32_t key = cut_->FirstItemUnder(target);
+  ++epoch_;
+  changed_.clear();
+  for (int32_t pos = h.leaf_interval_begin(target);
+       pos < h.leaf_interval_end(target); ++pos) {
+    ItemId item = context.ItemOfLeaf(h.leaves()[static_cast<size_t>(pos)]);
+    if (item < 0 || key_of_item_[static_cast<size_t>(item)] == key) continue;
+    key_of_item_[static_cast<size_t>(item)] = key;
+    auto slot = static_cast<size_t>(pos - leaf_begin_);
+    for (uint32_t p = rows_begin_[slot]; p < rows_begin_[slot + 1]; ++p) {
+      uint32_t j = rows_[p];
+      if (stamp_[j] == epoch_) continue;
+      stamp_[j] = epoch_;
+      changed_.push_back(j);
+    }
+  }
+  cut_->RaiseTo(target);
+  for (uint32_t j : changed_) {
+    tree->Update(records_[j], -1);
+    Rekey(j);
+    tree->Update(records_[j], +1);
+  }
+}
+
+Result<bool> AprioriLoop::RunSize(int size, int k, int min_depth,
+                                  ThreadPool* pool,
+                                  const CancellationToken* cancel) {
+  const Hierarchy& h = cut_->context().hierarchy();
+  // Count-tree support counting ([10] Sec. 5), kept across the raises.
+  CountTree tree(records_, size, pool);
+  while (true) {
+    SECRETA_RETURN_IF_ERROR(CheckCancelled(cancel, "apriori raise"));
+    auto violations = tree.FindViolations(k, 1);
+    if (violations.empty()) return true;
+    // Candidate raises: the distinct cut nodes of the violating itemset
+    // that are still below the raise ceiling.
+    NodeId best_target = kNoNode;
+    double best_cost = 0;
+    for (int32_t key : violations[0].itemset) {
+      NodeId node = cut_->NodeOf(key);
+      if (h.depth(node) <= min_depth) continue;  // cannot raise further
+      NodeId parent = h.parent(node);
+      double cost = NodeNcp(h, parent);
+      if (best_target == kNoNode || cost < best_cost) {
+        best_target = parent;
+        best_cost = cost;
+      }
+    }
+    // Every node of the violating itemset is at the ceiling.
+    if (best_target == kNoNode) return false;
+    Raise(best_target, &tree);
+  }
+}
+
+Status RunAprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset,
+                      int k, int m, ThreadPool* pool,
+                      const CancellationToken* cancel) {
+  auto num_leaves =
+      static_cast<int32_t>(cut->context().hierarchy().num_leaves());
+  AprioriLoop loop(cut, subset, 0, num_leaves);
+  for (int i = 1; i <= m; ++i) {
+    SECRETA_ASSIGN_OR_RETURN(bool done,
+                             loop.RunSize(i, k, /*min_depth=*/0, pool, cancel));
+    if (!done) {
+      cut->SuppressAll();
+      break;
+    }
+  }
+  return Status::OK();
 }
 
 Result<TransactionRecoding> AprioriAnonymizer::AnonymizeSubset(
@@ -59,11 +142,8 @@ Result<TransactionRecoding> AprioriAnonymizer::AnonymizeSubset(
     return Status::FailedPrecondition("Apriori requires an item hierarchy");
   }
   HierarchyCut cut(context);
-  SECRETA_ASSIGN_OR_RETURN(
-      bool done, RunAprioriLoop(&cut, subset, params.k, params.m,
-                                /*min_depth=*/0, /*suppress_on_failure=*/true,
-                                pool_, cancel_));
-  (void)done;  // with suppress_on_failure the loop always succeeds
+  SECRETA_RETURN_IF_ERROR(
+      RunAprioriLoop(&cut, subset, params.k, params.m, pool_, cancel_));
   return std::move(cut.Materialize(subset).recoding);
 }
 

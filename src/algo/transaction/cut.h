@@ -12,9 +12,9 @@
 
 namespace secreta {
 
-/// The generalized transactions of a record subset under a cut: all that the
-/// AA loops read on each raise. Keep one across Recode calls, so its buffers
-/// keep their capacity from one raise to the next.
+/// The generalized transactions of a record subset under a cut, with the gen
+/// numbering Materialize exports. Reusing one across Recode calls keeps its
+/// buffers' capacity.
 struct CutRecords {
   /// records[j]: sorted gen ids of subset[j]'s items.
   std::vector<std::vector<int32_t>> records;
@@ -42,6 +42,13 @@ class HierarchyCut {
 
   /// Current cut node covering `item`.
   NodeId NodeOf(ItemId item) const;
+
+  /// Smallest item id under `node`, fixed by the hierarchy (-1 when no item
+  /// lies under it). Distinct cut nodes have distinct first items, and
+  /// Recode numbers cut nodes in their order; the AA loops key gens by it.
+  ItemId FirstItemUnder(NodeId node) const {
+    return first_item_under_[static_cast<size_t>(node)];
+  }
 
   /// True if all items are suppressed (total-suppression fallback for the
   /// degenerate case where even the root generalization violates k^m).

@@ -82,10 +82,8 @@ Result<TransactionRecoding> LraAnonymizer::AnonymizeSubset(
     part_rows.reserve(end - begin);
     for (size_t j = begin; j < end; ++j) part_rows.push_back(subset[order[j]]);
     HierarchyCut cut(context);
-    SECRETA_RETURN_IF_ERROR(
-        RunAprioriLoop(&cut, part_rows, params.k, params.m, /*min_depth=*/0,
-                       /*suppress_on_failure=*/true, pool_, cancel_)
-            .status());
+    SECRETA_RETURN_IF_ERROR(RunAprioriLoop(&cut, part_rows, params.k,
+                                           params.m, pool_, cancel_));
     CutRecoding part = cut.Materialize(part_rows);
     out.suppressed_occurrences += part.recoding.suppressed_occurrences;
     // Remap part gens into the shared pool and place records at their

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
+#include "algo/transaction/apriori.h"
 #include "algo/transaction/coat.h"
 #include "algo/transaction/count_tree.h"
-#include "algo/transaction/cut.h"
 #include "algo/transaction/gen_space.h"
-#include "metrics/information_loss.h"
 #include "obs/trace.h"
 
 namespace secreta {
@@ -51,47 +50,16 @@ Result<TransactionRecoding> VpaAnonymizer::AnonymizeSubset(
   const Hierarchy& h = context.hierarchy();
   std::vector<Part> parts = SplitDomain(h, params.vpa_parts);
   HierarchyCut cut(context);
-  CutRecords view;
-  std::vector<char> in_part;
-  std::vector<std::vector<int32_t>> projected(subset.size());
   // Phase 1: per-part AA, raising only inside the part (min_depth 1 keeps
   // every raise strictly below the root, and parts are unions of root-child
-  // subtrees, so a raise never crosses a part boundary).
+  // subtrees, so a raise never crosses a part boundary). A size whose
+  // violation cannot be raised away leaves its residue for phase 2.
   for (const Part& part : parts) {
+    AprioriLoop loop(&cut, subset, part.begin, part.end);
     for (int i = 1; i <= params.m; ++i) {
-      while (true) {
-        cut.Recode(subset, &view);
-        // Project records onto this part's gens.
-        in_part.assign(view.gen_nodes.size(), 0);
-        for (size_t g = 0; g < view.gen_nodes.size(); ++g) {
-          NodeId node = view.gen_nodes[g];
-          in_part[g] = h.leaf_interval_begin(node) >= part.begin &&
-                       h.leaf_interval_end(node) <= part.end;
-        }
-        for (size_t j = 0; j < view.records.size(); ++j) {
-          projected[j].clear();
-          for (int32_t g : view.records[j]) {
-            if (in_part[static_cast<size_t>(g)]) projected[j].push_back(g);
-          }
-        }
-        CountTree tree(projected, i, pool_);
-        auto violations = tree.FindViolations(params.k, 1);
-        if (violations.empty()) break;
-        NodeId best_target = kNoNode;
-        double best_cost = 0;
-        for (int32_t g : violations[0].itemset) {
-          NodeId node = view.gen_nodes[static_cast<size_t>(g)];
-          if (h.depth(node) <= 1) continue;  // already at a part top
-          NodeId parent = h.parent(node);
-          double cost = NodeNcp(h, parent);
-          if (best_target == kNoNode || cost < best_cost) {
-            best_target = parent;
-            best_cost = cost;
-          }
-        }
-        if (best_target == kNoNode) break;  // residue left for phase 2
-        cut.RaiseTo(best_target);
-      }
+      SECRETA_RETURN_IF_ERROR(
+          loop.RunSize(i, params.k, /*min_depth=*/1, pool_, cancel_)
+              .status());
     }
   }
   // Phase 2: global repair. Cross-part itemsets (and any per-part residue)

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "algo/transaction/vpa.h"
+#include "common/cancellation.h"
 #include "core/guarantees.h"
 #include "policy/policy_generator.h"
 #include "engine/registry.h"
@@ -260,6 +262,32 @@ TEST(VpaSpecificTest, PartCountSweepKeepsGuarantee) {
     EXPECT_TRUE(IsKmAnonymous(recoding.records, params.k, params.m))
         << parts << " parts";
   }
+}
+
+// Phase 1 runs the shared AA loop, which polls the token once per raise: a
+// cancelled run stops at the first raise checkpoint instead of finishing
+// every part's raises and stopping only in the phase-2 repair.
+TEST(VpaSpecificTest, CancelledTokenStopsPhaseOneRaises) {
+  Dataset ds = testing::SmallRtDataset(180, 43);
+  ASSERT_OK_AND_ASSIGN(Hierarchy h, BuildItemHierarchy(ds));
+  ASSERT_OK_AND_ASSIGN(TransactionContext ctx,
+                       TransactionContext::Create(ds, &h));
+  VpaAnonymizer vpa;
+  CancellationToken token;
+  token.Cancel();
+  vpa.set_cancellation(&token);
+  AnonParams params;
+  params.k = 4;
+  params.m = 2;
+  std::vector<size_t> subset(ds.num_records());
+  std::iota(subset.begin(), subset.end(), 0);
+  Result<TransactionRecoding> result = vpa.AnonymizeSubset(ctx, subset, params);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_NE(result.status().message().find("apriori raise"), std::string::npos)
+      << result.status().message();
+  EXPECT_EQ(result.status().message().find("vpa repair"), std::string::npos)
+      << result.status().message();
 }
 
 }  // namespace
