@@ -36,10 +36,7 @@ Result<RelationalRecoding> TopDownAnonymizer::Anonymize(
     const Hierarchy& h = context.hierarchy(qi);
     leaf_cols[qi].resize(n);
     for (size_t r = 0; r < n; ++r) leaf_cols[qi][r] = context.Leaf(r, qi);
-    node_ncp[qi].resize(h.num_nodes());
-    for (size_t node = 0; node < h.num_nodes(); ++node) {
-      node_ncp[qi][node] = NodeNcp(h, static_cast<NodeId>(node));
-    }
+    node_ncp[qi] = NodeNcpTable(h);
     buckets[qi].resize(h.num_nodes());
   }
 

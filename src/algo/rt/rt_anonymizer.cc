@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "core/equivalence.h"
+#include "kernels/kernels.h"
 #include "metrics/information_loss.h"
 #include "obs/trace.h"
 
@@ -33,51 +34,34 @@ namespace {
 struct Cluster {
   std::vector<size_t> rows;
   std::vector<NodeId> nodes;        // per-QI generalized value
-  std::vector<ItemId> item_union;   // sorted distinct items of the cluster
+  std::vector<uint64_t> item_bits;  // one bit per distinct item of `rows`
+  size_t num_items = 0;             // popcount of item_bits
   TransactionRecoding txn;          // aligned with `rows`
   double ul = 0;                    // transaction utility loss of `txn`
   bool alive = true;
 };
 
-double JaccardDistance(const std::vector<ItemId>& a,
-                       const std::vector<ItemId>& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  size_t i = 0, j = 0, common = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++common;
-      ++i;
-      ++j;
-    }
-  }
-  size_t uni = a.size() + b.size() - common;
+// Jaccard distance of the clusters' item sets. The intersection and union
+// counts are the integers a merge of sorted item lists counts, so the
+// distance is the same double.
+double JaccardDistance(const Cluster& a, const Cluster& b) {
+  if (a.num_items == 0 && b.num_items == 0) return 0.0;
+  size_t common = kernels::AndPopcount(a.item_bits.data(), b.item_bits.data(),
+                                       a.item_bits.size());
+  size_t uni = a.num_items + b.num_items - common;
   return 1.0 - static_cast<double>(common) / static_cast<double>(uni);
 }
 
+// `node_ncp[qi]` is NodeNcpTable of QI qi's hierarchy.
 double RelationalDistance(const RelationalContext& context,
+                          const std::vector<std::vector<double>>& node_ncp,
                           const Cluster& a, const Cluster& b) {
   double total = 0;
   for (size_t qi = 0; qi < context.num_qi(); ++qi) {
-    const Hierarchy& h = context.hierarchy(qi);
-    total += NodeNcp(h, h.Lca(a.nodes[qi], b.nodes[qi]));
+    NodeId lca = context.hierarchy(qi).Lca(a.nodes[qi], b.nodes[qi]);
+    total += node_ncp[qi][static_cast<size_t>(lca)];
   }
   return total / static_cast<double>(context.num_qi());
-}
-
-std::vector<ItemId> ItemUnion(const Dataset& data,
-                              const std::vector<size_t>& rows) {
-  std::vector<ItemId> all;
-  for (size_t row : rows) {
-    const auto& txn = data.items(row).raw();
-    all.insert(all.end(), txn.begin(), txn.end());
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
 }
 
 }  // namespace
@@ -111,6 +95,7 @@ Result<RtResult> RtAnonymizer::Anonymize(const RelationalContext& rel_context,
   phase_span.emplace(std::string_view("rt.transaction"));
   std::vector<Cluster> clusters(classes.num_groups());
   size_t num_items = data.item_dictionary().size();
+  size_t item_words = (num_items + 63) / 64;
   auto anonymize_cluster = [&](Cluster* cluster) -> Status {
     SECRETA_ASSIGN_OR_RETURN(
         cluster->txn,
@@ -129,7 +114,15 @@ Result<RtResult> RtAnonymizer::Anonymize(const RelationalContext& rel_context,
     for (size_t qi = 0; qi < rel_context.num_qi(); ++qi) {
       cluster.nodes[qi] = result.relational.at(cluster.rows[0], qi);
     }
-    cluster.item_union = ItemUnion(data, cluster.rows);
+    cluster.item_bits.assign(item_words, 0);
+    for (size_t row : cluster.rows) {
+      for (ItemId item : data.items(row).raw()) {
+        cluster.item_bits[static_cast<size_t>(item) >> 6] |=
+            uint64_t{1} << (static_cast<unsigned>(item) & 63);
+      }
+    }
+    cluster.num_items =
+        kernels::PopcountRange(cluster.item_bits.data(), item_words);
     SECRETA_RETURN_IF_ERROR(anonymize_cluster(&cluster));
   }
 
@@ -137,6 +130,10 @@ Result<RtResult> RtAnonymizer::Anonymize(const RelationalContext& rel_context,
   // delta, merge it into the neighbour chosen by the bounding method.
   result.phases.Begin("merging");
   phase_span.emplace(std::string_view("rt.merging"));
+  std::vector<std::vector<double>> node_ncp;
+  for (size_t qi = 0; qi < rel_context.num_qi(); ++qi) {
+    node_ncp.push_back(NodeNcpTable(rel_context.hierarchy(qi)));
+  }
   size_t alive = clusters.size();
   while (alive > 1) {
     SECRETA_RETURN_IF_ERROR(CheckCancelled(cancel, "rt merging phase"));
@@ -155,16 +152,16 @@ Result<RtResult> RtAnonymizer::Anonymize(const RelationalContext& rel_context,
       double dist = 0;
       switch (merger_) {
         case MergerKind::kRmerger:
-          dist = RelationalDistance(rel_context, clusters[worst], clusters[c]);
+          dist = RelationalDistance(rel_context, node_ncp, clusters[worst],
+                                    clusters[c]);
           break;
         case MergerKind::kTmerger:
-          dist = JaccardDistance(clusters[worst].item_union,
-                                 clusters[c].item_union);
+          dist = JaccardDistance(clusters[worst], clusters[c]);
           break;
         case MergerKind::kRTmerger:
-          dist = RelationalDistance(rel_context, clusters[worst], clusters[c]) +
-                 JaccardDistance(clusters[worst].item_union,
-                                 clusters[c].item_union);
+          dist = RelationalDistance(rel_context, node_ncp, clusters[worst],
+                                    clusters[c]) +
+                 JaccardDistance(clusters[worst], clusters[c]);
           break;
       }
       if (partner == SIZE_MAX || dist < best_dist) {
@@ -180,7 +177,10 @@ Result<RtResult> RtAnonymizer::Anonymize(const RelationalContext& rel_context,
       const Hierarchy& h = rel_context.hierarchy(qi);
       dst.nodes[qi] = h.Lca(dst.nodes[qi], src.nodes[qi]);
     }
-    dst.item_union = ItemUnion(data, dst.rows);
+    for (size_t w = 0; w < item_words; ++w) {
+      dst.item_bits[w] |= src.item_bits[w];
+    }
+    dst.num_items = kernels::PopcountRange(dst.item_bits.data(), item_words);
     SECRETA_RETURN_IF_ERROR(anonymize_cluster(&dst));
     src.alive = false;
     src.rows.clear();

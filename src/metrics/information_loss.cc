@@ -18,6 +18,14 @@ double NodeNcp(const Hierarchy& hierarchy, NodeId node) {
          static_cast<double>(total - 1);
 }
 
+std::vector<double> NodeNcpTable(const Hierarchy& hierarchy) {
+  std::vector<double> table(hierarchy.num_nodes());
+  for (size_t node = 0; node < table.size(); ++node) {
+    table[node] = NodeNcp(hierarchy, static_cast<NodeId>(node));
+  }
+  return table;
+}
+
 std::vector<double> RecodingGcpPerAttribute(const RelationalContext& context,
                                             const RelationalRecoding& recoding) {
   size_t n = recoding.num_records();

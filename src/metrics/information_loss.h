@@ -21,6 +21,11 @@ namespace secreta {
 /// A leaf scores 0; the root scores 1 (when the domain has > 1 value).
 double NodeNcp(const Hierarchy& hierarchy, NodeId node);
 
+/// NodeNcp of every node of `hierarchy`, indexed by node id: the table that
+/// cost scans (Cluster, TopDown, the RT mergers) read per candidate instead
+/// of calling NodeNcp.
+std::vector<double> NodeNcpTable(const Hierarchy& hierarchy);
+
 /// Generalized Certainty Penalty of a relational recoding: the mean NCP over
 /// all records and QI attributes, in [0,1].
 double RecodingGcp(const RelationalContext& context,
