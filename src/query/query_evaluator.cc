@@ -11,10 +11,11 @@ namespace secreta {
 
 namespace {
 
-// Share of item `item` contributed by the generalized record `record_gens`
-// (sorted gen indices): 1/|covers| of the covering gen present in the record,
-// 0 if none (or suppressed). `gens_of_item` is the reverse map for local
-// recodings (ignored when the recoding has an item_map).
+// The scan oracle's share of item `item` contributed by the generalized
+// record `record_gens` (sorted gen indices): 1/|covers| of the covering gen
+// present in the record, 0 if none (or suppressed). `gens_of_item` is the
+// reverse map for local recodings (ignored when the recoding has an
+// item_map). The indexed path reads GenItemShare instead.
 double ItemCoverShare(const TransactionRecoding& txn,
                       const std::vector<std::vector<int32_t>>& gens_of_item,
                       const std::vector<int32_t>& record_gens, ItemId item) {
@@ -37,6 +38,23 @@ double ItemCoverShare(const TransactionRecoding& txn,
     if (std::binary_search(covering.begin(), covering.end(), g)) {
       return 1.0 /
              static_cast<double>(txn.gens[static_cast<size_t>(g)].covers.size());
+    }
+  }
+  return 0.0;
+}
+
+// EstimateFast's item share: 1/|covers| of the first of the record's gens
+// (sorted) that stands for `item` by `caches.gen_items`, 0 if none. This is
+// the gen ItemCoverShare finds, by a bit test per record gen.
+double GenItemShare(const TransactionRecoding& txn, const RecodingCache& caches,
+                    const std::vector<int32_t>& record_gens, ItemId item) {
+  size_t word = static_cast<size_t>(item) >> 6;
+  uint64_t bit = uint64_t{1} << (static_cast<unsigned>(item) & 63);
+  for (int32_t g : record_gens) {
+    size_t at = static_cast<size_t>(g) * caches.item_words + word;
+    if ((caches.gen_items[at] & bit) != 0) {
+      size_t covers = txn.gens[static_cast<size_t>(g)].covers.size();
+      return 1.0 / static_cast<double>(covers);
     }
   }
   return 0.0;
@@ -380,12 +398,21 @@ RecodingCache QueryEvaluator::BuildRecodingCache(
         }
       }
     } else {
-      caches.gens_of_item = BuildItemToGensMap(*transaction, num_items);
-      for (size_t item = 0; item < num_items; ++item) {
-        for (int32_t g : caches.gens_of_item[item]) {
-          items_of_gen[static_cast<size_t>(g)].push_back(
-              static_cast<ItemId>(item));
+      for (size_t g = 0; g < transaction->gens.size(); ++g) {
+        for (ItemId item : transaction->gens[g].covers) {
+          if (static_cast<size_t>(item) < num_items) {
+            items_of_gen[g].push_back(item);
+          }
         }
+      }
+    }
+    caches.item_words = (num_items + 63) / 64;
+    caches.gen_items.assign(transaction->gens.size() * caches.item_words, 0);
+    for (size_t g = 0; g < items_of_gen.size(); ++g) {
+      for (ItemId item : items_of_gen[g]) {
+        caches.gen_items[g * caches.item_words +
+                         (static_cast<size_t>(item) >> 6)] |=
+            uint64_t{1} << (static_cast<unsigned>(item) & 63);
       }
     }
     caches.item_cover.assign(num_items, RecordBitmap(n));
@@ -468,8 +495,8 @@ double QueryEvaluator::EstimateFast(
         double p = qi_prob(r);
         for (ItemId item : q.items) {
           if (p == 0.0) break;
-          p *= ItemCoverShare(*transaction, caches.gens_of_item,
-                              transaction->records[r], item);
+          p *= GenItemShare(*transaction, caches, transaction->records[r],
+                            item);
         }
         total += p;
       }

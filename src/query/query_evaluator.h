@@ -108,7 +108,13 @@ struct RecodingCache {
   /// for 120 items over 5,000 records), built once per recoding. Empty when
   /// there is no transaction recoding.
   std::vector<RecordBitmap> item_cover;
-  std::vector<std::vector<int32_t>> gens_of_item;  // local recodings only
+  /// The items each gen stands for, as bits: gen g's item_words words start
+  /// at gen_items[g * item_words], and bit i is set when g stands for item
+  /// i (the same items item_cover reads). A record's share of a query item
+  /// is 1/|covers| of its first gen, in ascending order, whose bit is set.
+  /// num_gens x num_items / 8 bytes (4 KB for 256 gens over 120 items).
+  std::vector<uint64_t> gen_items;
+  size_t item_words = 0;  // ceil(num_items / 64)
 };
 
 /// \brief Evaluates COUNT queries exactly and on anonymized recodings.
