@@ -82,10 +82,12 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
     return row;
   };
 
-  // Scratch for the parallel candidate scans: every candidate's cost is
-  // computed independently, then a serial argmin applies the exact strict-<
-  // first-minimum rule of the sequential loop — identical picks, identical
-  // clusters, with or without a pool.
+  // Scratch for the leftover records' parallel scan over clusters: every
+  // cluster's cost is computed independently, then a serial argmin applies
+  // the strict-< first-minimum rule of a sequential loop — identical picks,
+  // identical clusters, with or without a pool. The greedy step's candidate
+  // scan stays serial: its at most candidate_cap_ costs take a few
+  // microseconds, less than a fan-out over the pool costs.
   std::vector<double> costs;
   std::vector<ClusterHead> clusters;
   while (remaining.size() >= k) {
@@ -111,15 +113,12 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
       } else {
         candidates = rng.Sample(remaining.size(), pool);
       }
-      costs.resize(candidates.size());
-      ParallelFor(pool_, candidates.size(), [&](size_t ci) {
-        costs[ci] = head.CostWith(context, flat, remaining[candidates[ci]]);
-      });
       size_t best_pos = candidates[0];
-      double best_cost = costs[0];
+      double best_cost = head.CostWith(context, flat, remaining[best_pos]);
       for (size_t ci = 1; ci < candidates.size(); ++ci) {
-        if (costs[ci] < best_cost) {
-          best_cost = costs[ci];
+        double cost = head.CostWith(context, flat, remaining[candidates[ci]]);
+        if (cost < best_cost) {
+          best_cost = cost;
           best_pos = candidates[ci];
         }
       }
