@@ -55,23 +55,29 @@ void CountTree::InsertRecords(const std::vector<std::vector<int32_t>>& records,
 }
 
 void CountTree::Update(const std::vector<int32_t>& record, int delta) {
-  if (m_ > 0) UpdateSubsets(0, record, 0, m_, delta > 0);
+  if (m_ < 1) return;
+  if (delta > 0) {
+    UpdateSubsets<true>(0, record, 0, m_);
+  } else {
+    UpdateSubsets<false>(0, record, 0, m_);
+  }
 }
 
+template <bool kAdd>
 void CountTree::UpdateSubsets(int32_t node, const std::vector<int32_t>& record,
-                              size_t start, int sizes_left, bool add) {
+                              size_t start, int sizes_left) {
   // Combination enumeration that shares prefixes through the tree.
   for (size_t i = start; i < record.size(); ++i) {
-    int32_t child =
-        add ? GetOrAddChild(node, record[i]) : FindChild(node, record[i]);
-    size_t& count = nodes_[static_cast<size_t>(child)].count;
-    if (add) {
-      ++count;
+    int32_t child;
+    if constexpr (kAdd) {
+      child = GetOrAddChild(node, record[i]);
+      ++nodes_[static_cast<size_t>(child)].count;
     } else {
-      --count;
+      child = FindChild(node, record[i]);
+      --nodes_[static_cast<size_t>(child)].count;
     }
     if (sizes_left > 1) {
-      UpdateSubsets(child, record, i + 1, sizes_left - 1, add);
+      UpdateSubsets<kAdd>(child, record, i + 1, sizes_left - 1);
     }
   }
 }

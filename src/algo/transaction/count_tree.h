@@ -77,10 +77,11 @@ class CountTree {
   // Inserts all itemsets of records[begin, end).
   void InsertRecords(const std::vector<std::vector<int32_t>>& records,
                      size_t begin, size_t end);
-  // Moves by one (up when `add`) the count of every itemset that extends
+  // Moves by one (up when kAdd) the count of every itemset that extends
   // `node`'s itemset by 1..`sizes_left` keys of `record` from `start` on.
+  template <bool kAdd>
   void UpdateSubsets(int32_t node, const std::vector<int32_t>& record,
-                     size_t start, int sizes_left, bool add);
+                     size_t start, int sizes_left);
   // Adds `other`'s structure and counts into this tree.
   void MergeFrom(const CountTree& other);
 
