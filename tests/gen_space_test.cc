@@ -163,9 +163,9 @@ TEST(HierarchyCutTest, MaterializeIsConsistent) {
   }
 }
 
-// The AA loops read Recode's view and the exports read Materialize's; both
-// must show the same gen ids. One CutRecords is reused across raises and
-// across subsets of different sizes, as the loops reuse it.
+// Recode's view and Materialize's export must show the same gen ids, numbered
+// by first use over item ids: the order AprioriLoop's keys follow. One
+// CutRecords is reused across raises and across subsets of different sizes.
 TEST(HierarchyCutTest, RecodeMatchesMaterializeAcrossRaises) {
   Dataset ds = testing::SmallRtDataset(80, 97);
   ASSERT_OK_AND_ASSIGN(Hierarchy h, BuildItemHierarchy(ds));
