@@ -37,6 +37,7 @@ class AprioriAnonymizer : public TransactionAnonymizer {
 /// has, so only the records holding an item under T with another key change;
 /// the loop recounts just those. Only items whose leaf position lies in
 /// [leaf_begin, leaf_end) are counted: VPA's part, or the whole domain.
+/// `cut` and `subset` must outlive the loop.
 class AprioriLoop {
  public:
   AprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset,
