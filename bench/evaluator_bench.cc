@@ -1,6 +1,7 @@
-// EVALB — the evaluation-pipeline benchmark: scan oracles vs the indexed
-// (BindWorkload + Are) path, serial vs parallel, and the serial vs parallel
-// full-report fan-out. Emits BENCH_evaluator.json (CWD) with every number.
+// EVALB — the evaluation-pipeline benchmark: the scan oracle (tests/oracle)
+// vs the indexed (Create + BindWorkload, then BuildRecodingCache + Are)
+// path, serial vs parallel, and the serial vs parallel full-report fan-out.
+// Emits BENCH_evaluator.json (CWD) with every number.
 //
 // Default ("full") mode runs the acceptance configuration — 100k records,
 // 1000 queries — and exits nonzero unless the indexed+parallel ARE path is
@@ -31,6 +32,7 @@
 #include "obs/trace.h"
 #include "query/query_evaluator.h"
 #include "query/workload_generator.h"
+#include "tests/oracle/are_oracle.h"
 
 using namespace secreta;
 
@@ -84,8 +86,6 @@ int main(int argc, char** argv) {
       bench::CheckOk(BuildAllColumnHierarchies(dataset), "hierarchies");
   RelationalContext rel_ctx =
       bench::CheckOk(RelationalContext::Create(dataset, hierarchies), "context");
-  QueryEvaluator evaluator =
-      bench::CheckOk(QueryEvaluator::Create(dataset, &rel_ctx), "evaluator");
 
   std::vector<int> levels(rel_ctx.num_qi(), 1);
   RelationalRecoding rel = ApplyFullDomainLevels(rel_ctx, levels);
@@ -103,11 +103,14 @@ int main(int argc, char** argv) {
   std::vector<double> scan_exact;
   scan_exact.reserve(workload.size());
   for (const CountQuery& q : workload.queries()) {
-    scan_exact.push_back(bench::CheckOk(evaluator.ExactCount(q), "exact"));
+    scan_exact.push_back(
+        bench::CheckOk(oracle::ExactCount(dataset, q), "exact"));
   }
   double scan_exact_seconds = scan_exact_watch.ElapsedSeconds();
 
   Stopwatch bind_watch;
+  QueryEvaluator evaluator =
+      bench::CheckOk(QueryEvaluator::Create(dataset, &rel_ctx), "evaluator");
   BoundWorkload bound = bench::CheckOk(
       evaluator.BindWorkload(workload, &SharedEvalPool()), "bind");
   double bind_seconds = bind_watch.ElapsedSeconds();
@@ -119,14 +122,17 @@ int main(int argc, char** argv) {
   }
 
   // --- ARE: scan path (per-query oracle loop, the pre-index evaluation),
-  // indexed serial, indexed parallel.
+  // indexed serial, indexed parallel. Each indexed region builds its own
+  // RecodingCache, as a report does.
   Stopwatch scan_are_watch;
   double scan_total = 0;
   std::vector<double> scan_estimated;
   scan_estimated.reserve(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {
     double est = bench::CheckOk(
-        evaluator.EstimatedCount(workload.queries()[i], &rel, &txn), "est");
+        oracle::EstimatedCount(dataset, &rel_ctx, workload.queries()[i], &rel,
+                               &txn),
+        "est");
     scan_estimated.push_back(est);
     scan_total +=
         std::fabs(scan_exact[i] - est) / std::max(scan_exact[i], 1.0);
@@ -135,13 +141,15 @@ int main(int argc, char** argv) {
   double scan_are_seconds = scan_are_watch.ElapsedSeconds() + scan_exact_seconds;
 
   Stopwatch serial_watch;
+  RecodingCache serial_cache = evaluator.BuildRecodingCache(&rel, &txn);
   AreReport serial = bench::CheckOk(
-      evaluator.Are(bound, &rel, &txn, nullptr, nullptr), "serial are");
+      evaluator.Are(bound, &rel, &txn, serial_cache), "serial are");
   double serial_are_seconds = serial_watch.ElapsedSeconds();
 
   Stopwatch parallel_watch;
+  RecodingCache parallel_cache = evaluator.BuildRecodingCache(&rel, &txn);
   AreReport parallel = bench::CheckOk(
-      evaluator.Are(bound, &rel, &txn, &SharedEvalPool(), nullptr),
+      evaluator.Are(bound, &rel, &txn, parallel_cache, &SharedEvalPool()),
       "parallel are");
   double parallel_are_seconds = parallel_watch.ElapsedSeconds();
 
@@ -200,11 +208,11 @@ int main(int argc, char** argv) {
                                        dataset.item_dictionary().size());
     double total = 0;
     for (size_t i = 0; i < workload.size(); ++i) {
-      double exact =
-          bench::CheckOk(evaluator.ExactCount(workload.queries()[i]), "exact");
+      double exact = bench::CheckOk(
+          oracle::ExactCount(dataset, workload.queries()[i]), "exact");
       double est = bench::CheckOk(
-          evaluator.EstimatedCount(workload.queries()[i], &*run.relational,
-                                   &*run.transaction),
+          oracle::EstimatedCount(dataset, &rel_ctx, workload.queries()[i],
+                                 &*run.relational, &*run.transaction),
           "est");
       total += std::fabs(exact - est) / std::max(exact, 1.0);
     }

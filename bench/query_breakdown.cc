@@ -83,9 +83,13 @@ int main() {
     double ares[3];
     const Workload* workloads[3] = {&rel_workload, &item_workload,
                                     &mixed_workload};
+    RecodingCache cache = evaluator.BuildRecodingCache(rel, txn);
     for (int w = 0; w < 3; ++w) {
-      ares[w] =
-          std::move(evaluator.Are(*workloads[w], rel, txn)).ValueOrDie().are;
+      BoundWorkload bound =
+          std::move(evaluator.BindWorkload(*workloads[w])).ValueOrDie();
+      ares[w] = std::move(evaluator.Are(bound, rel, txn, cache))
+                    .ValueOrDie()
+                    .are;
     }
     bench::PrintRow({merger_name, StrFormat("%.4f", ares[0]),
                      StrFormat("%.4f", ares[1]), StrFormat("%.4f", ares[2]),

@@ -108,8 +108,7 @@ std::string ToLower(std::string_view input) {
   return out;
 }
 
-uint64_t Fnv1a64(std::string_view input) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a64(std::string_view input, uint64_t hash) {
   for (char c : input) {
     hash ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
     hash *= 0x100000001b3ULL;

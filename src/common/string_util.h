@@ -43,10 +43,15 @@ inline bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
+/// The 64-bit FNV-1a offset basis: the hash of no bytes.
+inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// 64-bit FNV-1a hash. Stable across runs, platforms and standard-library
 /// implementations (unlike std::hash), so it is safe to use for
-/// content-addressed cache keys and persisted fingerprints.
-uint64_t Fnv1a64(std::string_view input);
+/// content-addressed cache keys and persisted fingerprints. `hash` continues
+/// the hash of earlier bytes: Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a + b), so a
+/// stream hashes chunk by chunk without being concatenated.
+uint64_t Fnv1a64(std::string_view input, uint64_t hash = kFnv1a64Basis);
 
 /// Combines two 64-bit hashes order-dependently (boost::hash_combine-style).
 uint64_t HashCombine(uint64_t seed, uint64_t value);

@@ -14,19 +14,6 @@ namespace secreta {
 
 namespace {
 
-// Same FNV-1a 64 as common/string_util, restated incrementally so the file
-// fingerprint can fold section buffers without concatenating them.
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t FnvFold(uint64_t hash, std::string_view chunk) {
-  for (char c : chunk) {
-    hash ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
 uint64_t HashView(const uint8_t* data, size_t size) {
   return Fnv1a64(
       std::string_view(reinterpret_cast<const char*>(data), size));
@@ -210,10 +197,11 @@ Status WriteBinaryDataset(const Dataset& dataset, const std::string& path,
   if (!out) return Status::IOError("cannot open '" + tmp_path + "' for write");
 
   uint64_t offset = 0;
-  uint64_t file_hash = kFnvBasis;
+  // The file fingerprint folds each section buffer as it is written.
+  uint64_t file_hash = kFnv1a64Basis;
   auto emit = [&](const std::string& buffer) {
     out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    file_hash = FnvFold(file_hash, buffer);
+    file_hash = Fnv1a64(buffer, file_hash);
     offset += buffer.size();
   };
   emit(preamble);

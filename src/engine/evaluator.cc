@@ -155,11 +155,13 @@ Result<EvaluationReport> BuildReport(const EngineInputs& inputs,
           run.transaction.has_value() ? &*run.transaction : nullptr;
       Stopwatch are_watch;
       ScopedSpan span(std::string_view("evaluate.are"));
+      const QueryEvaluator& evaluator = eval.evaluator();
+      RecodingCache cache = evaluator.BuildRecodingCache(rel, txn);
       // Nested fan-out over the same pool: the ARE task helps drain its own
       // query batches, so composing with the metric fan-out (and with
       // comparator-level parallelism above) cannot deadlock.
-      Result<AreReport> are = eval.evaluator().Are(eval.bound_workload(), rel,
-                                                   txn, pool, cancel);
+      Result<AreReport> are = evaluator.Are(eval.bound_workload(), rel, txn,
+                                            cache, pool, cancel);
       are_seconds = are_watch.ElapsedSeconds();
       if (!are.ok()) return are.status();
       report.are = are.value().are;

@@ -20,19 +20,6 @@ namespace secreta {
 
 namespace {
 
-// Incremental FNV-1a over release bytes; same constants as Fnv1a64 so the
-// streamed fold equals Fnv1a64 of the concatenated release CSV.
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t FnvFold(uint64_t hash, std::string_view bytes) {
-  for (char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
 bool ModeUsesRelational(AnonMode mode) {
   return mode == AnonMode::kRelational || mode == AnonMode::kRt;
 }
@@ -266,8 +253,9 @@ Result<ShardedRunResult> RunShardedAnonymization(
   // ---- merge: emit the release in global row order ------------------------
   SECRETA_RETURN_IF_ERROR(CheckCancelled(options.cancel, "sharded-merge"));
   const std::string header = ReleaseHeaderLine(provider.schema());
-  uint64_t fingerprint = FnvFold(kFnvBasis, header);
-  fingerprint = FnvFold(fingerprint, "\n");
+  // Fnv1a64 continued line by line: equals Fnv1a64 of the whole release CSV.
+  uint64_t fingerprint = Fnv1a64(header);
+  fingerprint = Fnv1a64("\n", fingerprint);
 
   std::ofstream out;
   std::string tmp_path;
@@ -298,8 +286,8 @@ Result<ShardedRunResult> RunShardedAnonymization(
     return record;
   };
   auto emit_line = [&](const std::string& line) -> Status {
-    fingerprint = FnvFold(fingerprint, line);
-    fingerprint = FnvFold(fingerprint, "\n");
+    fingerprint = Fnv1a64(line, fingerprint);
+    fingerprint = Fnv1a64("\n", fingerprint);
     if (out.is_open()) out << line << '\n';
     if (options.materialize_result) {
       SECRETA_ASSIGN_OR_RETURN(std::vector<std::string> fields,

@@ -11,41 +11,9 @@ namespace secreta {
 
 namespace {
 
-// The scan oracle's share of item `item` contributed by the generalized
-// record `record_gens` (sorted gen indices): 1/|covers| of the covering gen
-// present in the record, 0 if none (or suppressed). `gens_of_item` is the
-// reverse map for local recodings (ignored when the recoding has an
-// item_map). The indexed path reads GenItemShare instead.
-double ItemCoverShare(const TransactionRecoding& txn,
-                      const std::vector<std::vector<int32_t>>& gens_of_item,
-                      const std::vector<int32_t>& record_gens, ItemId item) {
-  if (!txn.item_map.empty()) {
-    int32_t g = txn.item_map[static_cast<size_t>(item)];
-    if (g != kSuppressedGen &&
-        std::binary_search(record_gens.begin(), record_gens.end(), g)) {
-      return 1.0 /
-             static_cast<double>(txn.gens[static_cast<size_t>(g)].covers.size());
-    }
-    return 0.0;
-  }
-  // Local recoding: the share is that of the smallest covering gen id the
-  // record holds. Both lists ascend, so it is the first record gen found
-  // among the covering gens. A record holds a few gens while an item may be
-  // covered by one gen per RT cluster, so the record is the list walked.
-  const std::vector<int32_t>& covering =
-      gens_of_item[static_cast<size_t>(item)];
-  for (int32_t g : record_gens) {
-    if (std::binary_search(covering.begin(), covering.end(), g)) {
-      return 1.0 /
-             static_cast<double>(txn.gens[static_cast<size_t>(g)].covers.size());
-    }
-  }
-  return 0.0;
-}
-
 // EstimateFast's item share: 1/|covers| of the first of the record's gens
-// (sorted) that stands for `item` by `caches.gen_items`, 0 if none. This is
-// the gen ItemCoverShare finds, by a bit test per record gen.
+// (sorted) that stands for `item` by `caches.gen_items`, 0 if none — in a
+// local recoding the smallest covering gen id the record holds.
 double GenItemShare(const TransactionRecoding& txn, const RecodingCache& caches,
                     const std::vector<int32_t>& record_gens, ItemId item) {
   size_t word = static_cast<size_t>(item) >> 6;
@@ -62,19 +30,6 @@ double GenItemShare(const TransactionRecoding& txn, const RecodingCache& caches,
 
 }  // namespace
 
-std::vector<std::vector<int32_t>> BuildItemToGensMap(
-    const TransactionRecoding& recoding, size_t num_items) {
-  std::vector<std::vector<int32_t>> map(num_items);
-  for (size_t g = 0; g < recoding.gens.size(); ++g) {
-    for (ItemId item : recoding.gens[g].covers) {
-      if (static_cast<size_t>(item) < num_items) {
-        map[static_cast<size_t>(item)].push_back(static_cast<int32_t>(g));
-      }
-    }
-  }
-  return map;  // ascending per item by construction
-}
-
 Result<QueryEvaluator> QueryEvaluator::Create(
     const Dataset& dataset, const RelationalContext* rel_context) {
   QueryEvaluator ev;
@@ -86,29 +41,28 @@ Result<QueryEvaluator> QueryEvaluator::Create(
       ev.qi_of_column_[rel_context->qi_column(qi)] = qi;
     }
   }
+  ev.index_ = QueryIndex::Build(dataset);
   return ev;
 }
 
-Result<QueryEvaluator::BoundQuery> QueryEvaluator::Bind(
-    const CountQuery& query) const {
-  BoundQuery bound;
+Result<BoundWorkload::FastQuery> QueryEvaluator::Bind(
+    const CountQuery& query, double* out_exact) const {
+  BoundWorkload::FastQuery fq;
   for (const QueryClause& clause : query.relational) {
-    auto col = dataset_->ColumnByName(clause.attribute);
-    if (!col.ok()) return col.status();
-    BoundClause bc;
-    bc.col = col.value();
-    const Dictionary& dict = dataset_->dictionary(bc.col);
-    bc.match.assign(dict.size(), 0);
+    SECRETA_ASSIGN_OR_RETURN(size_t col,
+                             dataset_->ColumnByName(clause.attribute));
+    const Dictionary& dict = dataset_->dictionary(col);
+    std::vector<char> match(dict.size(), 0);
     bool any = false;
     if (clause.is_range) {
-      if (!dataset_->is_numeric(bc.col)) {
+      if (!dataset_->is_numeric(col)) {
         return Status::InvalidArgument(
             "range clause on non-numeric attribute: " + clause.attribute);
       }
       for (size_t id = 0; id < dict.size(); ++id) {
-        double v = dataset_->numeric_value(bc.col, static_cast<ValueId>(id)).raw();
+        double v = dataset_->numeric_value(col, static_cast<ValueId>(id)).raw();
         if (v >= clause.lo && v <= clause.hi) {
-          bc.match[id] = 1;
+          match[id] = 1;
           any = true;
         }
       }
@@ -116,170 +70,68 @@ Result<QueryEvaluator::BoundQuery> QueryEvaluator::Bind(
       for (const std::string& value : clause.values) {
         auto id = dict.Lookup(value);
         if (id.ok()) {
-          bc.match[static_cast<size_t>(id.value())] = 1;
+          match[static_cast<size_t>(id.value())] = 1;
           any = true;
         }
       }
     }
-    if (!any) bound.impossible = true;
-    bc.is_qi = qi_of_column_[bc.col] != SIZE_MAX;
-    if (bc.is_qi) {
-      bc.qi = qi_of_column_[bc.col];
-      const Hierarchy& h = rel_context_->hierarchy(bc.qi);
-      for (size_t id = 0; id < dict.size(); ++id) {
-        if (!bc.match[id]) continue;
-        auto leaf = h.LeafOf(dict.value(static_cast<ValueId>(id)));
-        if (!leaf.ok()) return leaf.status();
-        bc.leaf_positions.push_back(h.leaf_interval_begin(leaf.value()));
-        bc.matched_leaves.push_back(leaf.value());
-      }
-      std::sort(bc.leaf_positions.begin(), bc.leaf_positions.end());
-    }
-    bound.clauses.push_back(std::move(bc));
-  }
-  for (const std::string& item : query.items) {
-    auto id = dataset_->item_dictionary().Lookup(item);
-    if (!id.ok()) {
-      bound.impossible = true;
-      continue;
-    }
-    bound.items.push_back(id.value());
-  }
-  std::sort(bound.items.begin(), bound.items.end());
-  bound.items.erase(std::unique(bound.items.begin(), bound.items.end()),
-                    bound.items.end());
-  return bound;
-}
-
-Result<double> QueryEvaluator::ExactCount(const CountQuery& query) const {
-  SECRETA_ASSIGN_OR_RETURN(BoundQuery bound, Bind(query));
-  if (bound.impossible) return 0.0;
-  double count = 0;
-  for (size_t r = 0; r < dataset_->num_records(); ++r) {
-    bool ok = true;
-    for (const BoundClause& bc : bound.clauses) {
-      if (!bc.match[static_cast<size_t>(dataset_->value(r, bc.col).raw())]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok && !bound.items.empty()) {
-      const auto& txn = dataset_->items(r).raw();
-      ok = std::includes(txn.begin(), txn.end(), bound.items.begin(),
-                         bound.items.end());
-    }
-    if (ok) count += 1;
-  }
-  return count;
-}
-
-Result<double> QueryEvaluator::EstimatedCount(
-    const CountQuery& query, const RelationalRecoding* relational,
-    const TransactionRecoding* transaction) const {
-  SECRETA_ASSIGN_OR_RETURN(BoundQuery bound, Bind(query));
-  if (bound.impossible) return 0.0;
-  if (relational != nullptr && rel_context_ == nullptr) {
-    return Status::FailedPrecondition(
-        "estimation over a relational recoding requires a context");
-  }
-  // Reverse item->gens map, built once per call (local recodings only):
-  // without it every query item would scan every gen's covers per record.
-  std::vector<std::vector<int32_t>> gens_of_item;
-  if (transaction != nullptr && transaction->item_map.empty() &&
-      !bound.items.empty()) {
-    gens_of_item =
-        BuildItemToGensMap(*transaction, dataset_->item_dictionary().size());
-  }
-  double total = 0;
-  for (size_t r = 0; r < dataset_->num_records(); ++r) {
-    double p = 1.0;
-    for (const BoundClause& bc : bound.clauses) {
-      if (p == 0.0) break;
-      if (relational != nullptr && bc.is_qi) {
-        const Hierarchy& h = rel_context_->hierarchy(bc.qi);
-        NodeId node = relational->at(r, bc.qi);
-        int32_t begin = h.leaf_interval_begin(node);
-        int32_t end = h.leaf_interval_end(node);
-        auto lo = std::lower_bound(bc.leaf_positions.begin(),
-                                   bc.leaf_positions.end(), begin);
-        auto hi = std::lower_bound(bc.leaf_positions.begin(),
-                                   bc.leaf_positions.end(), end);
-        double overlap = static_cast<double>(hi - lo);
-        p *= overlap / static_cast<double>(end - begin);
-      } else {
-        p *= bc.match[static_cast<size_t>(dataset_->value(r, bc.col).raw())] ? 1.0 : 0.0;
-      }
-    }
-    if (p == 0.0) continue;
-    if (!bound.items.empty()) {
-      if (transaction == nullptr) {
-        const auto& txn = dataset_->items(r).raw();
-        if (!std::includes(txn.begin(), txn.end(), bound.items.begin(),
-                           bound.items.end())) {
-          p = 0.0;
-        }
-      } else {
-        const auto& gens = transaction->records[r];
-        for (ItemId item : bound.items) {
-          p *= ItemCoverShare(*transaction, gens_of_item, gens, item);
-          if (p == 0.0) break;
-        }
-      }
-    }
-    total += p;
-  }
-  return total;
-}
-
-BoundWorkload::FastQuery QueryEvaluator::BuildFastQuery(
-    const BoundQuery& bound, const QueryIndex& index, double* out_exact) const {
-  BoundWorkload::FastQuery fq;
-  fq.impossible = bound.impossible;
-  for (const BoundClause& bc : bound.clauses) {
-    RecordBitmap bitmap = index.ClauseBitmap(bc.col, bc.match);
-    if (bc.is_qi) {
-      if (fq.has_qi) {
-        fq.qi_mask.AndWith(bitmap);
-      } else {
-        fq.qi_mask = std::move(bitmap);
-        fq.has_qi = true;
-      }
-      // Leaf-overlap cache: matched-leaf counts aggregated bottom-up, then
-      // divided by each node's leaf count — the same integers the scan path
-      // derives per record via lower_bound, computed once per node.
-      const Hierarchy& h = rel_context_->hierarchy(bc.qi);
-      BoundWorkload::QiClauseCache cache;
-      cache.qi = bc.qi;
-      std::vector<int32_t> counts(h.num_nodes(), 0);
-      for (NodeId leaf : bc.matched_leaves) counts[static_cast<size_t>(leaf)] += 1;
-      for (NodeId node : h.PostOrder()) {
-        size_t idx = static_cast<size_t>(node);
-        if (!h.IsLeaf(node)) {
-          int32_t sum = 0;
-          for (NodeId child : h.children(node)) {
-            sum += counts[static_cast<size_t>(child)];
-          }
-          counts[idx] = sum;
-        }
-      }
-      cache.node_prob.resize(h.num_nodes());
-      for (size_t node = 0; node < h.num_nodes(); ++node) {
-        cache.node_prob[node] =
-            static_cast<double>(counts[node]) /
-            static_cast<double>(h.LeafCount(static_cast<NodeId>(node)));
-      }
-      fq.qi_clauses.push_back(std::move(cache));
-    } else {
+    if (!any) fq.impossible = true;
+    RecordBitmap bitmap = index_.ClauseBitmap(col, match);
+    size_t qi = qi_of_column_[col];
+    if (qi == SIZE_MAX) {
       if (fq.has_nonqi) {
         fq.nonqi_mask.AndWith(bitmap);
       } else {
         fq.nonqi_mask = std::move(bitmap);
         fq.has_nonqi = true;
       }
+      continue;
     }
+    if (fq.has_qi) {
+      fq.qi_mask.AndWith(bitmap);
+    } else {
+      fq.qi_mask = std::move(bitmap);
+      fq.has_qi = true;
+    }
+    // Leaf-overlap cache: matched-leaf counts aggregated bottom-up, then
+    // divided by each node's leaf count, computed once per node.
+    const Hierarchy& h = rel_context_->hierarchy(qi);
+    std::vector<int32_t> counts(h.num_nodes(), 0);
+    for (size_t id = 0; id < dict.size(); ++id) {
+      if (!match[id]) continue;
+      SECRETA_ASSIGN_OR_RETURN(NodeId leaf,
+                               h.LeafOf(dict.value(static_cast<ValueId>(id))));
+      counts[static_cast<size_t>(leaf)] += 1;
+    }
+    for (NodeId node : h.PostOrder()) {
+      if (h.IsLeaf(node)) continue;
+      int32_t sum = 0;
+      for (NodeId child : h.children(node)) {
+        sum += counts[static_cast<size_t>(child)];
+      }
+      counts[static_cast<size_t>(node)] = sum;
+    }
+    BoundWorkload::QiClauseCache cache;
+    cache.qi = qi;
+    cache.node_prob.resize(h.num_nodes());
+    for (size_t node = 0; node < h.num_nodes(); ++node) {
+      cache.node_prob[node] =
+          static_cast<double>(counts[node]) /
+          static_cast<double>(h.LeafCount(static_cast<NodeId>(node)));
+    }
+    fq.qi_clauses.push_back(std::move(cache));
   }
-  fq.items = bound.items;
-  if (!fq.items.empty()) fq.item_recs = index.ItemIntersection(fq.items);
+  for (const std::string& item : query.items) {
+    auto id = dataset_->item_dictionary().Lookup(item);
+    if (!id.ok()) {
+      fq.impossible = true;
+      continue;
+    }
+    fq.items.push_back(id.value());
+  }
+  std::sort(fq.items.begin(), fq.items.end());
+  fq.items.erase(std::unique(fq.items.begin(), fq.items.end()), fq.items.end());
+  if (!fq.items.empty()) fq.item_recs = index_.ItemIntersection(fq.items);
   // Exact count: AND of every clause bitmap, intersected with the itemset
   // containment list.
   if (fq.impossible) {
@@ -302,53 +154,27 @@ BoundWorkload::FastQuery QueryEvaluator::BuildFastQuery(
   } else if (fq.has_qi) {
     count = fq.qi_mask.Count();
   } else {
-    count = index.num_records();
+    count = index_.num_records();
   }
   *out_exact = static_cast<double>(count);
   return fq;
 }
 
-Status QueryEvaluator::EnsureIndex() {
-  if (index_ == nullptr) {
-    index_ = std::make_shared<const QueryIndex>(QueryIndex::Build(*dataset_));
-  }
-  return Status::OK();
-}
-
-Result<BoundWorkload> QueryEvaluator::BindWorkload(const Workload& workload,
-                                                   ThreadPool* pool) {
-  SECRETA_RETURN_IF_ERROR(EnsureIndex());
-  return BindAgainst(workload, index_, pool);
-}
-
 Result<BoundWorkload> QueryEvaluator::BindWorkload(const Workload& workload,
                                                    ThreadPool* pool) const {
-  if (index_ == nullptr) {
-    return Status::FailedPrecondition(
-        "const BindWorkload requires a prebuilt index; call EnsureIndex() "
-        "before sharing the evaluator");
-  }
-  return BindAgainst(workload, index_, pool);
-}
-
-Result<BoundWorkload> QueryEvaluator::BindAgainst(
-    const Workload& workload, std::shared_ptr<const QueryIndex> index,
-    ThreadPool* pool) const {
   BoundWorkload bound;
-  bound.index_ = std::move(index);
   size_t n = workload.size();
   bound.queries_.resize(n);
   bound.exact_.assign(n, 0.0);
   std::vector<Status> statuses(n);
   const std::vector<CountQuery>& queries = workload.queries();
   ParallelFor(pool, n, [&](size_t i) {
-    Result<BoundQuery> bq = Bind(queries[i]);
-    if (!bq.ok()) {
-      statuses[i] = bq.status();
+    Result<BoundWorkload::FastQuery> fq = Bind(queries[i], &bound.exact_[i]);
+    if (!fq.ok()) {
+      statuses[i] = fq.status();
       return;
     }
-    bound.queries_[i] =
-        BuildFastQuery(bq.value(), *bound.index_, &bound.exact_[i]);
+    bound.queries_[i] = std::move(fq).value();
   });
   for (const Status& status : statuses) {
     SECRETA_RETURN_IF_ERROR(status);
@@ -386,8 +212,8 @@ RecodingCache QueryEvaluator::BuildRecodingCache(
   }
   if (transaction != nullptr) {
     size_t num_items = dataset_->item_dictionary().size();
-    // The items each gen stands for, as ItemCoverShare reads them: through
-    // the item_map of a global recoding, through the covers of a local one.
+    // The items each gen stands for: through the item_map of a global
+    // recoding, through the covers of a local one.
     std::vector<std::vector<ItemId>> items_of_gen(transaction->gens.size());
     if (!transaction->item_map.empty()) {
       for (size_t item = 0; item < transaction->item_map.size(); ++item) {
@@ -441,8 +267,8 @@ double QueryEvaluator::EstimateFast(
   if (!qi_estimated && q.has_qi) masks[num_masks++] = &q.qi_mask;
 
   // QI probability product per equivalence class: every record of a class
-  // has the same node tuple, so the product (computed with the scan oracle's
-  // exact multiply sequence) is shared. Skipping a zero-probability record
+  // has the same node tuple, so the product (multiplied in clause order, as
+  // a per-record scan would) is shared. Skipping a zero-probability record
   // or adding its 0.0 are bit-identical (x + 0.0 == x for x >= 0).
   const bool use_class = qi_estimated && !q.qi_clauses.empty();
   std::vector<double> class_qi;
@@ -512,17 +338,6 @@ double QueryEvaluator::EstimateFast(
 Result<AreReport> QueryEvaluator::Are(const BoundWorkload& bound,
                                       const RelationalRecoding* relational,
                                       const TransactionRecoding* transaction,
-                                      ThreadPool* pool,
-                                      const CancellationToken* cancel) const {
-  // Recoding-derived caches (equivalence classes, per-item coverage), built
-  // once for this call and shared read-only by every query batch.
-  RecodingCache caches = BuildRecodingCache(relational, transaction);
-  return Are(bound, relational, transaction, caches, pool, cancel);
-}
-
-Result<AreReport> QueryEvaluator::Are(const BoundWorkload& bound,
-                                      const RelationalRecoding* relational,
-                                      const TransactionRecoding* transaction,
                                       const RecodingCache& caches,
                                       ThreadPool* pool,
                                       const CancellationToken* cancel) const {
@@ -559,8 +374,8 @@ Result<AreReport> QueryEvaluator::Are(const BoundWorkload& bound,
   if (cancelled.load(std::memory_order_relaxed)) {
     return Status::Cancelled("are workload: cancelled");
   }
-  // Serial reduction in query order keeps the ARE bit-identical to the scan
-  // path regardless of batch scheduling.
+  // Serial reduction in query order keeps the ARE bit-identical to a serial
+  // evaluation regardless of batch scheduling.
   double total = 0;
   for (size_t i = 0; i < n; ++i) {
     total += std::fabs(report.actual[i] - report.estimated[i]) /
@@ -568,16 +383,6 @@ Result<AreReport> QueryEvaluator::Are(const BoundWorkload& bound,
   }
   report.are = total / static_cast<double>(n);
   return report;
-}
-
-Result<AreReport> QueryEvaluator::Are(const Workload& workload,
-                                      const RelationalRecoding* relational,
-                                      const TransactionRecoding* transaction) {
-  if (workload.empty()) {
-    return Status::InvalidArgument("workload is empty");
-  }
-  SECRETA_ASSIGN_OR_RETURN(BoundWorkload bound, BindWorkload(workload));
-  return Are(bound, relational, transaction, nullptr, nullptr);
 }
 
 }  // namespace secreta

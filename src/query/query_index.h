@@ -2,11 +2,12 @@
 // layout (key -> ascending record ids), one per relational column (keyed by
 // value) and one for the transaction attribute (keyed by item). A bound
 // clause turns its matching values' posting lists into a record selection
-// bitmap; ExactCount then reduces to a fused AND+popcount kernel call and an
-// itemset clause to a merge of the items' lists — no full dataset scans.
-// EstimatedCount reuses the same bitmaps to enumerate candidate records and
-// memoizes hierarchy leaf-overlap probabilities per (clause, node), so
-// records sharing a recoding node pay the lookup once.
+// bitmap; a query's exact count then reduces to a fused AND+popcount kernel
+// call and an itemset clause to a merge of the items' lists — no full
+// dataset scans. Estimation (QueryEvaluator::Are) reuses the same bitmaps to
+// enumerate candidate records and memoizes hierarchy leaf-overlap
+// probabilities per (clause, node), so records sharing a recoding node pay
+// the lookup once.
 
 #ifndef SECRETA_QUERY_QUERY_INDEX_H_
 #define SECRETA_QUERY_QUERY_INDEX_H_

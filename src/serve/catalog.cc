@@ -55,7 +55,6 @@ Status PublishedRelease::Initialize() {
       QueryEvaluator::Create(*dataset_,
                              rel_context_ ? &*rel_context_ : nullptr));
   evaluator_.emplace(std::move(evaluator));
-  SECRETA_RETURN_IF_ERROR(evaluator_->EnsureIndex());
   recoding_cache_ = evaluator_->BuildRecodingCache(
       run_.relational ? &*run_.relational : nullptr,
       run_.transaction ? &*run_.transaction : nullptr);
@@ -91,8 +90,6 @@ Result<double> PublishedRelease::Count(const CountQuery& query,
                                        AccessLevel access) const {
   SECRETA_TRACE_SPAN("serve.count");
   Workload workload(std::vector<CountQuery>{query});
-  // Picks the const BindWorkload overload (this method is const): the index
-  // was built at publication, so this never writes to the shared evaluator.
   SECRETA_ASSIGN_OR_RETURN(BoundWorkload bound,
                            evaluator_->BindWorkload(workload));
   if (access == AccessLevel::kDirect) {
@@ -116,8 +113,11 @@ void PublishedRelease::RecordCacheLookup(bool hit) const {
 
 Result<PublishedRelease::CountAnswer> PublishedRelease::CountLine(
     const std::string& query_line, AccessLevel access) const {
-  std::string key =
-      StrFormat("%s\x1f%s", AccessLevelToString(access), query_line.c_str());
+  // Appended, not formatted: a query line may hold a NUL (a wire query's
+  // "\u0000" decodes to one), and a %s would cut the key there.
+  std::string key = AccessLevelToString(access);
+  key += '\x1f';
+  key += query_line;
   if (options_.answer_cache_capacity > 0) {
     MutexLock lock(cache_mutex_);
     auto it = lru_index_.find(key);

@@ -1,18 +1,16 @@
 #include "serve/http_metrics.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
-#include <cstring>
 
 #include "common/string_util.h"
 #include "obs/metrics_registry.h"
 #include "obs/prometheus.h"
+#include "serve/socket.h"
 
 namespace secreta {
 namespace {
@@ -20,6 +18,10 @@ namespace {
 // Scrape requests are one line plus a handful of headers; anything bigger
 // is not a scraper.
 constexpr size_t kMaxRequestBytes = 8192;
+// Scrapers waiting to be accepted; they are served one at a time.
+constexpr int kListenBacklog = 8;
+// A scraper that stalls longer than this mid-request is dropped.
+constexpr double kReadTimeoutSeconds = 5.0;
 
 std::string HttpResponse(const char* status_line, const char* content_type,
                          const std::string& body) {
@@ -33,21 +35,6 @@ std::string HttpResponse(const char* status_line, const char* content_type,
   out += "\r\nConnection: close\r\n\r\n";
   out += body;
   return out;
-}
-
-Status SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(
-          StrFormat("send failed: %s", std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -94,50 +81,12 @@ Status HttpMetricsServer::Start() {
   if (running_.load(std::memory_order_acquire) || listen_fd_ >= 0) {
     return Status::FailedPrecondition("metrics endpoint already started");
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(
-        StrFormat("socket failed: %s", std::strerror(errno)));
-  }
-  int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  SECRETA_ASSIGN_OR_RETURN(
+      ListeningSocket socket,
+      ListenTcp(options_.bind_address, options_.port, kListenBacklog));
+  port_.store(socket.port, std::memory_order_release);
 
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument(StrFormat("bad bind address \"%s\"",
-                                             options_.bind_address.c_str()));
-  }
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status status = Status::IOError(StrFormat(
-        "bind to %s:%u failed: %s", options_.bind_address.c_str(),
-        static_cast<unsigned>(options_.port), std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, options_.backlog) < 0) {
-    Status status = Status::IOError(
-        StrFormat("listen failed: %s", std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  struct sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound),
-                    &bound_len) < 0) {
-    Status status = Status::IOError(
-        StrFormat("getsockname failed: %s", std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  port_.store(ntohs(bound.sin_port), std::memory_order_release);
-
-  listen_fd_ = fd;
+  listen_fd_ = socket.fd;
   running_.store(true, std::memory_order_release);
   serve_thread_ = std::thread([this] { ServeLoop(); });
   return Status::OK();
@@ -173,15 +122,7 @@ void HttpMetricsServer::ServeLoop() {
 }
 
 void HttpMetricsServer::HandleConnection(int fd) {
-  if (options_.read_timeout_seconds > 0) {
-    struct timeval tv;
-    tv.tv_sec = static_cast<time_t>(options_.read_timeout_seconds);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (options_.read_timeout_seconds -
-         std::floor(options_.read_timeout_seconds)) *
-        1e6);
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
+  SetReceiveTimeout(fd, kReadTimeoutSeconds);
   int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 

@@ -32,9 +32,6 @@ struct HttpMetricsOptions {
   uint16_t port = 0;
   /// Loopback by default, same reasoning as ServerOptions::bind_address.
   std::string bind_address = "127.0.0.1";
-  int backlog = 8;
-  /// A scraper that stalls longer than this mid-request is dropped.
-  double read_timeout_seconds = 5.0;
 };
 
 /// \brief Serves GET /metrics from MetricsRegistry::Global(). Thread-safe.
@@ -48,7 +45,8 @@ class HttpMetricsServer {
   HttpMetricsServer& operator=(const HttpMetricsServer&) = delete;
 
   /// Binds, listens, and starts the serve thread. FailedPrecondition when
-  /// already started; IOError when the port cannot be bound.
+  /// already started; InvalidArgument for a bind address that is not an
+  /// IPv4 literal; IOError when the port cannot be bound.
   [[nodiscard]] Status Start();
 
   /// Graceful shutdown; idempotent.

@@ -7,25 +7,10 @@
 
 #include "common/string_util.h"
 #include "export/json_writer.h"
+#include "serve/socket.h"
 
 namespace secreta {
 namespace {
-
-// Sends all of `data`, retrying on EINTR and short writes. MSG_NOSIGNAL so a
-// dead peer yields EPIPE instead of killing the process.
-Status SendAll(int fd, const char* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(
-          StrFormat("send failed: %s", std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 // Receives exactly `len` bytes. `*got` reports how many arrived before an
 // EOF; the caller distinguishes clean EOF (got == 0 on the length prefix)
@@ -82,8 +67,8 @@ Status WriteFrame(int fd, std::string_view payload) {
                     static_cast<char>((len >> 16) & 0xFF),
                     static_cast<char>((len >> 8) & 0xFF),
                     static_cast<char>(len & 0xFF)};
-  SECRETA_RETURN_IF_ERROR(SendAll(fd, header, sizeof(header)));
-  return SendAll(fd, payload.data(), payload.size());
+  SECRETA_RETURN_IF_ERROR(SendAll(fd, std::string_view(header, sizeof(header))));
+  return SendAll(fd, payload);
 }
 
 Status ReadFrame(int fd, size_t max_frame_bytes, std::string* payload,

@@ -1,14 +1,11 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -22,6 +19,7 @@
 #include "obs/trace.h"
 #include "obs/trace_tail.h"
 #include "robust/fault_injection.h"
+#include "serve/socket.h"
 
 namespace secreta {
 namespace {
@@ -51,15 +49,8 @@ std::string QueryShape(const std::string& query_line) {
   return shape;
 }
 
-void SetReceiveTimeout(int fd, double seconds) {
-  if (seconds <= 0) return;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - std::floor(seconds)) * 1e6);
-  // Best effort: a connection without an idle timeout still works.
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
+// Not-yet-accepted connections the listen queue holds.
+constexpr int kListenBacklog = 16;
 
 }  // namespace
 
@@ -81,50 +72,12 @@ Status QueryServer::Start() {
   if (options_.count_deadline_seconds < 0) {
     return Status::InvalidArgument("count_deadline_seconds must be >= 0");
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(
-        StrFormat("socket failed: %s", std::strerror(errno)));
-  }
-  int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  SECRETA_ASSIGN_OR_RETURN(
+      ListeningSocket socket,
+      ListenTcp(options_.bind_address, options_.port, kListenBacklog));
+  port_.store(socket.port, std::memory_order_release);
 
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument(StrFormat("bad bind address \"%s\"",
-                                             options_.bind_address.c_str()));
-  }
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status status = Status::IOError(StrFormat(
-        "bind to %s:%u failed: %s", options_.bind_address.c_str(),
-        static_cast<unsigned>(options_.port), std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, options_.backlog) < 0) {
-    Status status = Status::IOError(
-        StrFormat("listen failed: %s", std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  struct sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound),
-                    &bound_len) < 0) {
-    Status status = Status::IOError(
-        StrFormat("getsockname failed: %s", std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  port_.store(ntohs(bound.sin_port), std::memory_order_release);
-
-  listen_fd_ = fd;
+  listen_fd_ = socket.fd;
   handlers_ = std::make_unique<ThreadPool>(options_.max_connections, "serve");
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });

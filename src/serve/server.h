@@ -51,8 +51,6 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// Concurrent connections (handler pool size); Start() rejects 0.
   size_t max_connections = 8;
-  /// Listen backlog for not-yet-accepted connections.
-  int backlog = 16;
   /// A connection idle longer than this is closed (0 disables).
   double idle_timeout_seconds = 300;
   /// Per-frame payload ceiling.

@@ -1,8 +1,8 @@
 // Tests for the query acceleration structures (RecordBitmap, QueryIndex) and
 // the randomized equivalence property: the indexed evaluation path
-// (BindWorkload + Are) must agree bit-for-bit with the scan oracles
-// (ExactCount / EstimatedCount) across random datasets, hierarchies,
-// recodings and workloads.
+// (BindWorkload + BuildRecodingCache + Are) must agree bit-for-bit with the
+// scan oracle (tests/oracle: oracle::ExactCount / oracle::EstimatedCount)
+// across random datasets, hierarchies, recodings and workloads.
 
 #include "query/query_index.h"
 
@@ -19,6 +19,7 @@
 #include "hierarchy/hierarchy_builder.h"
 #include "query/query_evaluator.h"
 #include "query/workload_generator.h"
+#include "tests/oracle/are_oracle.h"
 #include "tests/test_util.h"
 
 namespace secreta {
@@ -252,8 +253,9 @@ TEST(IndexedEvaluationProperty, MatchesScanOraclesBitForBit) {
 
     // Exact counts: indexed vs scan oracle.
     for (size_t i = 0; i < wl.size(); ++i) {
-      ASSERT_OK_AND_ASSIGN(double oracle, ev.ExactCount(wl.queries()[i]));
-      EXPECT_EQ(bound.exact_count(i), oracle) << wl.queries()[i].ToString();
+      ASSERT_OK_AND_ASSIGN(double exact,
+                           oracle::ExactCount(ds, wl.queries()[i]));
+      EXPECT_EQ(bound.exact_count(i), exact) << wl.queries()[i].ToString();
     }
 
     // Estimates: indexed Are vs scan oracle, across recoding combinations
@@ -271,14 +273,15 @@ TEST(IndexedEvaluationProperty, MatchesScanOraclesBitForBit) {
              {"rel+txn-local", &rel, &local},
              {"rt-pipeline", &rt.relational, &rt.transaction}}) {
       SCOPED_TRACE(c.name);
-      ASSERT_OK_AND_ASSIGN(AreReport fast,
-                           ev.Are(bound, c.rel, c.txn, nullptr, nullptr));
+      RecodingCache cache = ev.BuildRecodingCache(c.rel, c.txn);
+      ASSERT_OK_AND_ASSIGN(AreReport fast, ev.Are(bound, c.rel, c.txn, cache));
       ASSERT_EQ(fast.actual.size(), wl.size());
       double total = 0;
       for (size_t i = 0; i < wl.size(); ++i) {
         const CountQuery& q = wl.queries()[i];
-        ASSERT_OK_AND_ASSIGN(double exact, ev.ExactCount(q));
-        ASSERT_OK_AND_ASSIGN(double est, ev.EstimatedCount(q, c.rel, c.txn));
+        ASSERT_OK_AND_ASSIGN(double exact, oracle::ExactCount(ds, q));
+        ASSERT_OK_AND_ASSIGN(double est,
+                             oracle::EstimatedCount(ds, &ctx, q, c.rel, c.txn));
         EXPECT_EQ(fast.actual[i], exact) << q.ToString();
         EXPECT_EQ(fast.estimated[i], est) << q.ToString();
         total += std::fabs(exact - est) / std::max(exact, 1.0);
@@ -288,7 +291,7 @@ TEST(IndexedEvaluationProperty, MatchesScanOraclesBitForBit) {
       // The parallel path must produce the same bits as the serial path.
       ASSERT_OK_AND_ASSIGN(
           AreReport parallel,
-          ev.Are(bound, c.rel, c.txn, &SharedEvalPool(), nullptr));
+          ev.Are(bound, c.rel, c.txn, cache, &SharedEvalPool()));
       EXPECT_EQ(parallel.are, fast.are);
       EXPECT_EQ(parallel.actual, fast.actual);
       EXPECT_EQ(parallel.estimated, fast.estimated);
@@ -310,12 +313,13 @@ TEST(IndexedEvaluationProperty, ItemOnlyWorkloadMatchesOracle) {
   ASSERT_OK_AND_ASSIGN(Workload wl, GenerateWorkload(ds, options));
   ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
   TransactionRecoding global = GroupedTransactionRecoding(ds, 2);
-  ASSERT_OK_AND_ASSIGN(AreReport fast,
-                       ev.Are(bound, nullptr, &global, nullptr, nullptr));
+  RecodingCache cache = ev.BuildRecodingCache(nullptr, &global);
+  ASSERT_OK_AND_ASSIGN(AreReport fast, ev.Are(bound, nullptr, &global, cache));
   for (size_t i = 0; i < wl.size(); ++i) {
     const CountQuery& q = wl.queries()[i];
-    ASSERT_OK_AND_ASSIGN(double exact, ev.ExactCount(q));
-    ASSERT_OK_AND_ASSIGN(double est, ev.EstimatedCount(q, nullptr, &global));
+    ASSERT_OK_AND_ASSIGN(double exact, oracle::ExactCount(ds, q));
+    ASSERT_OK_AND_ASSIGN(
+        double est, oracle::EstimatedCount(ds, nullptr, q, nullptr, &global));
     EXPECT_EQ(fast.actual[i], exact) << q.ToString();
     EXPECT_EQ(fast.estimated[i], est) << q.ToString();
   }
@@ -343,10 +347,11 @@ TEST(IndexedEvaluationTest, CancelledTokenStopsAre) {
   RelationalRecoding identity = IdentityRecoding(ctx);
   Workload wl = RandomWorkload(ds, 4, /*items_per_query=*/0);
   ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
+  RecodingCache cache = ev.BuildRecodingCache(&identity, nullptr);
   CancellationToken token;
   token.Cancel();
   Result<AreReport> result =
-      ev.Are(bound, &identity, nullptr, nullptr, &token);
+      ev.Are(bound, &identity, nullptr, cache, nullptr, &token);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
@@ -358,7 +363,8 @@ TEST(IndexedEvaluationTest, EmptyWorkloadRejected) {
   Workload wl;
   ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
   EXPECT_TRUE(bound.empty());
-  EXPECT_FALSE(ev.Are(bound, nullptr, nullptr, nullptr, nullptr).ok());
+  RecodingCache cache = ev.BuildRecodingCache(nullptr, nullptr);
+  EXPECT_FALSE(ev.Are(bound, nullptr, nullptr, cache).ok());
 }
 
 }  // namespace

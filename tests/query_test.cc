@@ -1,4 +1,6 @@
-// Unit tests for COUNT queries, workloads, the evaluator and ARE.
+// Unit tests for COUNT queries, workloads, the evaluator and ARE. The
+// hand-computed counts and estimates are checked against both the scan
+// oracle (tests/oracle) and the production bind + Are path.
 
 #include "query/query.h"
 
@@ -8,6 +10,7 @@
 #include "hierarchy/hierarchy_builder.h"
 #include "query/query_evaluator.h"
 #include "query/workload_generator.h"
+#include "tests/oracle/are_oracle.h"
 #include "tests/test_util.h"
 
 namespace secreta {
@@ -60,19 +63,78 @@ TEST(WorkloadTest, ParseEditSave) {
   EXPECT_EQ(wl2.Format(), wl.Format());
 }
 
+// The production path on one query: BindWorkload, BuildRecodingCache, Are.
+// report.actual[0] is the exact count, report.estimated[0] the estimate.
+Result<AreReport> IndexedReport(const QueryEvaluator& ev, const CountQuery& q,
+                                const RelationalRecoding* relational,
+                                const TransactionRecoding* transaction) {
+  SECRETA_ASSIGN_OR_RETURN(BoundWorkload bound,
+                           ev.BindWorkload(Workload({q})));
+  RecodingCache cache = ev.BuildRecodingCache(relational, transaction);
+  return ev.Are(bound, relational, transaction, cache);
+}
+
 TEST(QueryEvaluatorTest, ExactCounts) {
   Dataset ds = QueryDataset();
   ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, nullptr));
-  ASSERT_OK_AND_ASSIGN(CountQuery q1, CountQuery::Parse("Age:20..40"));
-  EXPECT_DOUBLE_EQ(ev.ExactCount(q1).value(), 3);
-  ASSERT_OK_AND_ASSIGN(CountQuery q2, CountQuery::Parse("Gender:M;items:b"));
-  EXPECT_DOUBLE_EQ(ev.ExactCount(q2).value(), 2);
-  ASSERT_OK_AND_ASSIGN(CountQuery q3, CountQuery::Parse("items:a b c"));
-  EXPECT_DOUBLE_EQ(ev.ExactCount(q3).value(), 1);
-  ASSERT_OK_AND_ASSIGN(CountQuery q4, CountQuery::Parse("items:zz"));
-  EXPECT_DOUBLE_EQ(ev.ExactCount(q4).value(), 0);
+  for (auto [text, expected] : std::initializer_list<std::pair<const char*, double>>{
+           {"Age:20..40", 3}, {"Gender:M;items:b", 2}, {"items:a b c", 1},
+           {"items:zz", 0}}) {
+    ASSERT_OK_AND_ASSIGN(CountQuery q, CountQuery::Parse(text));
+    EXPECT_EQ(oracle::ExactCount(ds, q).value(), expected) << text;
+    ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(Workload({q})));
+    EXPECT_EQ(bound.exact_count(0), expected) << text;
+  }
   ASSERT_OK_AND_ASSIGN(CountQuery q5, CountQuery::Parse("Nope:1..2"));
-  EXPECT_FALSE(ev.ExactCount(q5).ok());
+  EXPECT_FALSE(oracle::ExactCount(ds, q5).ok());
+}
+
+// Binding errors surface from the production BindWorkload itself, with the
+// oracle's codes.
+TEST(QueryEvaluatorTest, BindWorkloadRejectsUnknownAttribute) {
+  Dataset ds = QueryDataset();
+  ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, nullptr));
+  ASSERT_OK_AND_ASSIGN(Workload wl, Workload::Parse("Age:20..40\nNope:1..2\n"));
+  Result<BoundWorkload> bound = ev.BindWorkload(wl);
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(oracle::ExactCount(ds, wl.queries()[1]).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(QueryEvaluatorTest, BindWorkloadRejectsRangeOnCategoricalAttribute) {
+  Dataset ds = QueryDataset();
+  ASSERT_OK_AND_ASSIGN(auto hierarchies, BuildAllColumnHierarchies(ds));
+  ASSERT_OK_AND_ASSIGN(RelationalContext ctx,
+                       RelationalContext::Create(ds, hierarchies));
+  ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, &ctx));
+  ASSERT_OK_AND_ASSIGN(CountQuery q, CountQuery::Parse("Gender:1..2"));
+  Result<BoundWorkload> bound = ev.BindWorkload(Workload({q}));
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(oracle::ExactCount(ds, q).status().code(),
+            StatusCode::kInvalidArgument);
+  RelationalRecoding identity = IdentityRecoding(ctx);
+  EXPECT_EQ(oracle::EstimatedCount(ds, &ctx, q, &identity, nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(QueryEvaluatorTest, RelationalRecodingNeedsContext) {
+  Dataset ds = QueryDataset();
+  ASSERT_OK_AND_ASSIGN(auto hierarchies, BuildAllColumnHierarchies(ds));
+  ASSERT_OK_AND_ASSIGN(RelationalContext ctx,
+                       RelationalContext::Create(ds, hierarchies));
+  RelationalRecoding identity = IdentityRecoding(ctx);
+  ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, nullptr));
+  ASSERT_OK_AND_ASSIGN(CountQuery q, CountQuery::Parse("Gender:F"));
+  EXPECT_EQ(IndexedReport(ev, q, &identity, nullptr).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(oracle::EstimatedCount(ds, nullptr, q, &identity, nullptr)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(QueryEvaluatorTest, EstimateEqualsExactOnIdentityRecoding) {
@@ -82,11 +144,16 @@ TEST(QueryEvaluatorTest, EstimateEqualsExactOnIdentityRecoding) {
                        RelationalContext::Create(ds, hierarchies));
   RelationalRecoding identity = IdentityRecoding(ctx);
   ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, &ctx));
-  for (const char* text : {"Age:20..40", "Gender:F", "Age:30..60;Gender:M"}) {
+  for (auto [text, expected] : std::initializer_list<std::pair<const char*, double>>{
+           {"Age:20..40", 3}, {"Gender:F", 2}, {"Age:30..60;Gender:M", 2}}) {
     ASSERT_OK_AND_ASSIGN(CountQuery q, CountQuery::Parse(text));
-    ASSERT_OK_AND_ASSIGN(double exact, ev.ExactCount(q));
-    ASSERT_OK_AND_ASSIGN(double est, ev.EstimatedCount(q, &identity, nullptr));
-    EXPECT_NEAR(exact, est, 1e-9) << text;
+    ASSERT_OK_AND_ASSIGN(double est,
+                         oracle::EstimatedCount(ds, &ctx, q, &identity, nullptr));
+    EXPECT_NEAR(est, expected, 1e-9) << text;
+    ASSERT_OK_AND_ASSIGN(AreReport report,
+                         IndexedReport(ev, q, &identity, nullptr));
+    EXPECT_EQ(report.actual[0], expected) << text;
+    EXPECT_NEAR(report.estimated[0], expected, 1e-9) << text;
   }
 }
 
@@ -102,8 +169,12 @@ TEST(QueryEvaluatorTest, FullGeneralizationGivesUniformEstimate) {
   // Age domain has 5 distinct values; a clause covering 3 of them should
   // estimate n * 3/5 = 3.
   ASSERT_OK_AND_ASSIGN(CountQuery q, CountQuery::Parse("Age:20..40"));
-  ASSERT_OK_AND_ASSIGN(double est, ev.EstimatedCount(q, &all_root, nullptr));
+  ASSERT_OK_AND_ASSIGN(double est,
+                       oracle::EstimatedCount(ds, &ctx, q, &all_root, nullptr));
   EXPECT_NEAR(est, 3.0, 1e-9);
+  ASSERT_OK_AND_ASSIGN(AreReport report,
+                       IndexedReport(ev, q, &all_root, nullptr));
+  EXPECT_NEAR(report.estimated[0], 3.0, 1e-9);
 }
 
 TEST(QueryEvaluatorTest, AreZeroOnIdentity) {
@@ -114,7 +185,10 @@ TEST(QueryEvaluatorTest, AreZeroOnIdentity) {
   RelationalRecoding identity = IdentityRecoding(ctx);
   ASSERT_OK_AND_ASSIGN(Workload wl, Workload::Parse("Age:20..40\nGender:F\n"));
   ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, &ctx));
-  ASSERT_OK_AND_ASSIGN(AreReport report, ev.Are(wl, &identity, nullptr));
+  ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
+  RecodingCache cache = ev.BuildRecodingCache(&identity, nullptr);
+  ASSERT_OK_AND_ASSIGN(AreReport report,
+                       ev.Are(bound, &identity, nullptr, cache));
   EXPECT_NEAR(report.are, 0.0, 1e-9);
   EXPECT_EQ(report.actual.size(), 2u);
 }
@@ -145,8 +219,12 @@ TEST(QueryEvaluatorTest, ItemEstimateUsesCoverShare) {
   ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, nullptr));
   ASSERT_OK_AND_ASSIGN(CountQuery q, CountQuery::Parse("items:a"));
   // Records containing {a,b}: 4 of 5; each contributes 1/2.
-  ASSERT_OK_AND_ASSIGN(double est, ev.EstimatedCount(q, nullptr, &recoding));
+  ASSERT_OK_AND_ASSIGN(double est,
+                       oracle::EstimatedCount(ds, nullptr, q, nullptr, &recoding));
   EXPECT_NEAR(est, 2.0, 1e-9);
+  ASSERT_OK_AND_ASSIGN(AreReport global_report,
+                       IndexedReport(ev, q, nullptr, &recoding));
+  EXPECT_NEAR(global_report.estimated[0], 2.0, 1e-9);
 
   // A local recoding (no item_map) with overlapping gens: row 0 ("a b")
   // publishes a as itself and b as {a,b,c}, so it holds two gens covering
@@ -155,11 +233,13 @@ TEST(QueryEvaluatorTest, ItemEstimateUsesCoverShare) {
   int32_t g_abc = local.AddGen("{a,b,c}", {a, b, c});
   int32_t g_a = local.AddGen("a", {a});
   local.records = {{g_abc, g_a}, {g_a}, {g_abc}, {g_abc}, {g_abc}};
-  ASSERT_OK_AND_ASSIGN(double local_est, ev.EstimatedCount(q, nullptr, &local));
-  EXPECT_NEAR(local_est, 1.0 / 3 + 1 + 1.0 / 3 + 1.0 / 3 + 1.0 / 3, 1e-9);
-  ASSERT_OK_AND_ASSIGN(Workload wl, Workload::Parse("items:a\n"));
-  ASSERT_OK_AND_ASSIGN(AreReport report, ev.Are(wl, nullptr, &local));
-  EXPECT_EQ(report.estimated[0], local_est);
+  const double local_expected = 1.0 / 3 + 1 + 1.0 / 3 + 1.0 / 3 + 1.0 / 3;
+  ASSERT_OK_AND_ASSIGN(double local_est,
+                       oracle::EstimatedCount(ds, nullptr, q, nullptr, &local));
+  EXPECT_NEAR(local_est, local_expected, 1e-9);
+  ASSERT_OK_AND_ASSIGN(AreReport local_report,
+                       IndexedReport(ev, q, nullptr, &local));
+  EXPECT_NEAR(local_report.estimated[0], local_expected, 1e-9);
 }
 
 TEST(WorkloadGeneratorTest, ProducesAnswerableQueries) {
@@ -168,10 +248,9 @@ TEST(WorkloadGeneratorTest, ProducesAnswerableQueries) {
   options.num_queries = 30;
   ASSERT_OK_AND_ASSIGN(Workload wl, GenerateWorkload(ds, options));
   EXPECT_GE(wl.size(), 25u);
-  ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, nullptr));
   size_t nonzero = 0;
   for (const auto& q : wl.queries()) {
-    ASSERT_OK_AND_ASSIGN(double count, ev.ExactCount(q));
+    ASSERT_OK_AND_ASSIGN(double count, oracle::ExactCount(ds, q));
     if (count > 0) ++nonzero;
   }
   // Items are sampled from real records, so a healthy share must match.

@@ -1,9 +1,9 @@
 // Serving-subsystem tests: the hardened JSON parser, wire framing over real
 // sockets (partial reads, truncation, oversized frames, mid-request
 // disconnects), tenants/quotas/access levels, the publication catalog
-// (counts bit-identical to the scan oracles, answer LRU, versioned
-// republication), a full client/server round trip over loopback (COUNT
-// deadline, connection-capacity refusal, option validation), fault
+// (counts bit-identical to the scan oracle in tests/oracle, answer LRU,
+// versioned republication), a full client/server round trip over loopback
+// (COUNT deadline, connection-capacity refusal, option validation), fault
 // injection at serve.request, and an 8-client concurrency hammer whose
 // results must be byte-identical to a serial reference (TSan-clean; listed
 // in the sanitizers workflow's tsan filter).
@@ -29,7 +29,6 @@
 #include "core/context.h"
 #include "engine/anonymization_module.h"
 #include "hierarchy/hierarchy_builder.h"
-#include "query/query_evaluator.h"
 #include "query/workload_generator.h"
 #include "obs/metric_names.h"
 #include "obs/metrics_registry.h"
@@ -43,6 +42,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "tests/oracle/are_oracle.h"
 #include "tests/test_util.h"
 
 namespace secreta {
@@ -298,7 +298,7 @@ TEST(ServeSessionTest, RegistryAuthenticatesAndRejects) {
 }
 
 // ---------------------------------------------------------------------------
-// ServeCatalogTest — publication and counts vs the scan oracles.
+// ServeCatalogTest — publication and counts vs the scan oracle.
 
 ReleaseOptions SmallReleaseOptions() {
   ReleaseOptions options;
@@ -334,8 +334,6 @@ TEST(ServeCatalogTest, CountsMatchTheScanOracles) {
   inputs.transaction = &tx;
   ASSERT_OK_AND_ASSIGN(RunResult run,
                        RunAnonymization(inputs, SmallReleaseOptions().config));
-  ASSERT_OK_AND_ASSIGN(QueryEvaluator oracle,
-                       QueryEvaluator::Create(dataset, &rel));
 
   WorkloadGenOptions wopts;
   wopts.num_queries = 20;
@@ -344,15 +342,16 @@ TEST(ServeCatalogTest, CountsMatchTheScanOracles) {
   for (const CountQuery& query : workload.queries()) {
     ASSERT_OK_AND_ASSIGN(double direct,
                          release->Count(query, AccessLevel::kDirect));
-    ASSERT_OK_AND_ASSIGN(double exact, oracle.ExactCount(query));
+    ASSERT_OK_AND_ASSIGN(double exact, oracle::ExactCount(dataset, query));
     EXPECT_EQ(direct, exact) << query.ToString();
 
     ASSERT_OK_AND_ASSIGN(double anonymized,
                          release->Count(query, AccessLevel::kAnonymized));
     ASSERT_OK_AND_ASSIGN(
         double estimated,
-        oracle.EstimatedCount(query, run.relational ? &*run.relational : nullptr,
-                              run.transaction ? &*run.transaction : nullptr));
+        oracle::EstimatedCount(dataset, &rel, query,
+                               run.relational ? &*run.relational : nullptr,
+                               run.transaction ? &*run.transaction : nullptr));
     EXPECT_EQ(anonymized, estimated) << query.ToString();
   }
 }
@@ -379,6 +378,32 @@ TEST(ServeCatalogTest, AnswerCacheServesRepeats) {
   // Malformed query lines are errors, not crashes (and are never cached).
   EXPECT_FALSE(
       release->CountLine("Nope::::", AccessLevel::kAnonymized).ok());
+}
+
+// A query line holding a NUL (a wire query's "\u0000" decodes to one) is
+// cached under its own bytes, not under the key of the prefix before the
+// NUL, so it cannot overwrite that prefix's answer.
+TEST(ServeCatalogTest, NulInQueryDoesNotPoisonAnswerCache) {
+  DatasetCatalog catalog;
+  ASSERT_OK_AND_ASSIGN(
+      std::shared_ptr<const PublishedRelease> release,
+      catalog.Publish("demo", testing::SmallRtDataset(300, 4),
+                      SmallReleaseOptions()));
+  const std::string nul_query("Gender:M\0x", 10);
+  ASSERT_OK_AND_ASSIGN(
+      PublishedRelease::CountAnswer poison,
+      release->CountLine(nul_query, AccessLevel::kAnonymized));
+  EXPECT_FALSE(poison.cached);
+  EXPECT_EQ(poison.count, 0);  // no Gender value holds a NUL
+  ASSERT_OK_AND_ASSIGN(
+      PublishedRelease::CountAnswer prefix,
+      release->CountLine("Gender:M", AccessLevel::kAnonymized));
+  EXPECT_FALSE(prefix.cached);
+  EXPECT_GT(prefix.count, 0);
+  ASSERT_OK_AND_ASSIGN(PublishedRelease::CountAnswer again,
+                       release->CountLine(nul_query, AccessLevel::kAnonymized));
+  EXPECT_TRUE(again.cached);
+  EXPECT_EQ(again.count, 0);
 }
 
 TEST(ServeCatalogTest, RepublishBumpsVersionAndOldHandleSurvives) {
@@ -661,6 +686,21 @@ TEST_F(ServeServerTest, StartRejectsZeroConnectionsAndNegativeDeadline) {
   EXPECT_FALSE(impatient.running());
 }
 
+TEST_F(ServeServerTest, StartRejectsBadBindAddressAndBusyPort) {
+  ServerOptions bad_address;
+  bad_address.bind_address = "not-an-address";
+  QueryServer unbindable(&catalog_, &tenants_, bad_address);
+  EXPECT_EQ(unbindable.Start().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(unbindable.running());
+
+  StartServer();
+  ServerOptions same_port;
+  same_port.port = server_->port();
+  QueryServer second(&catalog_, &tenants_, same_port);
+  EXPECT_EQ(second.Start().code(), StatusCode::kIOError);
+  EXPECT_FALSE(second.running());
+}
+
 TEST_F(ServeServerTest, GarbageJsonGetsTypedErrorAndConnectionSurvives) {
   StartServer();
   RawConnection raw;
@@ -868,6 +908,23 @@ TEST(HttpMetricsTest, RequestLineRouting) {
             std::string::npos);
   EXPECT_NE(HttpMetricsResponseFor("garbage").find("400 Bad Request"),
             std::string::npos);
+}
+
+TEST(HttpMetricsTest, StartRejectsBadBindAddressAndBusyPort) {
+  HttpMetricsOptions bad_address;
+  bad_address.bind_address = "256.0.0.1";
+  HttpMetricsServer unbindable(bad_address);
+  EXPECT_EQ(unbindable.Start().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(unbindable.running());
+
+  HttpMetricsServer first;
+  ASSERT_OK(first.Start());
+  HttpMetricsOptions same_port;
+  same_port.port = first.port();
+  HttpMetricsServer second(same_port);
+  EXPECT_EQ(second.Start().code(), StatusCode::kIOError);
+  EXPECT_FALSE(second.running());
+  first.Stop();
 }
 
 TEST_F(ServeServerTest, MetricsEndpointServesLabeledPrometheusSeries) {

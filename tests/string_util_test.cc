@@ -84,5 +84,16 @@ TEST(StartsWithTest, Behaviour) {
   EXPECT_FALSE(StartsWith("ab", "abc"));
 }
 
+TEST(Fnv1a64Test, KnownVectorsAndContinuation) {
+  // Published FNV-1a 64 test vectors.
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // Continuing a hash chunk by chunk equals hashing the concatenation.
+  EXPECT_EQ(Fnv1a64("bar", Fnv1a64("foo")), Fnv1a64("foobar"));
+  EXPECT_EQ(Fnv1a64("", Fnv1a64("foo")), Fnv1a64("foo"));
+  EXPECT_EQ(Fnv1a64("foo", kFnv1a64Basis), Fnv1a64("foo"));
+}
+
 }  // namespace
 }  // namespace secreta

@@ -45,6 +45,12 @@ the default GCC build would silently skip):
                     privacy layering in check_privacy_flow.py) can no
                     longer be reasoned about file-locally. Reported once
                     per cycle with the full path.
+  oracle-boundary   Test oracles stay in tests and stay independent of what
+                    they check. Nothing under src/ or examples/ includes a
+                    tests/ header, and nothing under tests/oracle/ includes
+                    query/query_evaluator.h or query/query_index.h, directly
+                    or through any src/ header: the ARE scan oracle must not
+                    share evaluation code with the indexed path.
 
 Run from the repo root (or pass --root). Exits non-zero with one
 "path:line: rule: message" diagnostic per violation. Suppress a single line
@@ -81,6 +87,10 @@ ALLOW_RE = re.compile(r"//\s*lint:allow\s+([\w-]+)")
 
 # Directories holding internal headers reachable from the src/ include root.
 INTERNAL_TOP_DIRS: set[str] = set()
+
+# src/ headers the test oracles (tests/oracle/) must not reach.
+ORACLE_FORBIDDEN = ("query/query_evaluator.h", "query/query_index.h")
+TESTS_INCLUDE = re.compile(r"^(\.\./)*tests/")
 
 
 def strip_comments(line: str) -> str:
@@ -119,7 +129,62 @@ def allowed(raw_line: str, rule: str) -> bool:
     return m is not None and m.group(1) == rule
 
 
-def check_file(path: Path, rel: str, errors: list[str]) -> None:
+def src_include_graph(root: Path) -> dict[str, list[str]]:
+    """Maps each src/ header (relative to src/) to the src/ headers it
+    includes."""
+    src = root / "src"
+    graph: dict[str, list[str]] = {}
+    for path in sorted(src.rglob("*.h")):
+        rel = path.relative_to(src).as_posix()
+        targets = []
+        for _, _, line in iter_source_lines(path):
+            m = INCLUDE_RE.match(line)
+            if m and m.group(3) and (src / m.group(3)).exists():
+                targets.append(m.group(3))
+        graph[rel] = targets
+    return graph
+
+
+def forbidden_chain(target: str, graph: dict[str, list[str]]):
+    """The include chain from `target` to an ORACLE_FORBIDDEN header, or
+    None when there is none."""
+    parent: dict[str, str | None] = {target: None}
+    queue = [target]
+    while queue:
+        node = queue.pop(0)
+        if node in ORACLE_FORBIDDEN:
+            chain = [node]
+            while parent[chain[-1]] is not None:
+                chain.append(parent[chain[-1]])
+            return list(reversed(chain))
+        for nxt in graph.get(node, []):
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return None
+
+
+def check_oracle_boundary(rel: str, includes, graph, errors: list[str]) -> None:
+    for lineno, target, _ in includes:
+        if (rel.startswith(("src/", "examples/"))
+                and TESTS_INCLUDE.match(target)):
+            errors.append(
+                f'{rel}:{lineno}: oracle-boundary: "{target}" is a test '
+                "header; src/ and examples/ never include tests/ (test "
+                "oracles link into tests and benches only)"
+            )
+        if rel.startswith("tests/oracle/"):
+            chain = forbidden_chain(target, graph)
+            if chain is not None:
+                errors.append(
+                    f"{rel}:{lineno}: oracle-boundary: tests/oracle reaches "
+                    f"{chain[-1]} ({' -> '.join(chain)}); the oracle must "
+                    "not share evaluation code with the indexed path"
+                )
+
+
+def check_file(path: Path, rel: str, errors: list[str],
+               graph: dict[str, list[str]]) -> None:
     is_src = rel.startswith("src/")
     is_mutex_header = rel == "src/common/mutex.h"
     is_kernel_source = rel.startswith("src/kernels/")
@@ -201,6 +266,8 @@ def check_file(path: Path, rel: str, errors: list[str]) -> None:
                 "a repo header; system headers use <angle brackets>"
             )
 
+    check_oracle_boundary(rel, includes, graph, errors)
+
     if is_src and rel.endswith(".cc") and includes:
         own_header = rel[len("src/"):-len(".cc")] + ".h"
         if (Path(path).parent / (path.stem + ".h")).exists():
@@ -213,18 +280,9 @@ def check_file(path: Path, rel: str, errors: list[str]) -> None:
                 )
 
 
-def check_include_cycles(root: Path, errors: list[str]) -> None:
+def check_include_cycles(graph: dict[str, list[str]],
+                         errors: list[str]) -> None:
     """Reports cycles in the src/ header include graph (must stay a DAG)."""
-    src = root / "src"
-    graph: dict[str, list[str]] = {}
-    for path in sorted(src.rglob("*.h")):
-        rel = path.relative_to(src).as_posix()
-        targets = []
-        for _, _, line in iter_source_lines(path):
-            m = INCLUDE_RE.match(line)
-            if m and m.group(3) and (src / m.group(3)).exists():
-                targets.append(m.group(3))
-        graph[rel] = targets
 
     # Iterative DFS with an explicit color map; each cycle reported once.
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -292,8 +350,9 @@ def main() -> int:
             paths.extend(sorted((root / sub).rglob("*.h")))
 
     errors: list[str] = []
+    graph = src_include_graph(root)
     if not args.files:
-        check_include_cycles(root, errors)
+        check_include_cycles(graph, errors)
     checked = 0
     for path in paths:
         if path.suffix not in (".cc", ".h"):
@@ -302,7 +361,7 @@ def main() -> int:
             rel = path.relative_to(root).as_posix()
         except ValueError:
             rel = path.as_posix()
-        check_file(path, rel, errors)
+        check_file(path, rel, errors, graph)
         checked += 1
 
     for err in errors:
