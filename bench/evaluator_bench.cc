@@ -141,13 +141,15 @@ int main(int argc, char** argv) {
   double scan_are_seconds = scan_are_watch.ElapsedSeconds() + scan_exact_seconds;
 
   Stopwatch serial_watch;
-  RecodingCache serial_cache = evaluator.BuildRecodingCache(&rel, &txn);
+  RecodingCache serial_cache =
+      bench::CheckOk(evaluator.BuildRecodingCache(&rel, &txn), "serial cache");
   AreReport serial = bench::CheckOk(
       evaluator.Are(bound, &rel, &txn, serial_cache), "serial are");
   double serial_are_seconds = serial_watch.ElapsedSeconds();
 
   Stopwatch parallel_watch;
-  RecodingCache parallel_cache = evaluator.BuildRecodingCache(&rel, &txn);
+  RecodingCache parallel_cache = bench::CheckOk(
+      evaluator.BuildRecodingCache(&rel, &txn), "parallel cache");
   AreReport parallel = bench::CheckOk(
       evaluator.Are(bound, &rel, &txn, parallel_cache, &SharedEvalPool()),
       "parallel are");

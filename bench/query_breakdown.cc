@@ -83,7 +83,8 @@ int main() {
     double ares[3];
     const Workload* workloads[3] = {&rel_workload, &item_workload,
                                     &mixed_workload};
-    RecodingCache cache = evaluator.BuildRecodingCache(rel, txn);
+    RecodingCache cache =
+        std::move(evaluator.BuildRecodingCache(rel, txn)).ValueOrDie();
     for (int w = 0; w < 3; ++w) {
       BoundWorkload bound =
           std::move(evaluator.BindWorkload(*workloads[w])).ValueOrDie();

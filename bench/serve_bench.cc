@@ -10,10 +10,13 @@
 // must receive byte-identical counts to a serial warm-up pass, and the
 // anonymized/direct split is spot-checked against the in-process release.
 //
-// Default ("full") mode runs 8 clients x 200 queries and exits nonzero
-// unless the concurrent uncached run sustains >= 100 queries/second with
-// zero failures and zero mismatches. `--quick` shrinks sizes for CI smoke
-// (no QPS floor: CI machines are noisy; correctness still gates).
+// Default ("full") mode runs 8 clients x 200 queries, then 3 paired
+// telemetry-off/on reps of at least 1 s per side, and exits nonzero unless
+// the concurrent uncached run sustains >= 100 queries/second with zero
+// failures and zero mismatches and the best telemetry-on rep is within 5%
+// of the best telemetry-off one. `--quick` shrinks sizes for CI smoke (one
+// rep pair of 25 COUNTs per client, no QPS or overhead gate: CI machines
+// are noisy; correctness still gates).
 
 #include <atomic>
 #include <cstdio>
@@ -50,14 +53,16 @@ struct RunStats {
 };
 
 // Fires `clients` threads, each with its own connection, each issuing
-// `per_client` COUNTs round-robin over `queries`; answers are compared
+// COUNTs round-robin over `queries`: `per_client` of them, and then more
+// until `min_seconds` have passed since the start. Answers are compared
 // byte-for-byte (as doubles parsed from identical wire strings) against
 // `reference`.
 RunStats HammerConcurrently(uint16_t port, const std::string& token,
                             const std::string& dataset,
                             const std::vector<std::string>& queries,
                             const std::vector<double>& reference,
-                            size_t clients, size_t per_client) {
+                            size_t clients, size_t per_client,
+                            double min_seconds = 0) {
   std::atomic<uint64_t> ok{0}, failed{0}, mismatched{0};
   Stopwatch watch;
   std::vector<std::thread> threads;
@@ -70,7 +75,8 @@ RunStats HammerConcurrently(uint16_t port, const std::string& token,
         failed.fetch_add(per_client);
         return;
       }
-      for (size_t q = 0; q < per_client; ++q) {
+      for (size_t q = 0;
+           q < per_client || watch.ElapsedSeconds() < min_seconds; ++q) {
         size_t which = (c * 31 + q) % queries.size();
         Result<ServeClient::CountResult> result =
             client.Count(dataset, queries[which]);
@@ -221,12 +227,16 @@ int main(int argc, char** argv) {
   // state, scheduler history, frequency scaling) that a single early
   // baseline vs. late telemetry run would misattribute to telemetry; what
   // remains is the true cost of the pipeline at its most verbose setting.
+  // In full mode each rep lasts at least a second per side: a fixed
+  // 8 x 200 COUNTs took under 0.1 s at 20k qps, short enough for one
+  // scheduler hiccup to move a side by 15%.
   ServerOptions telemetry_options = server_options;
   telemetry_options.slow_query_threshold_seconds = 0;
   const std::string slow_log_path = "BENCH_slow_queries.jsonl";
   bench::CheckOk(SlowQueryLog::Global().Open(slow_log_path, 0),
                  "open slow-query log");
   const int telemetry_reps = quick ? 1 : 3;
+  const double telemetry_rep_seconds = quick ? 0 : 1.0;
   RunStats baseline_run;   // best-qps rep, telemetry off
   RunStats telemetry_run;  // best-qps rep, telemetry on
   RunStats paired_totals;  // ok/failed/mismatched over every paired run
@@ -234,9 +244,9 @@ int main(int argc, char** argv) {
     {
       QueryServer off_server(&catalog, &tenants, server_options);
       bench::CheckOk(off_server.Start(), "start telemetry-off server");
-      RunStats run =
-          HammerConcurrently(off_server.port(), "bench-token", "bench",
-                             queries, reference, clients, per_client);
+      RunStats run = HammerConcurrently(
+          off_server.port(), "bench-token", "bench", queries, reference,
+          clients, per_client, telemetry_rep_seconds);
       off_server.Stop();
       if (run.qps() > baseline_run.qps()) baseline_run = run;
       paired_totals.ok += run.ok;
@@ -246,9 +256,9 @@ int main(int argc, char** argv) {
     {
       QueryServer on_server(&catalog, &tenants, telemetry_options);
       bench::CheckOk(on_server.Start(), "start telemetry-on server");
-      RunStats run =
-          HammerConcurrently(on_server.port(), "bench-token", "bench",
-                             queries, reference, clients, per_client);
+      RunStats run = HammerConcurrently(
+          on_server.port(), "bench-token", "bench", queries, reference,
+          clients, per_client, telemetry_rep_seconds);
       on_server.Stop();
       if (run.qps() > telemetry_run.qps()) telemetry_run = run;
       paired_totals.ok += run.ok;
@@ -277,10 +287,11 @@ int main(int argc, char** argv) {
          (unsigned long long)uncached_run.mismatched);
   printf("concurrent+cache  %8.0f qps  (lru hits=%llu)\n", cached_run.qps(),
          (unsigned long long)cache_hits);
-  printf("telemetry-off     %8.0f qps  (best of %d paired reps)\n",
-         baseline_run.qps(), telemetry_reps);
-  printf("telemetry-on      %8.0f qps  (overhead %+.1f%%, %llu slow records)\n",
-         telemetry_run.qps(), telemetry_overhead * 100.0,
+  printf("telemetry-off     %8.0f qps  (best of %d paired reps, %.2fs)\n",
+         baseline_run.qps(), telemetry_reps, baseline_run.seconds);
+  printf("telemetry-on      %8.0f qps  (%.2fs, overhead %+.1f%%, %llu slow "
+         "records)\n",
+         telemetry_run.qps(), telemetry_run.seconds, telemetry_overhead * 100.0,
          (unsigned long long)slow_records);
 
   JsonWriter w;
@@ -311,6 +322,8 @@ int main(int argc, char** argv) {
   w.Number(telemetry_overhead);
   w.Key("telemetry_reps");
   w.Int(telemetry_reps);
+  w.Key("telemetry_rep_min_seconds");
+  w.Number(telemetry_rep_seconds);
   w.Key("slow_query_records");
   w.Int(static_cast<int64_t>(slow_records));
   w.Key("queries_ok");

@@ -156,7 +156,8 @@ Result<EvaluationReport> BuildReport(const EngineInputs& inputs,
       Stopwatch are_watch;
       ScopedSpan span(std::string_view("evaluate.are"));
       const QueryEvaluator& evaluator = eval.evaluator();
-      RecodingCache cache = evaluator.BuildRecodingCache(rel, txn);
+      SECRETA_ASSIGN_OR_RETURN(RecodingCache cache,
+                               evaluator.BuildRecodingCache(rel, txn));
       // Nested fan-out over the same pool: the ARE task helps drain its own
       // query batches, so composing with the metric fan-out (and with
       // comparator-level parallelism above) cannot deadlock.

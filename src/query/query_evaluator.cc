@@ -5,27 +5,44 @@
 #include <cmath>
 
 #include "common/parallel.h"
+#include "common/string_util.h"
 #include "obs/trace.h"
 
 namespace secreta {
 
 namespace {
 
-// EstimateFast's item share: 1/|covers| of the first of the record's gens
-// (sorted) that stands for `item` by `caches.gen_items`, 0 if none — in a
-// local recoding the smallest covering gen id the record holds.
-double GenItemShare(const TransactionRecoding& txn, const RecodingCache& caches,
-                    const std::vector<int32_t>& record_gens, ItemId item) {
-  size_t word = static_cast<size_t>(item) >> 6;
-  uint64_t bit = uint64_t{1} << (static_cast<unsigned>(item) & 63);
-  for (int32_t g : record_gens) {
-    size_t at = static_cast<size_t>(g) * caches.item_words + word;
-    if ((caches.gen_items[at] & bit) != 0) {
-      size_t covers = txn.gens[static_cast<size_t>(g)].covers.size();
-      return 1.0 / static_cast<double>(covers);
-    }
+// Recodings and caches are indexed by the dataset's record ids, so each must
+// cover exactly the dataset's `n` records.
+Status CheckRecordCounts(size_t n, const RelationalRecoding* relational,
+                         const TransactionRecoding* transaction) {
+  if (relational != nullptr && relational->num_records() != n) {
+    return Status::InvalidArgument(StrFormat(
+        "relational recoding has %zu records, the dataset %zu",
+        relational->num_records(), n));
   }
-  return 0.0;
+  if (transaction != nullptr && transaction->records.size() != n) {
+    return Status::InvalidArgument(StrFormat(
+        "transaction recoding has %zu records, the dataset %zu",
+        transaction->records.size(), n));
+  }
+  return Status::OK();
+}
+
+// Counting sort into CSR lists: `for_each_pair(emit)` calls emit(key, value)
+// for every pair (it runs twice, to count and to place), and key k's values
+// land in (*values)[(*begin)[k], (*begin)[k + 1]) in emission order.
+template <typename ForEachPair>
+void BuildLists(size_t num_keys, ForEachPair for_each_pair,
+                std::vector<size_t>* begin, std::vector<uint32_t>* values) {
+  begin->assign(num_keys + 1, 0);
+  for_each_pair([&](size_t key, uint32_t) { ++(*begin)[key + 1]; });
+  for (size_t k = 0; k < num_keys; ++k) (*begin)[k + 1] += (*begin)[k];
+  values->resize((*begin)[num_keys]);
+  std::vector<size_t> cursor(begin->begin(), begin->end() - 1);
+  for_each_pair([&](size_t key, uint32_t value) {
+    (*values)[cursor[key]++] = value;
+  });
 }
 
 }  // namespace
@@ -182,11 +199,13 @@ Result<BoundWorkload> QueryEvaluator::BindWorkload(const Workload& workload,
   return bound;
 }
 
-RecodingCache QueryEvaluator::BuildRecodingCache(
+Result<RecodingCache> QueryEvaluator::BuildRecodingCache(
     const RelationalRecoding* relational,
     const TransactionRecoding* transaction) const {
-  RecodingCache caches;
   size_t n = dataset_->num_records();
+  SECRETA_RETURN_IF_ERROR(CheckRecordCounts(n, relational, transaction));
+  RecodingCache caches;
+  caches.num_records = n;
   if (relational != nullptr) {
     // Partition records into equivalence classes (identical recoded node
     // tuples) by sorting record ids lexicographically on the tuples.
@@ -212,40 +231,54 @@ RecodingCache QueryEvaluator::BuildRecodingCache(
   }
   if (transaction != nullptr) {
     size_t num_items = dataset_->item_dictionary().size();
-    // The items each gen stands for: through the item_map of a global
-    // recoding, through the covers of a local one.
-    std::vector<std::vector<ItemId>> items_of_gen(transaction->gens.size());
-    if (!transaction->item_map.empty()) {
-      for (size_t item = 0; item < transaction->item_map.size(); ++item) {
-        int32_t g = transaction->item_map[item];
-        if (g != kSuppressedGen && item < num_items) {
-          items_of_gen[static_cast<size_t>(g)].push_back(
-              static_cast<ItemId>(item));
-        }
-      }
-    } else {
-      for (size_t g = 0; g < transaction->gens.size(); ++g) {
-        for (ItemId item : transaction->gens[g].covers) {
-          if (static_cast<size_t>(item) < num_items) {
-            items_of_gen[g].push_back(item);
+    size_t num_gens = transaction->gens.size();
+    BuildLists(
+        num_gens,
+        [&](auto emit) {
+          for (size_t r = 0; r < n; ++r) {
+            for (int32_t g : transaction->records[r]) {
+              emit(static_cast<size_t>(g), static_cast<uint32_t>(r));
+            }
           }
-        }
-      }
-    }
-    caches.item_words = (num_items + 63) / 64;
-    caches.gen_items.assign(transaction->gens.size() * caches.item_words, 0);
-    for (size_t g = 0; g < items_of_gen.size(); ++g) {
-      for (ItemId item : items_of_gen[g]) {
-        caches.gen_items[g * caches.item_words +
-                         (static_cast<size_t>(item) >> 6)] |=
-            uint64_t{1} << (static_cast<unsigned>(item) & 63);
-      }
+        },
+        &caches.gen_row_begin, &caches.gen_rows);
+    // The gens each item stands for, descending: its item_map gen in a
+    // global recoding, every gen covering it in a local one.
+    BuildLists(
+        num_items,
+        [&](auto emit) {
+          if (!transaction->item_map.empty()) {
+            for (size_t item = 0; item < transaction->item_map.size();
+                 ++item) {
+              int32_t g = transaction->item_map[item];
+              if (g != kSuppressedGen && item < num_items) {
+                emit(item, static_cast<uint32_t>(g));
+              }
+            }
+            return;
+          }
+          for (size_t g = num_gens; g-- > 0;) {
+            for (ItemId item : transaction->gens[g].covers) {
+              if (static_cast<size_t>(item) < num_items) {
+                emit(static_cast<size_t>(item), static_cast<uint32_t>(g));
+              }
+            }
+          }
+        },
+        &caches.item_gen_begin, &caches.item_gens);
+    caches.gen_share.assign(num_gens, 0.0);
+    for (size_t g = 0; g < num_gens; ++g) {
+      size_t covers = transaction->gens[g].covers.size();
+      if (covers > 0) caches.gen_share[g] = 1.0 / static_cast<double>(covers);
     }
     caches.item_cover.assign(num_items, RecordBitmap(n));
-    for (size_t r = 0; r < transaction->records.size(); ++r) {
-      for (int32_t g : transaction->records[r]) {
-        for (ItemId item : items_of_gen[static_cast<size_t>(g)]) {
-          caches.item_cover[static_cast<size_t>(item)].Set(r);
+    for (size_t item = 0; item < num_items; ++item) {
+      for (size_t i = caches.item_gen_begin[item];
+           i < caches.item_gen_begin[item + 1]; ++i) {
+        size_t g = caches.item_gens[i];
+        for (size_t j = caches.gen_row_begin[g];
+             j < caches.gen_row_begin[g + 1]; ++j) {
+          caches.item_cover[item].Set(caches.gen_rows[j]);
         }
       }
     }
@@ -253,10 +286,11 @@ RecodingCache QueryEvaluator::BuildRecodingCache(
   return caches;
 }
 
-double QueryEvaluator::EstimateFast(
-    const BoundWorkload::FastQuery& q, const RelationalRecoding* relational,
-    const TransactionRecoding* transaction,
-    const RecodingCache& caches) const {
+double QueryEvaluator::EstimateFast(const BoundWorkload::FastQuery& q,
+                                    const RelationalRecoding* relational,
+                                    const TransactionRecoding* transaction,
+                                    const RecodingCache& caches,
+                                    EstimateScratch* scratch) const {
   if (q.impossible) return 0.0;
   const bool qi_estimated = relational != nullptr;
   // Clauses evaluated by exact match: always the non-QI group, plus the QI
@@ -304,12 +338,16 @@ double QueryEvaluator::EstimateFast(
   } else if (!q.items.empty() || num_masks > 0) {
     // Candidates: the records every clause mask selects and, against a
     // transaction recoding, every query item's coverage holds (a record
-    // lacking a gen for some query item contributes a 0 factor).
+    // lacking a gen for some query item contributes a 0 factor), listed in
+    // ascending order with their products started at the QI probability.
     std::vector<const std::vector<uint64_t>*> sets;
     for (int m = 0; m < num_masks; ++m) sets.push_back(&masks[m]->words());
     for (ItemId item : q.items) {
       sets.push_back(&caches.item_cover[static_cast<size_t>(item)].words());
     }
+    uint32_t* candidates = scratch->candidates.data();
+    double* products = scratch->products.data();
+    size_t count = 0;
     for (size_t w = 0; w < sets[0]->size(); ++w) {
       uint64_t bits = (*sets[0])[w];
       for (size_t s = 1; s < sets.size() && bits != 0; ++s) {
@@ -318,15 +356,32 @@ double QueryEvaluator::EstimateFast(
       while (bits != 0) {
         size_t r = (w << 6) + static_cast<unsigned>(__builtin_ctzll(bits));
         bits &= bits - 1;
-        double p = qi_prob(r);
-        for (ItemId item : q.items) {
-          if (p == 0.0) break;
-          p *= GenItemShare(*transaction, caches, transaction->records[r],
-                            item);
-        }
-        total += p;
+        candidates[count] = static_cast<uint32_t>(r);
+        products[count] = qi_prob(r);
+        ++count;
       }
     }
+    // Every candidate holds a gen for every query item, so each paint pass
+    // rewrites every candidate's share and nothing needs clearing between
+    // items. A product that reached 0 stays +0.0 (the shares are finite),
+    // so no candidate needs a branch.
+    double* painted = scratch->painted.data();
+    for (ItemId item : q.items) {
+      const size_t i = static_cast<size_t>(item);
+      for (size_t k = caches.item_gen_begin[i];
+           k < caches.item_gen_begin[i + 1]; ++k) {
+        const size_t g = caches.item_gens[k];
+        const double share = caches.gen_share[g];
+        for (size_t j = caches.gen_row_begin[g];
+             j < caches.gen_row_begin[g + 1]; ++j) {
+          painted[caches.gen_rows[j]] = share;
+        }
+      }
+      for (size_t c = 0; c < count; ++c) {
+        products[c] *= painted[candidates[c]];
+      }
+    }
+    for (size_t c = 0; c < count; ++c) total += products[c];
   } else {
     for (size_t r = 0; r < dataset_->num_records(); ++r) {
       total += qi_prob(r);
@@ -348,6 +403,13 @@ Result<AreReport> QueryEvaluator::Are(const BoundWorkload& bound,
     return Status::FailedPrecondition(
         "estimation over a relational recoding requires a context");
   }
+  if (caches.num_records != dataset_->num_records()) {
+    return Status::InvalidArgument(StrFormat(
+        "recoding cache was built over %zu records, the dataset has %zu",
+        caches.num_records, dataset_->num_records()));
+  }
+  SECRETA_RETURN_IF_ERROR(
+      CheckRecordCounts(dataset_->num_records(), relational, transaction));
   SECRETA_RETURN_IF_ERROR(CheckCancelled(cancel, "are workload"));
   size_t n = bound.size();
   AreReport report;
@@ -366,9 +428,10 @@ Result<AreReport> QueryEvaluator::Are(const BoundWorkload& bound,
     SECRETA_TRACE_SPAN("are.batch");
     size_t begin = b * kBatch;
     size_t end = std::min(n, begin + kBatch);
+    EstimateScratch scratch(dataset_->num_records());
     for (size_t i = begin; i < end; ++i) {
-      report.estimated[i] =
-          EstimateFast(bound.queries_[i], relational, transaction, caches);
+      report.estimated[i] = EstimateFast(bound.queries_[i], relational,
+                                         transaction, caches, &scratch);
     }
   });
   if (cancelled.load(std::memory_order_relaxed)) {

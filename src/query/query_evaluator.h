@@ -80,12 +80,17 @@ class BoundWorkload {
 /// \brief Recoding-derived evaluation caches, reusable across Are calls.
 ///
 /// Everything an estimate needs that depends only on the *recoding* (not on
-/// the workload): relational equivalence classes and per-item coverage of
-/// the generalized transactions. Built by QueryEvaluator::BuildRecodingCache
-/// once per recoding: a report builds one per run, and a long-lived server
-/// builds one per published release for all its ad-hoc queries. Immutable
-/// after construction; thread-safe for concurrent const use.
+/// the workload): relational equivalence classes, per-item coverage of the
+/// generalized transactions, and the gen <-> record and item <-> gen lists
+/// an item's shares are painted from. Built by
+/// QueryEvaluator::BuildRecodingCache once per recoding: a report builds one
+/// per run, and a long-lived server builds one per published release for
+/// all its ad-hoc queries. Immutable after construction; thread-safe for
+/// concurrent const use.
 struct RecodingCache {
+  /// Records of the dataset the cache was built over; Are refuses a cache
+  /// of another record count.
+  size_t num_records = 0;
   /// Equivalence classes of the relational recoding: records with the same
   /// recoded node tuple share one per-query QI probability product
   /// (computed once per class from `class_rep`, multiplying the clauses'
@@ -98,18 +103,23 @@ struct RecodingCache {
   /// (its item_map gen in a global recoding, any gen covering it in a local
   /// one). A record lacking such a gen for some query item contributes
   /// exactly 0, so a query's candidates are the AND of its items'
-  /// coverages, walked in ascending record order as a per-record scan sums.
+  /// coverages, listed in ascending record order as a per-record scan sums.
   /// One RecordBitmap per item, num_items x num_records / 8 bytes (75 KB
-  /// for 120 items over 5,000 records), built once per recoding. Empty when
-  /// there is no transaction recoding.
+  /// for 120 items over 5,000 records). The lists below are empty, like
+  /// this, when there is no transaction recoding.
   std::vector<RecordBitmap> item_cover;
-  /// The items each gen stands for, as bits: gen g's item_words words start
-  /// at gen_items[g * item_words], and bit i is set when g stands for item
-  /// i (the same items item_cover reads). A record's share of a query item
-  /// is 1/|covers| of its first gen, in ascending order, whose bit is set.
-  /// num_gens x num_items / 8 bytes (4 KB for 256 gens over 120 items).
-  std::vector<uint64_t> gen_items;
-  size_t item_words = 0;  // ceil(num_items / 64)
+  /// Each gen's rows, ascending: gen g is held by the records
+  /// gen_rows[gen_row_begin[g], gen_row_begin[g + 1]). 4 bytes per
+  /// record-gen pair.
+  std::vector<size_t> gen_row_begin;  // num_gens + 1
+  std::vector<uint32_t> gen_rows;
+  /// Each item's gens, descending id: the gens standing for item i (the
+  /// ones item_cover reads) are item_gens[item_gen_begin[i],
+  /// item_gen_begin[i + 1]). 4 bytes per gen-item pair.
+  std::vector<size_t> item_gen_begin;  // num_items + 1
+  std::vector<uint32_t> item_gens;
+  /// Each gen's share of an item it stands for: 1/|covers|.
+  std::vector<double> gen_share;
 };
 
 /// \brief Evaluates COUNT queries exactly and on anonymized recodings.
@@ -131,9 +141,12 @@ class QueryEvaluator {
                                      ThreadPool* pool = nullptr) const;
 
   /// Builds the recoding-derived caches (equivalence classes, per-item
-  /// coverage) once for reuse across many Are calls on the same recodings.
-  RecodingCache BuildRecodingCache(const RelationalRecoding* relational,
-                                   const TransactionRecoding* transaction) const;
+  /// coverage, gen rows and item gens) once for reuse across many Are calls
+  /// on the same recodings. InvalidArgument when a recoding's record count
+  /// differs from the dataset's.
+  Result<RecodingCache> BuildRecodingCache(
+      const RelationalRecoding* relational,
+      const TransactionRecoding* transaction) const;
 
   /// ARE over a bound workload: mean of |actual - estimated| / max(actual, 1).
   /// Estimates are expected counts over the anonymized data: relational
@@ -141,9 +154,10 @@ class QueryEvaluator {
   /// node; item clauses use 1/|g| for a covering generalized item g present
   /// in the record. Pass nullptr for a side that was not anonymized (exact
   /// matching on that side). `cache` must have been built from the same
-  /// recodings. Queries are evaluated in batches fanned out over `pool`
-  /// (null = serial); `cancel` is polled per batch, so a long workload
-  /// unwinds with Status::Cancelled mid-evaluation.
+  /// recodings; a cache or recoding over another record count than the
+  /// dataset's is InvalidArgument. Queries are evaluated in batches fanned
+  /// out over `pool` (null = serial); `cancel` is polled per batch, so a
+  /// long workload unwinds with Status::Cancelled mid-evaluation.
   Result<AreReport> Are(const BoundWorkload& bound,
                         const RelationalRecoding* relational,
                         const TransactionRecoding* transaction,
@@ -156,11 +170,34 @@ class QueryEvaluator {
   Result<BoundWorkload::FastQuery> Bind(const CountQuery& query,
                                         double* out_exact) const;
 
-  /// Estimated count of one bound query (see Are).
+  /// Record-indexed buffers of EstimateFast, reused across the queries of
+  /// one Are batch: 20 bytes per record, whatever the number of query
+  /// items.
+  struct EstimateScratch {
+    explicit EstimateScratch(size_t num_records)
+        : candidates(num_records), products(num_records),
+          painted(num_records) {}
+    std::vector<uint32_t> candidates;  // ascending record ids
+    std::vector<double> products;      // per candidate
+    std::vector<double> painted;       // per record: the item's share
+  };
+
+  /// Estimated count of one bound query (see Are), in flat passes over its
+  /// candidates (the records every clause mask and query item's coverage
+  /// select): each candidate's product starts at its class's QI
+  /// probability; then, per query item in sorted order, the item's share is
+  /// painted into `painted` from its gens, largest id first (a record
+  /// holding several covering gens keeps the smallest one's share, the scan
+  /// oracle's rule), and every product is multiplied by its record's
+  /// painted share; the products are summed in ascending record order.
+  /// These are a per-record scan's double operations in its order, less
+  /// its stop at a zero product (0 x share is still +0.0), so the estimate
+  /// is bit-identical to it.
   double EstimateFast(const BoundWorkload::FastQuery& q,
                       const RelationalRecoding* relational,
                       const TransactionRecoding* transaction,
-                      const RecodingCache& caches) const;
+                      const RecodingCache& caches,
+                      EstimateScratch* scratch) const;
 
   const Dataset* dataset_ = nullptr;
   const RelationalContext* rel_context_ = nullptr;

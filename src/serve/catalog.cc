@@ -55,9 +55,11 @@ Status PublishedRelease::Initialize() {
       QueryEvaluator::Create(*dataset_,
                              rel_context_ ? &*rel_context_ : nullptr));
   evaluator_.emplace(std::move(evaluator));
-  recoding_cache_ = evaluator_->BuildRecodingCache(
-      run_.relational ? &*run_.relational : nullptr,
-      run_.transaction ? &*run_.transaction : nullptr);
+  SECRETA_ASSIGN_OR_RETURN(
+      recoding_cache_,
+      evaluator_->BuildRecodingCache(
+          run_.relational ? &*run_.relational : nullptr,
+          run_.transaction ? &*run_.transaction : nullptr));
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
   const MetricLabels labels = {{"dataset", name_}};

@@ -162,10 +162,16 @@ TransactionRecoding GroupedTransactionRecoding(const Dataset& ds,
   return recoding;
 }
 
-// A local (no item_map) recoding with overlapping covers: even records use
-// gens pairing items (0,1)(2,3)..., odd records use the offset pairing
-// (1,2)(3,4)..., so most items are covered by two different gens.
-TransactionRecoding OverlappingLocalRecoding(const Dataset& ds) {
+// Local (no item_map) recodings over two pairings of the items: the even
+// pairing's gens (0,1)(2,3)... and, after them, the offset pairing's
+// (0)(1,2)(3,4)..., so most items are covered by two different gens.
+// `holds(r)` says which pairings record r's items are published through.
+struct Pairings {
+  bool even = false;
+  bool odd = false;
+};
+template <typename Holds>
+TransactionRecoding PairingLocalRecoding(const Dataset& ds, Holds holds) {
   TransactionRecoding recoding;
   size_t num_items = ds.item_dictionary().size();
   std::vector<int32_t> even_map(num_items, kSuppressedGen);
@@ -184,16 +190,46 @@ TransactionRecoding OverlappingLocalRecoding(const Dataset& ds) {
     for (ItemId item : covers) odd_map[static_cast<size_t>(item)] = gen;
   }
   for (size_t r = 0; r < ds.num_records(); ++r) {
-    const std::vector<int32_t>& map = (r % 2 == 0) ? even_map : odd_map;
+    Pairings pairings = holds(r);
     std::vector<int32_t> rec;
     for (ItemId item : ds.items(r).raw()) {
-      rec.push_back(map[static_cast<size_t>(item)]);
+      if (pairings.even) rec.push_back(even_map[static_cast<size_t>(item)]);
+      if (pairings.odd) rec.push_back(odd_map[static_cast<size_t>(item)]);
     }
     std::sort(rec.begin(), rec.end());
     rec.erase(std::unique(rec.begin(), rec.end()), rec.end());
     recoding.records.push_back(std::move(rec));
   }
   return recoding;  // item_map left empty: local recoding
+}
+
+// Even records publish through the even pairing, odd records through the
+// offset one.
+TransactionRecoding OverlappingLocalRecoding(const Dataset& ds) {
+  return PairingLocalRecoding(ds, [](size_t r) {
+    return Pairings{r % 2 == 0, r % 2 == 1};
+  });
+}
+
+// Every record publishes each item through both pairings, so it holds two
+// gens covering most of its items and takes the smaller id's share (the even
+// gen's): item 0's is {0,1}'s 1/2, not {0}'s 1.
+TransactionRecoding DoubleCoverLocalRecoding(const Dataset& ds) {
+  return PairingLocalRecoding(ds, [](size_t) { return Pairings{true, true}; });
+}
+
+// The transaction recoding an RT pipeline publishes (a local one), beside
+// its relational recoding.
+RtResult RunRtPipeline(const RelationalContext& ctx,
+                       const TransactionContext& txn_ctx,
+                       const char* relational, const char* transaction,
+                       MergerKind merger) {
+  RtAnonymizer pipeline(MakeRelationalAnonymizer(relational).ValueOrDie(),
+                        MakeTransactionAnonymizer(transaction).ValueOrDie(),
+                        merger);
+  AnonParams params;
+  params.k = 3;
+  return std::move(pipeline.Anonymize(ctx, txn_ctx, params)).ValueOrDie();
 }
 
 Workload RandomWorkload(const Dataset& ds, uint64_t seed, int items_per_query) {
@@ -212,9 +248,57 @@ Workload RandomWorkload(const Dataset& ds, uint64_t seed, int items_per_query) {
   return wl;
 }
 
-// The equivalence property: every exact count precomputed by BindWorkload and
-// every estimate produced by the indexed Are must equal the scan oracles
-// exactly (EXPECT_EQ on doubles — same arithmetic, not just close).
+// One recoding combination the indexed Are is checked under.
+struct RecodingCase {
+  const char* name;
+  const RelationalRecoding* rel;
+  const TransactionRecoding* txn;
+};
+
+// Every exact count precomputed by BindWorkload and every estimate produced
+// by the indexed Are over `wl` must equal the scan oracles exactly
+// (EXPECT_EQ on doubles — same arithmetic, not just close), serially and on
+// the pool, under each recoding case.
+void ExpectMatchesScanOracles(const Dataset& ds, const RelationalContext& ctx,
+                              const QueryEvaluator& ev, const Workload& wl,
+                              std::initializer_list<RecodingCase> cases) {
+  ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
+  ASSERT_EQ(bound.size(), wl.size());
+  for (size_t i = 0; i < wl.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(double exact, oracle::ExactCount(ds, wl.queries()[i]));
+    EXPECT_EQ(bound.exact_count(i), exact) << wl.queries()[i].ToString();
+  }
+  for (const RecodingCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_OK_AND_ASSIGN(RecodingCache cache,
+                         ev.BuildRecodingCache(c.rel, c.txn));
+    ASSERT_OK_AND_ASSIGN(AreReport fast, ev.Are(bound, c.rel, c.txn, cache));
+    ASSERT_EQ(fast.actual.size(), wl.size());
+    double total = 0;
+    for (size_t i = 0; i < wl.size(); ++i) {
+      const CountQuery& q = wl.queries()[i];
+      ASSERT_OK_AND_ASSIGN(double exact, oracle::ExactCount(ds, q));
+      ASSERT_OK_AND_ASSIGN(double est,
+                           oracle::EstimatedCount(ds, &ctx, q, c.rel, c.txn));
+      EXPECT_EQ(fast.actual[i], exact) << q.ToString();
+      EXPECT_EQ(fast.estimated[i], est) << q.ToString();
+      total += std::fabs(exact - est) / std::max(exact, 1.0);
+    }
+    EXPECT_EQ(fast.are, total / static_cast<double>(wl.size()));
+
+    // The parallel path must produce the same bits as the serial path.
+    ASSERT_OK_AND_ASSIGN(AreReport parallel,
+                         ev.Are(bound, c.rel, c.txn, cache, &SharedEvalPool()));
+    EXPECT_EQ(parallel.are, fast.are);
+    EXPECT_EQ(parallel.actual, fast.actual);
+    EXPECT_EQ(parallel.estimated, fast.estimated);
+  }
+}
+
+// The equivalence property over random datasets, workloads of 2 and 3 items
+// per query, and recoding combinations: relational only, global and local
+// transaction recodings (one holding two covering gens per item in every
+// record), both sides, and three RT pipelines' outputs.
 TEST(IndexedEvaluationProperty, MatchesScanOraclesBitForBit) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -233,68 +317,36 @@ TEST(IndexedEvaluationProperty, MatchesScanOraclesBitForBit) {
     TransactionRecoding global =
         GroupedTransactionRecoding(ds, 1 + seed % 3);
     TransactionRecoding local = OverlappingLocalRecoding(ds);
-    // What Comparison mode evaluates: an RT pipeline's output, a local
-    // transaction recoding beside a relational one.
+    TransactionRecoding double_cover = DoubleCoverLocalRecoding(ds);
+    // What Comparison mode evaluates: RT pipelines' outputs, local
+    // transaction recodings beside relational ones. COAT brings thousands of
+    // gens, LRA partition-local ones.
     Hierarchy item_h = std::move(BuildItemHierarchy(ds)).ValueOrDie();
     TransactionContext txn_ctx =
         std::move(TransactionContext::Create(ds, &item_h)).ValueOrDie();
-    RtAnonymizer pipeline(MakeRelationalAnonymizer("Cluster").ValueOrDie(),
-                          MakeTransactionAnonymizer("Apriori").ValueOrDie(),
-                          MergerKind::kRTmerger);
-    AnonParams params;
-    params.k = 3;
-    RtResult rt =
-        std::move(pipeline.Anonymize(ctx, txn_ctx, params)).ValueOrDie();
-    ASSERT_TRUE(rt.transaction.item_map.empty());
-
-    Workload wl = RandomWorkload(ds, seed, /*items_per_query=*/2);
-    ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
-    ASSERT_EQ(bound.size(), wl.size());
-
-    // Exact counts: indexed vs scan oracle.
-    for (size_t i = 0; i < wl.size(); ++i) {
-      ASSERT_OK_AND_ASSIGN(double exact,
-                           oracle::ExactCount(ds, wl.queries()[i]));
-      EXPECT_EQ(bound.exact_count(i), exact) << wl.queries()[i].ToString();
+    RtResult rt = RunRtPipeline(ctx, txn_ctx, "Cluster", "Apriori",
+                                MergerKind::kRTmerger);
+    RtResult rt_coat = RunRtPipeline(ctx, txn_ctx, "Incognito", "COAT",
+                                     MergerKind::kRmerger);
+    RtResult rt_lra = RunRtPipeline(ctx, txn_ctx, "BottomUp", "LRA",
+                                    MergerKind::kRTmerger);
+    for (const RtResult* output : {&rt, &rt_coat, &rt_lra}) {
+      ASSERT_TRUE(output->transaction.item_map.empty());
     }
 
-    // Estimates: indexed Are vs scan oracle, across recoding combinations
-    // (relational only, global transaction, local transaction, both sides).
-    struct Case {
-      const char* name;
-      const RelationalRecoding* rel;
-      const TransactionRecoding* txn;
-    };
-    for (const Case& c : std::initializer_list<Case>{
-             {"rel-only", &rel, nullptr},
-             {"txn-global", nullptr, &global},
-             {"txn-local", nullptr, &local},
-             {"rel+txn", &rel, &global},
-             {"rel+txn-local", &rel, &local},
-             {"rt-pipeline", &rt.relational, &rt.transaction}}) {
-      SCOPED_TRACE(c.name);
-      RecodingCache cache = ev.BuildRecodingCache(c.rel, c.txn);
-      ASSERT_OK_AND_ASSIGN(AreReport fast, ev.Are(bound, c.rel, c.txn, cache));
-      ASSERT_EQ(fast.actual.size(), wl.size());
-      double total = 0;
-      for (size_t i = 0; i < wl.size(); ++i) {
-        const CountQuery& q = wl.queries()[i];
-        ASSERT_OK_AND_ASSIGN(double exact, oracle::ExactCount(ds, q));
-        ASSERT_OK_AND_ASSIGN(double est,
-                             oracle::EstimatedCount(ds, &ctx, q, c.rel, c.txn));
-        EXPECT_EQ(fast.actual[i], exact) << q.ToString();
-        EXPECT_EQ(fast.estimated[i], est) << q.ToString();
-        total += std::fabs(exact - est) / std::max(exact, 1.0);
-      }
-      EXPECT_EQ(fast.are, total / static_cast<double>(wl.size()));
-
-      // The parallel path must produce the same bits as the serial path.
-      ASSERT_OK_AND_ASSIGN(
-          AreReport parallel,
-          ev.Are(bound, c.rel, c.txn, cache, &SharedEvalPool()));
-      EXPECT_EQ(parallel.are, fast.are);
-      EXPECT_EQ(parallel.actual, fast.actual);
-      EXPECT_EQ(parallel.estimated, fast.estimated);
+    for (int items_per_query : {2, 3}) {
+      SCOPED_TRACE("items per query " + std::to_string(items_per_query));
+      ExpectMatchesScanOracles(
+          ds, ctx, ev, RandomWorkload(ds, seed, items_per_query),
+          {{"rel-only", &rel, nullptr},
+           {"txn-global", nullptr, &global},
+           {"txn-local", nullptr, &local},
+           {"txn-double-cover", nullptr, &double_cover},
+           {"rel+txn", &rel, &global},
+           {"rel+txn-local", &rel, &local},
+           {"rt-pipeline", &rt.relational, &rt.transaction},
+           {"rt-coat", &rt_coat.relational, &rt_coat.transaction},
+           {"rt-lra", &rt_lra.relational, &rt_lra.transaction}});
     }
   }
 }
@@ -313,7 +365,8 @@ TEST(IndexedEvaluationProperty, ItemOnlyWorkloadMatchesOracle) {
   ASSERT_OK_AND_ASSIGN(Workload wl, GenerateWorkload(ds, options));
   ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
   TransactionRecoding global = GroupedTransactionRecoding(ds, 2);
-  RecodingCache cache = ev.BuildRecodingCache(nullptr, &global);
+  ASSERT_OK_AND_ASSIGN(RecodingCache cache,
+                       ev.BuildRecodingCache(nullptr, &global));
   ASSERT_OK_AND_ASSIGN(AreReport fast, ev.Are(bound, nullptr, &global, cache));
   for (size_t i = 0; i < wl.size(); ++i) {
     const CountQuery& q = wl.queries()[i];
@@ -347,7 +400,8 @@ TEST(IndexedEvaluationTest, CancelledTokenStopsAre) {
   RelationalRecoding identity = IdentityRecoding(ctx);
   Workload wl = RandomWorkload(ds, 4, /*items_per_query=*/0);
   ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
-  RecodingCache cache = ev.BuildRecodingCache(&identity, nullptr);
+  ASSERT_OK_AND_ASSIGN(RecodingCache cache,
+                       ev.BuildRecodingCache(&identity, nullptr));
   CancellationToken token;
   token.Cancel();
   Result<AreReport> result =
@@ -363,7 +417,8 @@ TEST(IndexedEvaluationTest, EmptyWorkloadRejected) {
   Workload wl;
   ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
   EXPECT_TRUE(bound.empty());
-  RecodingCache cache = ev.BuildRecodingCache(nullptr, nullptr);
+  ASSERT_OK_AND_ASSIGN(RecodingCache cache,
+                       ev.BuildRecodingCache(nullptr, nullptr));
   EXPECT_FALSE(ev.Are(bound, nullptr, nullptr, cache).ok());
 }
 

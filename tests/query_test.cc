@@ -70,7 +70,8 @@ Result<AreReport> IndexedReport(const QueryEvaluator& ev, const CountQuery& q,
                                 const TransactionRecoding* transaction) {
   SECRETA_ASSIGN_OR_RETURN(BoundWorkload bound,
                            ev.BindWorkload(Workload({q})));
-  RecodingCache cache = ev.BuildRecodingCache(relational, transaction);
+  SECRETA_ASSIGN_OR_RETURN(RecodingCache cache,
+                           ev.BuildRecodingCache(relational, transaction));
   return ev.Are(bound, relational, transaction, cache);
 }
 
@@ -186,7 +187,8 @@ TEST(QueryEvaluatorTest, AreZeroOnIdentity) {
   ASSERT_OK_AND_ASSIGN(Workload wl, Workload::Parse("Age:20..40\nGender:F\n"));
   ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, &ctx));
   ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(wl));
-  RecodingCache cache = ev.BuildRecodingCache(&identity, nullptr);
+  ASSERT_OK_AND_ASSIGN(RecodingCache cache,
+                       ev.BuildRecodingCache(&identity, nullptr));
   ASSERT_OK_AND_ASSIGN(AreReport report,
                        ev.Are(bound, &identity, nullptr, cache));
   EXPECT_NEAR(report.are, 0.0, 1e-9);
@@ -240,6 +242,93 @@ TEST(QueryEvaluatorTest, ItemEstimateUsesCoverShare) {
   ASSERT_OK_AND_ASSIGN(AreReport local_report,
                        IndexedReport(ev, q, nullptr, &local));
   EXPECT_NEAR(local_report.estimated[0], local_expected, 1e-9);
+}
+
+// The identity recodings of `ds` on both sides.
+struct IdentityRecodings {
+  RelationalRecoding relational;
+  TransactionRecoding transaction;
+};
+IdentityRecodings IdentityOf(const Dataset& ds, const RelationalContext& ctx) {
+  std::vector<std::vector<ItemId>> txns;
+  for (size_t r = 0; r < ds.num_records(); ++r) txns.push_back(ds.items(r).raw());
+  return {IdentityRecoding(ctx),
+          IdentityTransactionRecoding(txns, ds.item_dictionary().size(),
+                                      ds.item_dictionary())};
+}
+
+// Recodings and caches are indexed by the evaluator's record ids: one over
+// more or fewer records than its dataset is InvalidArgument, on either side,
+// rather than a read or write past the dataset's records.
+TEST(QueryEvaluatorTest, RecodingOfAnotherRecordCountIsRejected) {
+  Dataset small = testing::SmallRtDataset(100, /*seed=*/3);
+  Dataset large = testing::SmallRtDataset(200, /*seed=*/3);
+  ASSERT_OK_AND_ASSIGN(auto small_h, BuildAllColumnHierarchies(small));
+  ASSERT_OK_AND_ASSIGN(auto large_h, BuildAllColumnHierarchies(large));
+  ASSERT_OK_AND_ASSIGN(RelationalContext small_ctx,
+                       RelationalContext::Create(small, small_h));
+  ASSERT_OK_AND_ASSIGN(RelationalContext large_ctx,
+                       RelationalContext::Create(large, large_h));
+  ASSERT_OK_AND_ASSIGN(QueryEvaluator small_ev,
+                       QueryEvaluator::Create(small, &small_ctx));
+  ASSERT_OK_AND_ASSIGN(QueryEvaluator large_ev,
+                       QueryEvaluator::Create(large, &large_ctx));
+  IdentityRecodings small_id = IdentityOf(small, small_ctx);
+  IdentityRecodings large_id = IdentityOf(large, large_ctx);
+  ASSERT_OK_AND_ASSIGN(Workload wl, Workload::Parse("Age:20..40\n"));
+
+  struct Direction {
+    const char* name;
+    const QueryEvaluator* ev;
+    const IdentityRecodings* own;
+    const IdentityRecodings* other;
+  };
+  for (const Direction& d : {Direction{"more records", &small_ev, &small_id,
+                                       &large_id},
+                             Direction{"fewer records", &large_ev, &large_id,
+                                       &small_id}}) {
+    SCOPED_TRACE(d.name);
+    EXPECT_EQ(d.ev->BuildRecodingCache(&d.other->relational, nullptr)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(d.ev->BuildRecodingCache(nullptr, &d.other->transaction)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(d.ev->BuildRecodingCache(&d.own->relational,
+                                       &d.other->transaction)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+
+    // Are: a cache built by the other evaluator, and recodings of the
+    // other dataset beside the evaluator's own cache.
+    const QueryEvaluator* other_ev = d.ev == &small_ev ? &large_ev : &small_ev;
+    ASSERT_OK_AND_ASSIGN(BoundWorkload bound, d.ev->BindWorkload(wl));
+    ASSERT_OK_AND_ASSIGN(
+        RecodingCache own_cache,
+        d.ev->BuildRecodingCache(&d.own->relational, &d.own->transaction));
+    ASSERT_OK_AND_ASSIGN(RecodingCache other_cache,
+                         other_ev->BuildRecodingCache(&d.other->relational,
+                                                      &d.other->transaction));
+    EXPECT_OK(d.ev->Are(bound, &d.own->relational, &d.own->transaction,
+                        own_cache)
+                  .status());
+    EXPECT_EQ(d.ev->Are(bound, &d.own->relational, &d.own->transaction,
+                        other_cache)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(d.ev->Are(bound, &d.other->relational, nullptr, own_cache)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(d.ev->Are(bound, nullptr, &d.other->transaction, own_cache)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(WorkloadGeneratorTest, ProducesAnswerableQueries) {

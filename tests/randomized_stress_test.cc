@@ -177,7 +177,8 @@ TEST(QueryStressTest, IdentityRecodingsGiveZeroAreOnRandomWorkloads) {
     ASSERT_OK_AND_ASSIGN(Workload workload, GenerateWorkload(ds, options));
     ASSERT_OK_AND_ASSIGN(QueryEvaluator ev, QueryEvaluator::Create(ds, &ctx));
     ASSERT_OK_AND_ASSIGN(BoundWorkload bound, ev.BindWorkload(workload));
-    RecodingCache cache = ev.BuildRecodingCache(&rel_identity, &txn_identity);
+    ASSERT_OK_AND_ASSIGN(RecodingCache cache,
+                         ev.BuildRecodingCache(&rel_identity, &txn_identity));
     ASSERT_OK_AND_ASSIGN(AreReport report,
                          ev.Are(bound, &rel_identity, &txn_identity, cache));
     EXPECT_NEAR(report.are, 0.0, 1e-9) << "seed " << seed;
