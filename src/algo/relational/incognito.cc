@@ -429,20 +429,45 @@ Result<RelationalRecoding> IncognitoAnonymizer::Anonymize(
   SECRETA_TRACE_SPAN("algo.Incognito");
   SECRETA_ASSIGN_OR_RETURN(std::vector<std::vector<int>> frontier,
                            MinimalAnonymousLevels(context, params));
-  // Pick the minimal anonymous vector with the lowest GCP.
-  RelationalRecoding best;
+  // Pick the minimal anonymous vector with the lowest GCP (the first on
+  // ties) and build only its recoding. A vector's GCP sums, per QI and in
+  // record order, the NCP of each leaf's ancestor at the vector's level, then
+  // averages the way RecodingGcp averages its memoized NodeNcp: the same
+  // double operations, so the same pick as scoring every vector's recoding.
+  const size_t n = context.num_records();
+  const size_t q = context.num_qi();
+  std::vector<std::vector<NodeId>> leaves(q, std::vector<NodeId>(n));
+  std::vector<std::vector<double>> node_ncp(q);
+  for (size_t j = 0; j < q; ++j) {
+    for (size_t r = 0; r < n; ++r) leaves[j][r] = context.Leaf(r, j);
+    node_ncp[j] = NodeNcpTable(context.hierarchy(j));
+  }
+  const std::vector<int>* best = nullptr;
   double best_gcp = 0;
-  bool first = true;
+  std::vector<double> leaf_ncp;
   for (const auto& levels : frontier) {
-    RelationalRecoding recoding = ApplyFullDomainLevels(context, levels);
-    double gcp = RecodingGcp(context, recoding);
-    if (first || gcp < best_gcp) {
-      first = false;
+    double total = 0;
+    for (size_t j = 0; j < q; ++j) {
+      const Hierarchy& h = context.hierarchy(j);
+      leaf_ncp.assign(h.num_nodes(), 0.0);
+      for (NodeId leaf : h.leaves()) {
+        leaf_ncp[static_cast<size_t>(leaf)] = node_ncp[j][static_cast<size_t>(
+            h.AncestorAtLevel(leaf, levels[j]))];
+      }
+      double per_attr = 0.0;
+      for (NodeId leaf : leaves[j]) {
+        per_attr += leaf_ncp[static_cast<size_t>(leaf)];
+      }
+      if (n > 0) per_attr /= static_cast<double>(n);
+      total += per_attr;
+    }
+    const double gcp = q == 0 ? 0.0 : total / static_cast<double>(q);
+    if (best == nullptr || gcp < best_gcp) {
       best_gcp = gcp;
-      best = std::move(recoding);
+      best = &levels;
     }
   }
-  return best;
+  return ApplyFullDomainLevels(context, *best);
 }
 
 }  // namespace secreta

@@ -1,8 +1,39 @@
 #include "core/recoding.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/string_util.h"
 
 namespace secreta {
+
+namespace {
+
+// The item ids of each transaction source (a gen, or an original item in a
+// pass-through column): its text split on whitespace, each token taking the
+// item id the dictionary gives it. Filled on a source's first use, so new
+// tokens enter the dictionary in record order.
+class TokenIds {
+ public:
+  explicit TokenIds(size_t num_sources) : ids_(num_sources), seen_(num_sources) {}
+
+  const std::vector<ItemId>& Of(size_t source, std::string_view text,
+                                Dictionary* dict) {
+    if (!seen_[source]) {
+      seen_[source] = 1;
+      for (const std::string& token : SplitWhitespace(text)) {
+        ids_[source].push_back(dict->GetOrAdd(token));
+      }
+    }
+    return ids_[source];
+  }
+
+ private:
+  std::vector<std::vector<ItemId>> ids_;
+  std::vector<char> seen_;
+};
+
+}  // namespace
 
 Result<Dataset> BuildAnonymizedDataset(const Dataset& original,
                                        const RelationalContext* rel_context,
@@ -12,72 +43,114 @@ Result<Dataset> BuildAnonymizedDataset(const Dataset& original,
     return Status::InvalidArgument(
         "relational recoding requires a relational context");
   }
+  const size_t n = original.num_records();
+  if (relational != nullptr &&
+      (relational->num_qi() != rel_context->num_qi() ||
+       (relational->num_qi() > 0 && relational->num_records() != n))) {
+    return Status::InvalidArgument(StrFormat(
+        "relational recoding has %zu records x %zu QIs for a %zu-record "
+        "dataset with %zu QIs",
+        relational->num_records(), relational->num_qi(), n,
+        rel_context->num_qi()));
+  }
+  if (transaction != nullptr && transaction->records.size() != n) {
+    return Status::InvalidArgument(StrFormat(
+        "transaction recoding has %zu records for a %zu-record dataset",
+        transaction->records.size(), n));
+  }
+  Dataset::Parts parts;
+  parts.num_records = n;
   // Output schema: QID columns that were recoded become categorical.
-  Schema schema;
   for (size_t a = 0; a < original.schema().num_attributes(); ++a) {
     AttributeSpec spec = original.schema().attribute(a);
     if (relational != nullptr && spec.type == AttributeType::kNumeric &&
         spec.role == AttributeRole::kQuasiIdentifier) {
       spec.type = AttributeType::kCategorical;
     }
-    SECRETA_RETURN_IF_ERROR(schema.AddAttribute(spec));
+    SECRETA_RETURN_IF_ERROR(parts.schema.AddAttribute(spec));
   }
-  // Map relational column -> QI position (or npos).
-  std::vector<size_t> qi_of_column(original.num_relational(), SIZE_MAX);
-  if (rel_context != nullptr) {
+
+  // Relational cells. A column's source is a hierarchy node when the column
+  // is a recoded QI, else the original value id. Each source is encoded on
+  // first use, in record order, so it gets the id AddRow would have given
+  // its string; sources with equal strings share that id.
+  const size_t stride = original.num_relational();
+  std::vector<size_t> recoded_qi(stride, SIZE_MAX);
+  if (relational != nullptr) {
     for (size_t qi = 0; qi < rel_context->num_qi(); ++qi) {
-      qi_of_column[rel_context->qi_column(qi)] = qi;
+      recoded_qi[rel_context->qi_column(qi)] = qi;
+    }
+  }
+  std::vector<std::vector<ValueId>> id_of_source(stride);
+  for (size_t col = 0; col < stride; ++col) {
+    id_of_source[col].assign(
+        recoded_qi[col] != SIZE_MAX
+            ? rel_context->hierarchy(recoded_qi[col]).num_nodes()
+            : original.dictionary(col).size(),
+        kInvalidValue);
+  }
+  parts.dictionaries.resize(stride);
+  parts.numeric.resize(stride);
+  parts.cells.resize(n * stride);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t col = 0; col < stride; ++col) {
+      const size_t qi = recoded_qi[col];
+      // declassify: a non-QID relational cell (sensitive attribute or a
+      // column outside this run's QI set) is published verbatim because the
+      // k/k^m model's guarantee is scoped to quasi-identifiers.
+      const size_t source = static_cast<size_t>(
+          qi != SIZE_MAX ? relational->at(r, qi)
+                         : Declassify(original.value(r, col)));
+      ValueId& id = id_of_source[col][source];
+      if (id == kInvalidValue) {
+        const std::string& text =
+            qi != SIZE_MAX
+                ? rel_context->hierarchy(qi).label(static_cast<NodeId>(source))
+                : original.dictionary(col).value(static_cast<ValueId>(source));
+        SECRETA_ASSIGN_OR_RETURN(
+            id, Dataset::EncodeText(
+                    text,
+                    parts.schema.attribute(original.AttributeOfColumn(col)),
+                    &parts.dictionaries[col], &parts.numeric[col]));
+      }
+      parts.cells[r * stride + col] = id;
     }
   }
 
-  // Encode row-by-row through AddRow (what FromCsv loops internally) instead
-  // of materializing the whole label table first: the CsvTable of strings
-  // costs several times the encoded dataset, which matters when this runs
-  // inside a memory-gated out-of-core shard.
-  csv::CsvTable header_only;
-  std::vector<std::string> header;
-  for (const auto& spec : schema.attributes()) header.push_back(spec.name);
-  header_only.push_back(std::move(header));
-  SECRETA_ASSIGN_OR_RETURN(Dataset anonymized,
-                           Dataset::FromCsv(header_only, schema));
-  std::vector<std::string> row;
-  for (size_t r = 0; r < original.num_records(); ++r) {
-    row.clear();
-    size_t col = 0;
-    for (size_t a = 0; a < original.schema().num_attributes(); ++a) {
-      if (original.schema().attribute(a).type == AttributeType::kTransaction) {
-        if (transaction != nullptr) {
-          std::vector<std::string> labels;
-          for (int32_t gen : transaction->records[r]) {
-            labels.push_back(transaction->gens[static_cast<size_t>(gen)].label);
-          }
-          row.push_back(Join(labels, " "));
-        } else {
-          // declassify: transaction side is not being anonymized in this
-          // run; the caller's config scopes the guarantee to the relational
-          // QIDs, so the item set passes through unchanged by contract.
-          std::vector<std::string> labels;
-          for (ItemId item : Declassify(original.items(r))) {
-            labels.push_back(original.item_dictionary().value(item));
-          }
-          row.push_back(Join(labels, " "));
+  // Transaction cells: the tokens of the record's gen labels, or of its
+  // original items when the transaction side passes through; then sorted
+  // and de-duplicated, as EncodeTransaction does.
+  if (original.has_transaction()) {
+    parts.transactions.resize(n);
+    TokenIds tokens(transaction != nullptr
+                        ? transaction->gens.size()
+                        : original.item_dictionary().size());
+    for (size_t r = 0; r < n; ++r) {
+      std::vector<ItemId>& items = parts.transactions[r];
+      auto append = [&](size_t source, const std::string& text) {
+        const std::vector<ItemId>& ids =
+            tokens.Of(source, text, &parts.item_dictionary);
+        items.insert(items.end(), ids.begin(), ids.end());
+      };
+      if (transaction != nullptr) {
+        for (int32_t gen : transaction->records[r]) {
+          const size_t g = static_cast<size_t>(gen);
+          append(g, transaction->gens[g].label);
         }
       } else {
-        if (relational != nullptr && qi_of_column[col] != SIZE_MAX) {
-          size_t qi = qi_of_column[col];
-          row.push_back(rel_context->hierarchy(qi).label(relational->at(r, qi)));
-        } else {
-          // declassify: non-QID relational cell (sensitive attribute or a
-          // column outside this run's QI set) — published verbatim because
-          // the k/k^m model's guarantee is scoped to quasi-identifiers.
-          row.push_back(std::string(Declassify(original.value_string(r, col))));
+        // declassify: transaction side is not being anonymized in this
+        // run; the caller's config scopes the guarantee to the relational
+        // QIDs, so the item set passes through unchanged by contract.
+        for (ItemId item : Declassify(original.items(r))) {
+          append(static_cast<size_t>(item),
+                 original.item_dictionary().value(item));
         }
-        ++col;
       }
+      std::sort(items.begin(), items.end());
+      items.erase(std::unique(items.begin(), items.end()), items.end());
     }
-    SECRETA_RETURN_IF_ERROR(anonymized.AddRow(row));
   }
-  return anonymized;
+  return Dataset::FromParts(std::move(parts));
 }
 
 RelationalRecoding IdentityRecoding(const RelationalContext& context) {

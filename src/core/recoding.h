@@ -19,6 +19,23 @@ namespace secreta {
 /// Generalized QID columns become categorical in the output schema because
 /// range labels are no longer parseable numbers.
 ///
+/// The dataset is built from ids, and equals, cell for cell, the one that
+/// AddRow would build from each record's label strings:
+///  - A relational column's ids follow the first use of each trimmed
+///    string, scanning records in order; two hierarchy nodes with the same
+///    label share one id. A numeric column that passes through parses each
+///    new string once and refuses a non-number with InvalidArgument.
+///  - The item dictionary takes tokens in record order: the whitespace-split
+///    tokens of each record's gen labels, or its original items when the
+///    transaction side passes through. A label holding a space becomes
+///    several items, and two gens with the same label become one. Each
+///    record's item ids are then sorted and de-duplicated.
+///  - So in a relational-only release a pass-through transaction cell lists
+///    its items in first-use order within the dataset (within the shard for
+///    a sharded run), not in the original dictionary's order.
+///
+/// InvalidArgument when a recoding's shape does not match `original`.
+///
 /// SECRETA_DECLASSIFIES: this is the anonymization engine's sanctioned
 /// privacy-boundary crossing. QID cells leave as recoded hierarchy labels and
 /// transaction cells as generalized items, both satisfying the algorithm's

@@ -78,17 +78,6 @@ Result<CsvTable> ParseImpl(std::string_view text, const CsvOptions& options,
   return rows;
 }
 
-bool NeedsQuoting(const std::string& field, const CsvOptions& options) {
-  if (field.empty()) return false;
-  for (char c : field) {
-    if (c == options.delimiter || c == options.quote || c == '\n' || c == '\r') {
-      return true;
-    }
-  }
-  // Preserve significant leading/trailing whitespace.
-  return field.front() == ' ' || field.back() == ' ';
-}
-
 }  // namespace
 
 Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
@@ -102,21 +91,37 @@ Result<std::vector<std::string>> ParseCsvLine(std::string_view line,
   return std::move(rows[0]);
 }
 
+bool NeedsQuoting(std::string_view field, const CsvOptions& options) {
+  if (field.empty()) return false;
+  for (char c : field) {
+    if (c == options.delimiter || c == options.quote || c == '\n' || c == '\r') {
+      return true;
+    }
+  }
+  // Preserve significant leading/trailing whitespace.
+  return field.front() == ' ' || field.back() == ' ';
+}
+
+void AppendCsvField(std::string_view field, std::string* out,
+                    const CsvOptions& options) {
+  if (!NeedsQuoting(field, options)) {
+    out->append(field);
+    return;
+  }
+  out->push_back(options.quote);
+  for (char c : field) {
+    out->push_back(c);
+    if (c == options.quote) out->push_back(options.quote);
+  }
+  out->push_back(options.quote);
+}
+
 std::string WriteCsvLine(const std::vector<std::string>& row,
                          const CsvOptions& options) {
   std::string out;
   for (size_t i = 0; i < row.size(); ++i) {
     if (i > 0) out += options.delimiter;
-    if (NeedsQuoting(row[i], options)) {
-      out += options.quote;
-      for (char c : row[i]) {
-        out += c;
-        if (c == options.quote) out += options.quote;
-      }
-      out += options.quote;
-    } else {
-      out += row[i];
-    }
+    AppendCsvField(row[i], &out, options);
   }
   return out;
 }

@@ -41,6 +41,16 @@ std::string WriteCsv(const CsvTable& rows, const CsvOptions& options = {});
 std::string WriteCsvLine(const std::vector<std::string>& row,
                          const CsvOptions& options = {});
 
+/// True when `field` must be quoted on output: it holds the delimiter, the
+/// quote, a newline or a carriage return, or begins or ends with a space.
+bool NeedsQuoting(std::string_view field, const CsvOptions& options = {});
+
+/// Appends `field` to `*out`, quoted with doubled inner quotes when
+/// NeedsQuoting. Every CSV writer (WriteCsvLine, Dataset::AppendCsvLine)
+/// writes its fields through this one function.
+void AppendCsvField(std::string_view field, std::string* out,
+                    const CsvOptions& options = {});
+
 /// Reads a whole file into a string.
 Result<std::string> ReadFile(const std::string& path);
 

@@ -225,6 +225,34 @@ std::vector<std::string> Dataset::CsvRow(size_t row) const {
   return cells;
 }
 
+void Dataset::AppendCsvLine(size_t row, std::string* out) const {
+  const csv::CsvOptions options;
+  size_t col = 0;
+  for (size_t a = 0; a < schema_.num_attributes(); ++a) {
+    if (a > 0) out->push_back(options.delimiter);
+    if (schema_.attribute(a).type == AttributeType::kTransaction) {
+      // Quoting looks at the whole space-joined cell: join it in place and
+      // write it again through AppendCsvField only when it needs quotes.
+      const size_t start = out->size();
+      const std::vector<ItemId>& items = transactions_[row];
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) out->push_back(' ');
+        out->append(item_dict_.value(items[i]));
+      }
+      if (csv::NeedsQuoting(std::string_view(*out).substr(start), options)) {
+        const std::string cell = out->substr(start);
+        out->resize(start);
+        csv::AppendCsvField(cell, out, options);
+      }
+    } else {
+      csv::AppendCsvField(
+          columns_[col].dict.value(cells_[row * columns_.size() + col]), out,
+          options);
+      ++col;
+    }
+  }
+}
+
 Result<size_t> Dataset::ColumnOf(size_t attr_index) const {
   for (size_t c = 0; c < column_attr_.size(); ++c) {
     if (column_attr_[c] == attr_index) return c;
@@ -239,25 +267,31 @@ Result<size_t> Dataset::ColumnByName(const std::string& name) const {
   return ColumnOf(*attr);
 }
 
-Status Dataset::EncodeCell(size_t col, const std::string& text, ValueId* out_id) {
+Result<ValueId> Dataset::EncodeText(std::string_view text,
+                                    const AttributeSpec& spec,
+                                    Dictionary* dict,
+                                    std::vector<double>* numeric) {
   std::string cell(Trim(text));
-  Column& column = columns_[col];
-  bool is_num =
-      schema_.attribute(column_attr_[col]).type == AttributeType::kNumeric;
-  if (is_num && !column.dict.Contains(cell)) {
+  if (spec.type == AttributeType::kNumeric && !dict->Contains(cell)) {
     auto parsed = ParseDouble(cell);
     if (!parsed.ok()) {
-      return Status::InvalidArgument(
-          "non-numeric value '" + cell + "' in numeric attribute '" +
-          schema_.attribute(column_attr_[col]).name + "'");
+      return Status::InvalidArgument("non-numeric value '" + cell +
+                                     "' in numeric attribute '" + spec.name +
+                                     "'");
     }
-    ValueId id = column.dict.GetOrAdd(cell);
-    column.numeric.resize(column.dict.size());
-    column.numeric[static_cast<size_t>(id)] = parsed.value();
-    *out_id = id;
-    return Status::OK();
+    ValueId id = dict->GetOrAdd(cell);
+    numeric->resize(dict->size());
+    (*numeric)[static_cast<size_t>(id)] = parsed.value();
+    return id;
   }
-  *out_id = column.dict.GetOrAdd(cell);
+  return dict->GetOrAdd(cell);
+}
+
+Status Dataset::EncodeCell(size_t col, const std::string& text, ValueId* out_id) {
+  Column& column = columns_[col];
+  SECRETA_ASSIGN_OR_RETURN(
+      *out_id, EncodeText(text, schema_.attribute(column_attr_[col]),
+                          &column.dict, &column.numeric));
   return Status::OK();
 }
 

@@ -83,6 +83,20 @@ class Dataset {
   /// path streams records through this instead of ToCsv().
   SECRETA_SENSITIVE std::vector<std::string> CsvRow(size_t row) const;
 
+  /// Appends row `row`'s CSV line, without a newline, to `*out`: byte for
+  /// byte csv::WriteCsvLine(CsvRow(row)), written from the ids without
+  /// building the row's strings. Sharded runs write release lines this way.
+  SECRETA_SENSITIVE void AppendCsvLine(size_t row, std::string* out) const;
+
+  /// Encodes one relational cell's text the way AddRow does: trims it and
+  /// returns the id of the equal string in `dict`, adding it if absent. For
+  /// a numeric `spec`, a new string is parsed into `numeric` (indexed by
+  /// id); a string that is not a number is InvalidArgument.
+  static Result<ValueId> EncodeText(std::string_view text,
+                                    const AttributeSpec& spec,
+                                    Dictionary* dict,
+                                    std::vector<double>* numeric);
+
   // -- shape ----------------------------------------------------------------
 
   const Schema& schema() const { return schema_; }

@@ -9,9 +9,9 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/context.h"
-#include "core/recoding.h"
 #include "csv/csv.h"
 #include "metrics/information_loss.h"
+#include "obs/trace.h"
 #include "robust/checkpoint.h"
 #include "robust/memory_budget.h"
 #include "robust/shard_checkpoint.h"
@@ -61,96 +61,95 @@ struct SharedHierarchies {
   bool built = false;
 };
 
-// Runs the anonymization engine over one materialized shard and returns the
-// anonymized copy. Contexts, the algorithm run state and the recodings are
-// all freed on return — only the (shard-sized) result survives, so the
-// caller's high-water mark stays near two shards, not shard + engine.
-Result<Dataset> RunShardEngine(const Dataset& shard_dataset, size_t s,
-                               const AlgorithmConfig& config,
-                               const ShardedRunOptions& options,
-                               const SharedHierarchies& hierarchies,
-                               double* gcp) {
+// Anonymizes one shard and writes its release lines into `record->lines`
+// (parallel to `record->rows`). Staged so the peak never holds more than one
+// stage's transients: the contexts, run state and recodings are freed once
+// the anonymized dataset is built, before its lines are written, and the
+// anonymized dataset dies before this returns.
+Status AnonymizeShard(const ColumnProvider& provider, const ShardPlan& plan,
+                      size_t s, const AlgorithmConfig& config,
+                      const ShardedRunOptions& options,
+                      SharedHierarchies* hierarchies, ShardRecord* record,
+                      double* gcp) {
+  Dataset shard_dataset;
+  {
+    SECRETA_TRACE_SPAN("shard.load");
+    SECRETA_ASSIGN_OR_RETURN(shard_dataset, provider.MaterializeShard(plan, s));
+  }
+  // Soft accounting: the budget tracks the dominant per-shard residency so
+  // concurrent engine charges shed against what is really in use. A
+  // rejection is not fatal — the shard is required work, not optional.
+  ScopedCharge shard_charge(options.memory, shard_dataset.MemoryBytes());
+
   std::optional<RelationalContext> relational;
   std::optional<TransactionContext> transaction;
   EngineInputs inputs;
   inputs.dataset = &shard_dataset;
   inputs.cancel = options.cancel;
   inputs.memory = options.memory;
-  if (ModeUsesRelational(config.mode)) {
-    SECRETA_ASSIGN_OR_RETURN(
-        RelationalContext ctx,
-        RelationalContext::Create(shard_dataset, hierarchies.columns));
-    relational = std::move(ctx);
-    inputs.relational = &*relational;
-  }
-  if (ModeUsesTransaction(config.mode)) {
-    SECRETA_ASSIGN_OR_RETURN(
-        TransactionContext ctx,
-        TransactionContext::Create(
-            shard_dataset,
-            hierarchies.items.has_value() ? &*hierarchies.items : nullptr));
-    transaction = std::move(ctx);
-    inputs.transaction = &*transaction;
-  }
-
-  AlgorithmConfig shard_config = config;
-  shard_config.params.seed = ShardSeed(config.params.seed, s);
-  SECRETA_ASSIGN_OR_RETURN(RunResult run,
-                           RunAnonymization(inputs, shard_config));
-  SECRETA_ASSIGN_OR_RETURN(Dataset anonymized, MaterializeRun(inputs, run));
-  if (run.relational.has_value() && relational.has_value()) {
-    *gcp = RecodingGcp(*relational, *run.relational);
-  }
-  return anonymized;
-}
-
-// Anonymizes one shard and serializes it into `record->lines` (release CSV
-// rows, parallel to `record->rows`). Staged so the peak never holds more
-// than one stage's transients: the engine state dies inside RunShardEngine,
-// the anonymized dataset dies before this returns.
-Status AnonymizeShard(const ColumnProvider& provider, const ShardPlan& plan,
-                      size_t s, const AlgorithmConfig& config,
-                      const ShardedRunOptions& options,
-                      SharedHierarchies* hierarchies, ShardRecord* record,
-                      double* gcp) {
-  SECRETA_ASSIGN_OR_RETURN(Dataset shard_dataset,
-                           provider.MaterializeShard(plan, s));
-  // Soft accounting: the budget tracks the dominant per-shard residency so
-  // concurrent engine charges shed against what is really in use. A
-  // rejection is not fatal — the shard is required work, not optional.
-  ScopedCharge shard_charge(options.memory, shard_dataset.MemoryBytes());
-
-  if (!hierarchies->built) {
+  RunResult run;
+  {
+    SECRETA_TRACE_SPAN("shard.anonymize");
+    if (!hierarchies->built) {
+      if (ModeUsesRelational(config.mode)) {
+        SECRETA_ASSIGN_OR_RETURN(
+            hierarchies->columns,
+            BuildAllColumnHierarchies(shard_dataset, options.hierarchy));
+      }
+      if (ModeUsesTransaction(config.mode) &&
+          !provider.item_dictionary().empty()) {
+        SECRETA_ASSIGN_OR_RETURN(
+            Hierarchy built,
+            BuildItemHierarchyFromSupports(provider.item_dictionary(),
+                                           provider.item_supports(),
+                                           options.hierarchy));
+        hierarchies->items = std::move(built);
+      }
+      hierarchies->built = true;
+    }
     if (ModeUsesRelational(config.mode)) {
       SECRETA_ASSIGN_OR_RETURN(
-          hierarchies->columns,
-          BuildAllColumnHierarchies(shard_dataset, options.hierarchy));
+          RelationalContext ctx,
+          RelationalContext::Create(shard_dataset, hierarchies->columns));
+      relational = std::move(ctx);
+      inputs.relational = &*relational;
     }
-    if (ModeUsesTransaction(config.mode) &&
-        !provider.item_dictionary().empty()) {
+    if (ModeUsesTransaction(config.mode)) {
       SECRETA_ASSIGN_OR_RETURN(
-          Hierarchy built,
-          BuildItemHierarchyFromSupports(provider.item_dictionary(),
-                                         provider.item_supports(),
-                                         options.hierarchy));
-      hierarchies->items = std::move(built);
+          TransactionContext ctx,
+          TransactionContext::Create(shard_dataset,
+                                     hierarchies->items.has_value()
+                                         ? &*hierarchies->items
+                                         : nullptr));
+      transaction = std::move(ctx);
+      inputs.transaction = &*transaction;
     }
-    hierarchies->built = true;
+    AlgorithmConfig shard_config = config;
+    shard_config.params.seed = ShardSeed(config.params.seed, s);
+    SECRETA_ASSIGN_OR_RETURN(run, RunAnonymization(inputs, shard_config));
+    if (run.relational.has_value() && relational.has_value()) {
+      *gcp = RecodingGcp(*relational, *run.relational);
+    }
   }
 
-  SECRETA_ASSIGN_OR_RETURN(
-      Dataset anonymized,
-      RunShardEngine(shard_dataset, s, config, options, *hierarchies, gcp));
+  SECRETA_TRACE_SPAN("shard.materialize");
+  SECRETA_ASSIGN_OR_RETURN(Dataset anonymized, MaterializeRun(inputs, run));
+  run = RunResult();
+  relational.reset();
+  transaction.reset();
   if (anonymized.num_records() != record->rows.size()) {
-    return Status::Internal(StrFormat(
-        "shard %zu: anonymized %zu records, expected %zu", s,
-        anonymized.num_records(), record->rows.size()));
+    return Status::Internal(StrFormat("anonymized %zu records, expected %zu",
+                                      anonymized.num_records(),
+                                      record->rows.size()));
   }
-  // Row-at-a-time (Dataset::CsvRow) instead of ToCsv(): the full CsvTable of
-  // a shard costs several times the shard itself.
+  // Each line is appended from the anonymized ids into one reused buffer:
+  // no CsvTable of the shard, and no per-row vector of strings.
   record->lines.reserve(record->rows.size());
+  std::string line;
   for (size_t r = 0; r < anonymized.num_records(); ++r) {
-    record->lines.push_back(csv::WriteCsvLine(anonymized.CsvRow(r)));
+    line.clear();
+    anonymized.AppendCsvLine(r, &line);
+    record->lines.push_back(line);
   }
   return Status::OK();
 }
@@ -191,6 +190,21 @@ Result<ShardedRunResult> RunShardedAnonymization(
                                                    /*workload_fp=*/0,
                                                    /*config_index=*/0);
 
+  // A relational algorithm cannot make a shard of fewer than k records
+  // k-anonymous. Refuse such a plan before any shard runs or any checkpoint
+  // block is written; a checkpointed shard of this run key passed the same
+  // check, so checking every shard is exact.
+  if (ModeUsesRelational(config.mode)) {
+    for (size_t s = 0; s < plan.num_shards(); ++s) {
+      if (plan.ShardSize(s) < static_cast<size_t>(config.params.k)) {
+        return Status::InvalidArgument(StrFormat(
+            "shard %zu of %zu has %zu rows, fewer than k=%d: no relational "
+            "algorithm can make it k-anonymous; use fewer shards",
+            s, plan.num_shards(), plan.ShardSize(s), config.params.k));
+      }
+    }
+  }
+
   std::unique_ptr<ShardCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
     SECRETA_ASSIGN_OR_RETURN(
@@ -228,13 +242,18 @@ Result<ShardedRunResult> RunShardedAnonymization(
     ShardRecord record;
     record.shard = s;
     record.rows = plan.Rows(s);
-    SECRETA_RETURN_IF_ERROR(AnonymizeShard(provider, plan, s, config, options,
-                                           &hierarchies, &record, &stats.gcp));
+    const Status shard_status = AnonymizeShard(
+        provider, plan, s, config, options, &hierarchies, &record, &stats.gcp);
+    if (!shard_status.ok()) {
+      return Status(shard_status.code(),
+                    StrFormat("shard %zu: ", s) + shard_status.message());
+    }
     record.gcp = stats.gcp;
     stats.seconds = shard_watch.ElapsedSeconds();
     record.seconds = stats.seconds;
 
     if (checkpoint != nullptr) {
+      SECRETA_TRACE_SPAN("shard.checkpoint");
       SECRETA_RETURN_IF_ERROR(checkpoint->Append(record));
     } else {
       local_records[s] = std::move(record);
@@ -252,6 +271,7 @@ Result<ShardedRunResult> RunShardedAnonymization(
 
   // ---- merge: emit the release in global row order ------------------------
   SECRETA_RETURN_IF_ERROR(CheckCancelled(options.cancel, "sharded-merge"));
+  SECRETA_TRACE_SPAN("shard.merge");
   const std::string header = ReleaseHeaderLine(provider.schema());
   // Fnv1a64 continued line by line: equals Fnv1a64 of the whole release CSV.
   uint64_t fingerprint = Fnv1a64(header);

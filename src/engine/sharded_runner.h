@@ -1,12 +1,21 @@
-// Partition-parallel, out-of-core anonymization: run one algorithm
+// Partitioned, out-of-core anonymization: run one algorithm
 // configuration independently over every shard of a ShardPlan, then merge
 // the per-shard outputs into a single release in original row order.
 //
-// Each shard is materialized through a ColumnProvider (one mmap window for
-// SBC1 files), anonymized with the standard engine (RunAnonymization — the
-// existing intra-run thread pools parallelize within the shard), and its
-// generalized rows are appended to a ShardCheckpoint so interrupted runs
-// resume byte-identically. Determinism contract, asserted by
+// Shards run one at a time. Each is materialized through a ColumnProvider
+// (one mmap window for SBC1 files), anonymized with the standard engine
+// (RunAnonymization; only the algorithms' own pool work fans out, which
+// for relational Incognito is its per-level lattice scan), turned into its
+// anonymized Dataset from ids (BuildAnonymizedDataset), and written as
+// release lines straight from that dataset's ids (Dataset::AppendCsvLine).
+// The lines are appended to a ShardCheckpoint so interrupted runs resume
+// byte-identically. Spans:
+// shard.load, shard.anonymize, shard.materialize (dataset and lines) and
+// shard.checkpoint per computed shard, one shard.merge per run.
+//
+// A relational or RT plan with a shard of fewer than k rows is refused with
+// InvalidArgument before any shard runs: no relational algorithm can make
+// such a shard k-anonymous. Determinism contract, asserted by
 // tests/shard_test.cc:
 //
 //   * a 1-shard plan reproduces the unsharded run byte-for-byte

@@ -48,7 +48,7 @@ namespace secreta {
 ///   run                                Evaluation mode, single execution
 ///   shard-run [shards=N] [by=range|hash] [salt=S] [input=PATH]
 ///             [checkpoint=PATH] [output=PATH] [no-materialize] [no-audit]
-///                                      partition-parallel anonymization of
+///                                      partitioned anonymization of
 ///                                      the current config: each shard runs
 ///                                      independently, outputs merge into
 ///                                      one release in row order; input=

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "algo/relational/cluster.h"
 #include "algo/relational/incognito.h"
 #include "core/guarantees.h"
@@ -173,6 +176,92 @@ TEST(IncognitoSpecificTest, FrontierIsMinimalAndAnonymous) {
       EXPECT_FALSE(leq) << "frontier element " << i << " dominates " << j;
     }
   }
+}
+
+// Incognito returns the minimal anonymous vector whose recoding has the
+// lowest RecodingGcp, the first one on ties. Scores every vector by building
+// its recoding and checks Anonymize's recoding against the argmin, cell for
+// cell. `ties` receives how many other vectors share the lowest GCP.
+void ExpectPickMatchesLowestRecodingGcp(const RelationalContext& ctx, int k,
+                                        size_t* ties) {
+  IncognitoAnonymizer incognito;
+  AnonParams params;
+  params.k = k;
+  ASSERT_OK_AND_ASSIGN(auto frontier,
+                       incognito.MinimalAnonymousLevels(ctx, params));
+  ASSERT_FALSE(frontier.empty());
+  std::vector<double> gcps;
+  size_t best = 0;
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    gcps.push_back(RecodingGcp(ctx, ApplyFullDomainLevels(ctx, frontier[i])));
+    if (gcps[i] < gcps[best]) best = i;
+  }
+  *ties = static_cast<size_t>(
+              std::count(gcps.begin(), gcps.end(), gcps[best])) - 1;
+  ASSERT_OK_AND_ASSIGN(RelationalRecoding picked,
+                       incognito.Anonymize(ctx, params));
+  RelationalRecoding expected = ApplyFullDomainLevels(ctx, frontier[best]);
+  ASSERT_EQ(picked.num_records(), expected.num_records());
+  ASSERT_EQ(picked.num_qi(), expected.num_qi());
+  for (size_t r = 0; r < expected.num_records(); ++r) {
+    for (size_t q = 0; q < expected.num_qi(); ++q) {
+      ASSERT_EQ(picked.at(r, q), expected.at(r, q))
+          << "row " << r << " qi " << q;
+    }
+  }
+}
+
+TEST(IncognitoTest, PickMatchesLowestRecodingGcp) {
+  for (const auto& [n, seed] : {std::pair<size_t, uint64_t>{150, 7},
+                                {240, 31},
+                                {400, 101}}) {
+    Dataset ds = testing::SmallRtDataset(n, seed);
+    ASSERT_OK_AND_ASSIGN(auto hierarchies, BuildAllColumnHierarchies(ds));
+    ASSERT_OK_AND_ASSIGN(RelationalContext ctx,
+                         RelationalContext::Create(ds, hierarchies));
+    for (int k : {2, 5, 10, 25}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k);
+      size_t ties = 0;
+      ExpectPickMatchesLowestRecodingGcp(ctx, k, &ties);
+    }
+  }
+
+  // A tie: the data is symmetric in A and B, so generalizing either one
+  // (levels [1,0] or [0,1]) costs the same GCP. The first vector wins.
+  Schema schema;
+  ASSERT_OK(schema.AddAttribute({"A", AttributeType::kCategorical,
+                                 AttributeRole::kQuasiIdentifier}));
+  ASSERT_OK(schema.AddAttribute({"B", AttributeType::kCategorical,
+                                 AttributeRole::kQuasiIdentifier}));
+  ASSERT_OK_AND_ASSIGN(
+      Dataset ds,
+      Dataset::FromCsv({{"A", "B"},
+                        {"a", "a"}, {"b", "a"}, {"a", "b"}, {"b", "b"},
+                        {"c", "c"}, {"d", "c"}, {"c", "d"}, {"d", "d"}},
+                       schema));
+  std::vector<Hierarchy> hierarchies;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK_AND_ASSIGN(Hierarchy h, Hierarchy::FromPaths({{"a", "ab", "*"},
+                                                           {"b", "ab", "*"},
+                                                           {"c", "cd", "*"},
+                                                           {"d", "cd", "*"}}));
+    hierarchies.push_back(std::move(h));
+  }
+  ASSERT_OK_AND_ASSIGN(RelationalContext ctx,
+                       RelationalContext::Create(ds, hierarchies));
+  IncognitoAnonymizer incognito;
+  AnonParams params;
+  params.k = 2;
+  ASSERT_OK_AND_ASSIGN(auto frontier,
+                       incognito.MinimalAnonymousLevels(ctx, params));
+  ASSERT_EQ(frontier, (std::vector<std::vector<int>>{{1, 0}, {0, 1}}));
+  size_t ties = 0;
+  ExpectPickMatchesLowestRecodingGcp(ctx, params.k, &ties);
+  EXPECT_EQ(ties, 1u);
+  ASSERT_OK_AND_ASSIGN(RelationalRecoding picked,
+                       incognito.Anonymize(ctx, params));
+  EXPECT_NE(picked.at(0, 0), ctx.Leaf(0, 0));  // A generalized
+  EXPECT_EQ(picked.at(0, 1), ctx.Leaf(0, 1));  // B kept
 }
 
 TEST(ClusterSpecificTest, DeterministicWithSeed) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "engine/anonymization_module.h"
 #include "engine/sharded_runner.h"
 #include "hierarchy/hierarchy_builder.h"
+#include "obs/trace.h"
 #include "robust/shard_checkpoint.h"
 #include "tests/test_util.h"
 
@@ -933,6 +935,151 @@ TEST(ShardedRunnerTest, NoMaterializeSkipsMergedDataset) {
   options.audit = true;
   EXPECT_FALSE(
       RunShardedAnonymization(*provider, RtConfig(), options).ok());
+}
+
+TEST(ShardedRunnerTest, ShardBelowKIsRefusedBeforeAnyShardRuns) {
+  Dataset dataset = SmallRtDataset(20, 67);
+  std::unique_ptr<ColumnProvider> provider = MakeMemoryProvider(dataset);
+  std::string ckpt_path = TempPath("sharded_below_k_ckpt.txt");
+  ShardedRunOptions options;
+  options.num_shards = 8;  // 2-3 rows per shard
+  options.checkpoint_path = ckpt_path;
+
+  AlgorithmConfig relational;
+  relational.mode = AnonMode::kRelational;
+  relational.params.k = 5;
+  AlgorithmConfig rt = RtConfig();
+  rt.params.k = 5;
+  for (const char* algorithm : {"Incognito", "Cluster", "TopDown", "BottomUp"}) {
+    for (AlgorithmConfig config : {relational, rt}) {
+      config.relational_algorithm = algorithm;
+      SCOPED_TRACE(config.Label());
+      std::remove(ckpt_path.c_str());
+      auto result = RunShardedAnonymization(*provider, config, options);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      const std::string& message = result.status().message();
+      EXPECT_NE(message.find("shard 0 of 8 has 2 rows, fewer than k=5"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("use fewer shards"), std::string::npos)
+          << message;
+      // Refused before the checkpoint was opened: no shard block written.
+      std::FILE* file = std::fopen(ckpt_path.c_str(), "rb");
+      EXPECT_EQ(file, nullptr);
+      if (file != nullptr) std::fclose(file);
+    }
+  }
+
+  // Transaction-only runs keep running on small shards.
+  AlgorithmConfig transaction;
+  transaction.mode = AnonMode::kTransaction;
+  transaction.transaction_algorithm = "COAT";
+  transaction.params.k = 5;
+  transaction.params.m = 2;
+  std::remove(ckpt_path.c_str());
+  ASSERT_OK_AND_ASSIGN(
+      ShardedRunResult txn_result,
+      RunShardedAnonymization(*provider, transaction, options));
+  EXPECT_EQ(txn_result.shards.size(), 8u);
+}
+
+TEST(ShardedRunnerTest, ShardEngineErrorNamesTheShard) {
+  Dataset dataset = SmallRtDataset(60, 71);
+  std::unique_ptr<ColumnProvider> provider = MakeMemoryProvider(dataset);
+  AlgorithmConfig config;
+  config.mode = AnonMode::kRelational;
+  config.relational_algorithm = "NoSuchAlgorithm";
+  config.params.k = 2;
+  ShardedRunOptions options;
+  options.num_shards = 3;
+  auto result = RunShardedAnonymization(*provider, config, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message().rfind("shard 0: ", 0), 0u)
+      << result.status().message();
+}
+
+// FNV-1a of 3-shard releases, pinned when releases were still written
+// through CsvRow + WriteCsvLine: the id-based anonymized dataset and
+// Dataset::AppendCsvLine must not move a byte.
+TEST(ShardedRunnerTest, ReleaseBytesArePinned) {
+  Dataset dataset = SmallRtDataset(240, 89);
+  std::unique_ptr<ColumnProvider> provider = MakeMemoryProvider(dataset);
+  ShardedRunOptions options;
+  options.num_shards = 3;
+
+  AlgorithmConfig incognito;
+  incognito.mode = AnonMode::kRelational;
+  incognito.relational_algorithm = "Incognito";
+  incognito.params.k = 4;
+  AlgorithmConfig coat;
+  coat.mode = AnonMode::kTransaction;
+  coat.transaction_algorithm = "COAT";
+  coat.params.k = 4;
+  coat.params.m = 2;
+  AlgorithmConfig rt;
+  rt.mode = AnonMode::kRt;
+  rt.relational_algorithm = "Cluster";
+  rt.transaction_algorithm = "Apriori";
+  rt.merger = MergerKind::kRTmerger;
+  rt.params.k = 4;
+  rt.params.m = 2;
+
+  struct Pinned {
+    AlgorithmConfig config;
+    uint64_t fingerprint;
+  };
+  for (const Pinned& pinned : {Pinned{incognito, 0xa85e12e0849aeaceULL},
+                               Pinned{coat, 0x4693167ade55be7dULL},
+                               Pinned{rt, 0x187b54c48775053dULL}}) {
+    ASSERT_OK_AND_ASSIGN(
+        ShardedRunResult result,
+        RunShardedAnonymization(*provider, pinned.config, options));
+    EXPECT_EQ(result.release_fingerprint, pinned.fingerprint)
+        << pinned.config.Label() << ": 0x" << std::hex
+        << result.release_fingerprint;
+  }
+}
+
+TEST(ShardedRunnerTest, TracedRunRecordsShardSpans) {
+  Dataset dataset = SmallRtDataset(150, 97);
+  std::unique_ptr<ColumnProvider> provider = MakeMemoryProvider(dataset);
+  std::string ckpt_path = TempPath("sharded_spans_ckpt.txt");
+  std::remove(ckpt_path.c_str());
+  ShardedRunOptions options;
+  options.num_shards = 3;
+  options.checkpoint_path = ckpt_path;
+  auto count_spans = [](const std::vector<ResolvedTraceEvent>& events) {
+    std::map<std::string, size_t> counts;
+    for (const ResolvedTraceEvent& event : events) {
+      if (event.name.rfind("shard.", 0) == 0) ++counts[event.name];
+    }
+    return counts;
+  };
+
+  Tracer& tracer = Tracer::Get();
+  tracer.Reset();
+  tracer.Enable();
+  auto first = RunShardedAnonymization(*provider, RtConfig(), options);
+  tracer.Disable();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(count_spans(tracer.CollectEvents()),
+            (std::map<std::string, size_t>{{"shard.anonymize", 3},
+                                           {"shard.checkpoint", 3},
+                                           {"shard.load", 3},
+                                           {"shard.materialize", 3},
+                                           {"shard.merge", 1}}));
+
+  // The resume replays every shard from the checkpoint: only the merge.
+  tracer.Reset();
+  tracer.Enable();
+  auto resumed = RunShardedAnonymization(*provider, RtConfig(), options);
+  tracer.Disable();
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->resumed_shards, 3u);
+  EXPECT_EQ(count_spans(tracer.CollectEvents()),
+            (std::map<std::string, size_t>{{"shard.merge", 1}}));
+  tracer.Reset();
 }
 
 }  // namespace

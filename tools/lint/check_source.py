@@ -48,9 +48,11 @@ the default GCC build would silently skip):
   oracle-boundary   Test oracles stay in tests and stay independent of what
                     they check. Nothing under src/ or examples/ includes a
                     tests/ header, and nothing under tests/oracle/ includes
-                    query/query_evaluator.h or query/query_index.h, directly
-                    or through any src/ header: the ARE scan oracle must not
-                    share evaluation code with the indexed path.
+                    query/query_evaluator.h, query/query_index.h or
+                    core/recoding.h, directly or through any src/ header:
+                    the ARE scan oracle must not share evaluation code with
+                    the indexed path, nor the row-by-row dataset oracle the
+                    id-based builder it checks.
 
 Run from the repo root (or pass --root). Exits non-zero with one
 "path:line: rule: message" diagnostic per violation. Suppress a single line
@@ -89,7 +91,8 @@ ALLOW_RE = re.compile(r"//\s*lint:allow\s+([\w-]+)")
 INTERNAL_TOP_DIRS: set[str] = set()
 
 # src/ headers the test oracles (tests/oracle/) must not reach.
-ORACLE_FORBIDDEN = ("query/query_evaluator.h", "query/query_index.h")
+ORACLE_FORBIDDEN = ("query/query_evaluator.h", "query/query_index.h",
+                    "core/recoding.h")
 TESTS_INCLUDE = re.compile(r"^(\.\./)*tests/")
 
 
@@ -178,8 +181,8 @@ def check_oracle_boundary(rel: str, includes, graph, errors: list[str]) -> None:
             if chain is not None:
                 errors.append(
                     f"{rel}:{lineno}: oracle-boundary: tests/oracle reaches "
-                    f"{chain[-1]} ({' -> '.join(chain)}); the oracle must "
-                    "not share evaluation code with the indexed path"
+                    f"{chain[-1]} ({' -> '.join(chain)}); an oracle must "
+                    "not share code with the production path it checks"
                 )
 
 
