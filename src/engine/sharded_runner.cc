@@ -142,8 +142,8 @@ Status AnonymizeShard(const ColumnProvider& provider, const ShardPlan& plan,
                                       anonymized.num_records(),
                                       record->rows.size()));
   }
-  // Each line is appended from the anonymized ids into one reused buffer:
-  // no CsvTable of the shard, and no per-row vector of strings.
+  // Each line is written from the anonymized ids into one reused buffer and
+  // copied out at its own size.
   record->lines.reserve(record->rows.size());
   std::string line;
   for (size_t r = 0; r < anonymized.num_records(); ++r) {
