@@ -1,17 +1,22 @@
 // SHARD — the out-of-core acceptance benchmark: convert a large synthetic
 // RT-dataset to SBC1, anonymize it shard-by-shard from the binary file in a
 // child process whose peak RSS is measured, resume it from the checkpoint,
-// and audit the merged release. Emits BENCH_shard.json (CWD).
+// and audit the merged release. The same dataset converted with a hash plan
+// goes through the same gated run and resume, since a hash plan's release
+// is a k-way merge of every shard. Emits BENCH_shard.json (CWD).
 //
 // Default ("full") mode runs the acceptance configuration — 1M records,
-// 8 range shards — and exits nonzero unless
+// 32 range shards, then 32 hash shards — and exits nonzero unless, for
+// both plans,
 //   * the gated child's peak RSS stays below 50% of the dataset's in-memory
-//     footprint (Dataset::MemoryBytes()),
-//   * the resumed re-run reproduces the release byte-for-byte, and
-//   * the merged release passes the k-anonymity / k^m-anonymity audit.
-// `--quick` shrinks to 30k records for CI smoke runs: the identity and audit
-// checks still apply, but the RSS gate is reported without being enforced
-// (fixed process overheads dominate tiny datasets).
+//     footprint (Dataset::MemoryBytes()), and
+//   * the resumed re-run reproduces the release byte-for-byte,
+// and the range plan's merged release passes the k-anonymity /
+// k^m-anonymity audit. `--quick` shrinks to 30k records for CI smoke runs:
+// the identity and audit checks still apply, and the hash release must
+// equal a run of the same plan without a checkpoint (merged from memory),
+// but the RSS gates are reported without being enforced (fixed process
+// overheads dominate tiny datasets).
 //
 // The gated phase runs in a child process (`--phase=run`, spawned via this
 // binary's own argv[0]) so the parent's dataset generation does not pollute
@@ -106,6 +111,55 @@ int SpawnPhase(const std::string& self, const std::string& phase_args) {
   return std::system(command.c_str());
 }
 
+// A gated run of one SBC1 file and its resume, each in a child process.
+struct GatedRun {
+  std::map<std::string, std::string> run;
+  std::map<std::string, std::string> resumed;
+  size_t peak_rss = 0;
+  double rss_ratio = 0;
+  bool resume_identical = false;
+};
+
+bool RunAndResume(const std::string& self, const std::string& sbc,
+                  const std::string& ckpt, const std::string& release,
+                  const std::string& stats_prefix, size_t num_shards,
+                  size_t baseline_bytes, GatedRun* out) {
+  std::remove(ckpt.c_str());
+  const std::string args =
+      StrFormat("--phase=run --in=%s --ckpt=%s --out=%s --stats=", sbc.c_str(),
+                ckpt.c_str(), release.c_str());
+  if (SpawnPhase(self, args + stats_prefix + "1.txt") != 0) {
+    fprintf(stderr, "FAIL: gated run child failed (%s)\n", sbc.c_str());
+    return false;
+  }
+  out->run = ReadStats(stats_prefix + "1.txt");
+  out->peak_rss = std::stoull(out->run["peak_rss_bytes"]);
+  out->rss_ratio = static_cast<double>(out->peak_rss) /
+                   static_cast<double>(baseline_bytes);
+  printf("gated run: peak RSS %zu bytes = %.1f%% of in-memory footprint, "
+         "anonymize %.2fs, gcp %.4f, release %s\n",
+         out->peak_rss, 100.0 * out->rss_ratio,
+         std::strtod(out->run["anonymize_seconds"].c_str(), nullptr),
+         std::strtod(out->run["weighted_gcp"].c_str(), nullptr),
+         out->run["release_fp"].c_str());
+  // Resume from the checkpoint: every shard must replay from disk and the
+  // merged bytes must not move.
+  if (SpawnPhase(self, args + stats_prefix + "2.txt") != 0) {
+    fprintf(stderr, "FAIL: resume child failed (%s)\n", sbc.c_str());
+    return false;
+  }
+  out->resumed = ReadStats(stats_prefix + "2.txt");
+  const bool all_resumed =
+      out->resumed["resumed_shards"] == std::to_string(num_shards);
+  out->resume_identical =
+      all_resumed && out->run["release_fp"] == out->resumed["release_fp"];
+  printf("resume: %s/%zu shards replayed, release %s (%s)\n",
+         out->resumed["resumed_shards"].c_str(), num_shards,
+         out->resumed["release_fp"].c_str(),
+         out->resume_identical ? "byte-identical" : "MISMATCH");
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,12 +200,13 @@ int main(int argc, char** argv) {
   const std::string sbc_path = dir + "/shard_bench.sbc";
   const std::string ckpt_path = dir + "/shard_bench.ckpt";
   const std::string release_path = dir + "/shard_bench_release.csv";
-  const std::string stats1 = dir + "/shard_bench_stats1.txt";
-  const std::string stats2 = dir + "/shard_bench_stats2.txt";
-  std::remove(ckpt_path.c_str());
+  const std::string hash_sbc_path = dir + "/shard_bench_hash.sbc";
+  const std::string hash_ckpt_path = dir + "/shard_bench_hash.ckpt";
+  const std::string hash_release_path = dir + "/shard_bench_hash_release.csv";
 
-  // Phase 1 (parent): generate + convert. The full dataset lives here — and
-  // only here; the gated child never holds more than one shard.
+  // Phase 1 (parent): generate + convert, once per plan kind. The full
+  // dataset lives here — and only here; the gated child never holds more
+  // than one shard.
   size_t baseline_bytes = 0;
   uint64_t content_fp = 0;
   double convert_seconds = 0;
@@ -163,6 +218,9 @@ int main(int argc, char** argv) {
     options.num_shards = num_shards;
     bench::CheckOk(WriteBinaryDataset(dataset, sbc_path, options), "convert");
     convert_seconds = watch.ElapsedSeconds();
+    options.shard_kind = ShardKind::kHash;
+    bench::CheckOk(WriteBinaryDataset(dataset, hash_sbc_path, options),
+                   "convert (hash)");
     content_fp = DatasetContentFingerprint(dataset);
   }
   const size_t file_bytes =
@@ -170,43 +228,16 @@ int main(int argc, char** argv) {
   printf("converted: %zu bytes on disk, %zu bytes in memory (%.2fs)\n",
          file_bytes, baseline_bytes, convert_seconds);
 
-  // Phase 2 (child): the gated out-of-core anonymize + evaluate.
+  // Phases 2 and 3 (children): the gated out-of-core anonymize + release,
+  // then its resume.
   const std::string self = argv[0];
-  if (SpawnPhase(self, StrFormat(
-          "--phase=run --in=%s --ckpt=%s --out=%s --stats=%s",
-          sbc_path.c_str(), ckpt_path.c_str(), release_path.c_str(),
-          stats1.c_str())) != 0) {
-    fprintf(stderr, "FAIL: gated run child failed\n");
+  GatedRun range;
+  if (!RunAndResume(self, sbc_path, ckpt_path, release_path,
+                    dir + "/shard_bench_stats", num_shards, baseline_bytes,
+                    &range)) {
     return 1;
   }
-  auto run = ReadStats(stats1);
-  const size_t peak_rss = std::stoull(run["peak_rss_bytes"]);
-  const double rss_ratio =
-      static_cast<double>(peak_rss) / static_cast<double>(baseline_bytes);
-  printf("gated run: peak RSS %zu bytes = %.1f%% of in-memory footprint, "
-         "anonymize %.2fs, gcp %.4f, release %s\n",
-         peak_rss, 100.0 * rss_ratio,
-         std::strtod(run["anonymize_seconds"].c_str(), nullptr),
-         std::strtod(run["weighted_gcp"].c_str(), nullptr),
-         run["release_fp"].c_str());
-
-  // Phase 3 (child): resume from the checkpoint — every shard must replay
-  // from disk and the merged bytes must not move.
-  if (SpawnPhase(self, StrFormat(
-          "--phase=run --in=%s --ckpt=%s --out=%s --stats=%s",
-          sbc_path.c_str(), ckpt_path.c_str(), release_path.c_str(),
-          stats2.c_str())) != 0) {
-    fprintf(stderr, "FAIL: resume child failed\n");
-    return 1;
-  }
-  auto resumed = ReadStats(stats2);
-  const bool all_resumed =
-      resumed["resumed_shards"] == std::to_string(num_shards);
-  const bool byte_identical = run["release_fp"] == resumed["release_fp"];
-  printf("resume: %s/%zu shards replayed, release %s (%s)\n",
-         resumed["resumed_shards"].c_str(), num_shards,
-         resumed["release_fp"].c_str(),
-         byte_identical ? "byte-identical" : "MISMATCH");
+  auto& run = range.run;
 
   // Phase 4 (parent): audit the merged release. Resumes the same checkpoint
   // with materialization on — the engine never re-runs.
@@ -230,6 +261,35 @@ int main(int argc, char** argv) {
          audited.audit.has_value() ? audited.audit->min_class_size
                                    : static_cast<size_t>(0));
 
+  // Phases 5 and 6 (children): the hash plan's gated run and resume.
+  printf("\nhash plan (%zu shards):\n", num_shards);
+  GatedRun hash;
+  if (!RunAndResume(self, hash_sbc_path, hash_ckpt_path, hash_release_path,
+                    dir + "/shard_bench_hash_stats", num_shards,
+                    baseline_bytes, &hash)) {
+    return 1;
+  }
+  // Phase 7 (parent, quick only): the same hash plan without a checkpoint,
+  // merged from the lines held in memory, must give the same bytes.
+  bool hash_matches_uncheckpointed = true;
+  if (quick) {
+    std::unique_ptr<ColumnProvider> hash_provider =
+        bench::CheckOk(OpenColumnProvider(hash_sbc_path), "open hash provider");
+    ShardedRunOptions plain;
+    plain.materialize_result = false;
+    plain.audit = false;
+    ShardedRunResult in_memory = bench::CheckOk(
+        RunShardedAnonymization(*hash_provider, BenchConfig(), plain),
+        "uncheckpointed hash run");
+    hash_matches_uncheckpointed =
+        StrFormat("%016llx",
+                  (unsigned long long)in_memory.release_fingerprint) ==
+        hash.run["release_fp"];
+    printf("without a checkpoint: release %016llx (%s)\n",
+           (unsigned long long)in_memory.release_fingerprint,
+           hash_matches_uncheckpointed ? "identical" : "MISMATCH");
+  }
+
   JsonWriter w;
   w.BeginObject();
   w.Key("bench");
@@ -249,9 +309,9 @@ int main(int argc, char** argv) {
   w.Key("convert_seconds");
   w.Number(convert_seconds);
   w.Key("run_peak_rss_bytes");
-  w.Int(static_cast<int64_t>(peak_rss));
+  w.Int(static_cast<int64_t>(range.peak_rss));
   w.Key("run_rss_ratio");
-  w.Number(rss_ratio);
+  w.Number(range.rss_ratio);
   w.Key("anonymize_seconds");
   w.Number(std::strtod(run["anonymize_seconds"].c_str(), nullptr));
   w.Key("total_seconds");
@@ -261,11 +321,23 @@ int main(int argc, char** argv) {
   w.Key("release_fingerprint");
   w.String(run["release_fp"]);
   w.Key("resume_byte_identical");
-  w.Bool(all_resumed && byte_identical && audit_identical);
+  w.Bool(range.resume_identical && audit_identical);
   w.Key("audit_k_anonymous");
   w.Bool(audited.audit.has_value() && audited.audit->k_anonymous);
   w.Key("audit_km_anonymous");
   w.Bool(audited.audit.has_value() && audited.audit->km_anonymous);
+  w.Key("hash_run_peak_rss_bytes");
+  w.Int(static_cast<int64_t>(hash.peak_rss));
+  w.Key("hash_run_rss_ratio");
+  w.Number(hash.rss_ratio);
+  w.Key("hash_release_fingerprint");
+  w.String(hash.run["release_fp"]);
+  w.Key("hash_resume_byte_identical");
+  w.Bool(hash.resume_identical);
+  if (quick) {
+    w.Key("hash_matches_uncheckpointed");
+    w.Bool(hash_matches_uncheckpointed);
+  }
   w.Key("rss_gate_enforced");
   w.Bool(!quick);
   w.EndObject();
@@ -273,7 +345,7 @@ int main(int argc, char** argv) {
   bench::CheckOk(csv::WriteFile(path, w.TakeString()), "json");
   printf("wrote %s\n", path.c_str());
 
-  if (!all_resumed || !byte_identical || !audit_identical) {
+  if (!range.resume_identical || !audit_identical) {
     fprintf(stderr, "FAIL: resumed run is not byte-identical\n");
     return 1;
   }
@@ -281,12 +353,18 @@ int main(int argc, char** argv) {
     fprintf(stderr, "FAIL: merged release failed the anonymity audit\n");
     return 1;
   }
-  if (!quick && rss_ratio >= 0.5) {
-    fprintf(stderr,
-            "FAIL: gated peak RSS is %.1f%% of the in-memory footprint "
-            "(required < 50%%)\n",
-            100.0 * rss_ratio);
+  if (!hash.resume_identical || !hash_matches_uncheckpointed) {
+    fprintf(stderr, "FAIL: hash-plan release is not byte-identical\n");
     return 1;
+  }
+  for (const GatedRun* gated : {&range, &hash}) {
+    if (!quick && gated->rss_ratio >= 0.5) {
+      fprintf(stderr,
+              "FAIL: gated peak RSS is %.1f%% of the in-memory footprint "
+              "(required < 50%%)\n",
+              100.0 * gated->rss_ratio);
+      return 1;
+    }
   }
   return 0;
 }

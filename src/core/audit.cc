@@ -9,14 +9,15 @@
 namespace secreta {
 
 Result<AuditReport> AuditAnonymizedDataset(const Dataset& anonymized, int k,
-                                           int m, bool check_km_per_class) {
+                                           int m, bool check_km_per_class,
+                                           bool check_k) {
   if (k < 1 || m < 0) return Status::InvalidArgument("bad audit parameters");
   AuditReport report;
   size_t n = anonymized.num_records();
 
   // Relational classes by published label vectors.
   std::map<std::vector<ValueId>, std::vector<size_t>> classes;
-  bool has_relational = anonymized.num_relational() > 0;
+  bool has_relational = check_k && anonymized.num_relational() > 0;
   if (has_relational) {
     for (size_t r = 0; r < n; ++r) {
       std::vector<ValueId> key;

@@ -30,9 +30,13 @@ struct AuditReport {
 /// transaction attribute (itemsets of published item labels).
 ///
 /// For (k, k^m)-anonymity both flags must hold and the k^m check is repeated
-/// inside every relational class; use `check_km_per_class` for that.
+/// inside every relational class; use `check_km_per_class` for that. A check
+/// that is not made passes vacuously: k^m with `m` = 0, and k with `check_k`
+/// off (for a release whose relational labels were passed through, not
+/// anonymized; min_class_size is then 0).
 Result<AuditReport> AuditAnonymizedDataset(const Dataset& anonymized, int k,
-                                           int m, bool check_km_per_class);
+                                           int m, bool check_km_per_class,
+                                           bool check_k = true);
 
 }  // namespace secreta
 

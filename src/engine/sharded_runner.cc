@@ -1,10 +1,10 @@
 #include "engine/sharded_runner.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -61,16 +61,15 @@ struct SharedHierarchies {
   bool built = false;
 };
 
-// Anonymizes one shard and writes its release lines into `record->lines`
-// (parallel to `record->rows`). Staged so the peak never holds more than one
+// Anonymizes one shard into its anonymized Dataset, whose ids the caller
+// writes release lines from. Staged so the peak never holds more than one
 // stage's transients: the contexts, run state and recodings are freed once
-// the anonymized dataset is built, before its lines are written, and the
-// anonymized dataset dies before this returns.
-Status AnonymizeShard(const ColumnProvider& provider, const ShardPlan& plan,
-                      size_t s, const AlgorithmConfig& config,
-                      const ShardedRunOptions& options,
-                      SharedHierarchies* hierarchies, ShardRecord* record,
-                      double* gcp) {
+// the anonymized dataset is built, before this returns.
+Result<Dataset> AnonymizeShard(const ColumnProvider& provider,
+                               const ShardPlan& plan, size_t s,
+                               const AlgorithmConfig& config,
+                               const ShardedRunOptions& options,
+                               SharedHierarchies* hierarchies, double* gcp) {
   Dataset shard_dataset;
   {
     SECRETA_TRACE_SPAN("shard.load");
@@ -137,21 +136,101 @@ Status AnonymizeShard(const ColumnProvider& provider, const ShardPlan& plan,
   run = RunResult();
   relational.reset();
   transaction.reset();
-  if (anonymized.num_records() != record->rows.size()) {
+  if (anonymized.num_records() != plan.ShardSize(s)) {
     return Status::Internal(StrFormat("anonymized %zu records, expected %zu",
                                       anonymized.num_records(),
-                                      record->rows.size()));
+                                      plan.ShardSize(s)));
   }
-  // Each line is written from the anonymized ids into one reused buffer and
-  // copied out at its own size.
-  record->lines.reserve(record->rows.size());
-  std::string line;
-  for (size_t r = 0; r < anonymized.num_records(); ++r) {
-    line.clear();
-    anonymized.AppendCsvLine(r, &line);
-    record->lines.push_back(line);
+  return anonymized;
+}
+
+// The release CSV as it is written: the header, then one line per record in
+// global row order. Lines are staged in one fixed-size buffer; each chunk is
+// folded into the fingerprint (Fnv1a64 continues across chunks, so the
+// result is the hash of the whole file) and written to `<output>.tmp`,
+// which Commit renames into place. Destroyed uncommitted, the writer removes
+// the tmp file, so a failed or cancelled run leaves no release behind.
+class ReleaseWriter {
+ public:
+  static constexpr size_t kChunkBytes = 64 << 10;
+
+  ReleaseWriter() { chunk_.reserve(kChunkBytes); }
+  ~ReleaseWriter() {
+    if (!tmp_path_.empty() && !committed_) {
+      out_.close();
+      std::remove(tmp_path_.c_str());
+    }
   }
-  return Status::OK();
+  ReleaseWriter(const ReleaseWriter&) = delete;
+  ReleaseWriter& operator=(const ReleaseWriter&) = delete;
+
+  /// Opens `<output_path>.tmp` for the release. Without it the release is
+  /// only fingerprinted.
+  Status Open(const std::string& output_path) {
+    const std::string tmp_path = output_path + ".tmp";
+    out_.open(tmp_path, std::ios::binary | std::ios::trunc);
+    if (!out_) {
+      return Status::IOError("cannot open release output: " + tmp_path);
+    }
+    path_ = output_path;
+    tmp_path_ = tmp_path;
+    return Status::OK();
+  }
+
+  void Add(std::string_view line) {
+    if (chunk_.size() + line.size() + 1 > kChunkBytes) {
+      Flush();
+      if (line.size() + 1 > kChunkBytes) {  // straight through
+        Write(line);
+        Write("\n");
+        return;
+      }
+    }
+    chunk_.append(line);
+    chunk_ += '\n';
+  }
+
+  /// Writes the last chunk and moves the release into place.
+  Status Commit() {
+    Flush();
+    if (tmp_path_.empty()) return Status::OK();
+    out_.close();
+    if (!out_) return Status::IOError("release write failed: " + tmp_path_);
+    if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+      return Status::IOError("cannot move release into place: " + path_);
+    }
+    committed_ = true;
+    return Status::OK();
+  }
+
+  uint64_t fingerprint() const { return fingerprint_; }
+
+ private:
+  void Write(std::string_view bytes) {
+    fingerprint_ = Fnv1a64(bytes, fingerprint_);
+    if (out_.is_open()) {
+      out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+  }
+  void Flush() {
+    Write(chunk_);
+    chunk_.clear();
+  }
+
+  std::string chunk_;
+  uint64_t fingerprint_ = kFnv1a64Basis;
+  std::string path_;
+  std::string tmp_path_;
+  std::ofstream out_;
+  bool committed_ = false;
+};
+
+Status RowMismatch(const ShardCheckpoint& checkpoint, size_t shard,
+                   uint32_t row, size_t expected) {
+  return Status::FailedPrecondition(StrFormat(
+      "shard checkpoint %s: shard %zu holds row %u where the plan expects "
+      "row %zu",
+      checkpoint.path().c_str(), shard, row, expected));
 }
 
 }  // namespace
@@ -205,17 +284,46 @@ Result<ShardedRunResult> RunShardedAnonymization(
     }
   }
 
+  // The release is opened before anything else is written, so an
+  // unwritable output path costs no shard and no checkpoint block.
+  ReleaseWriter release;
+  if (!options.output_path.empty()) {
+    SECRETA_RETURN_IF_ERROR(release.Open(options.output_path));
+  }
   std::unique_ptr<ShardCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
     SECRETA_ASSIGN_OR_RETURN(
         checkpoint, ShardCheckpoint::Open(options.checkpoint_path, run_key,
                                           dataset_fp, plan.Fingerprint()));
   }
-  // Outputs of shards computed this call when there is no checkpoint to
-  // stream them back from.
-  std::map<size_t, ShardRecord> local_records;
+
+  csv::CsvTable merged_table;
+  if (options.materialize_result) merged_table.reserve(num_records + 1);
+  // Every release line, header first, in global row order.
+  auto emit = [&](std::string_view line) -> Status {
+    release.Add(line);
+    if (options.materialize_result) {
+      SECRETA_ASSIGN_OR_RETURN(std::vector<std::string> fields,
+                               csv::ParseCsvLine(line));
+      merged_table.push_back(std::move(fields));
+    }
+    return Status::OK();
+  };
+  SECRETA_RETURN_IF_ERROR(emit(ReleaseHeaderLine(provider.schema())));
+
+  // Range shards are contiguous ascending blocks: concatenation in shard
+  // order IS global row order, so each shard's lines go to the release as
+  // the loop reaches it. Hash shards interleave rows and are merged after
+  // the loop, from the checkpoint or, without one, from `held_lines` (each
+  // computed shard's lines, newline-terminated).
+  const bool range_plan = plan.kind() == ShardKind::kRange;
+  std::vector<std::string> held_lines;
+  if (!range_plan && checkpoint == nullptr) {
+    held_lines.resize(plan.num_shards());
+  }
 
   SharedHierarchies hierarchies;
+  std::string line;  // every computed release line, in turn
 
   for (size_t s = 0; s < plan.num_shards(); ++s) {
     SECRETA_RETURN_IF_ERROR(CheckCancelled(options.cancel, "sharded-run"));
@@ -234,32 +342,101 @@ Result<ShardedRunResult> RunShardedAnonymization(
       stats.seconds = meta.seconds;
       stats.resumed = true;
       ++result.resumed_shards;
+      if (range_plan) {
+        SECRETA_TRACE_SPAN("shard.replay");
+        SECRETA_ASSIGN_OR_RETURN(ShardCheckpoint::PayloadReader reader,
+                                 checkpoint->OpenPayload(s));
+        const std::vector<uint32_t> rows = plan.Rows(s);
+        uint32_t row = 0;
+        std::string_view csv;
+        for (size_t i = 0;; ++i) {
+          SECRETA_ASSIGN_OR_RETURN(const bool more, reader.Next(&row, &csv));
+          if (!more) break;
+          if (row != rows[i]) return RowMismatch(*checkpoint, s, row, rows[i]);
+          SECRETA_RETURN_IF_ERROR(emit(csv));
+        }
+      }
       result.shards.push_back(stats);
       continue;
     }
 
     Stopwatch shard_watch;
-    ShardRecord record;
-    record.shard = s;
-    record.rows = plan.Rows(s);
-    const Status shard_status = AnonymizeShard(
-        provider, plan, s, config, options, &hierarchies, &record, &stats.gcp);
-    if (!shard_status.ok()) {
-      return Status(shard_status.code(),
-                    StrFormat("shard %zu: ", s) + shard_status.message());
+    Result<Dataset> anonymized = AnonymizeShard(
+        provider, plan, s, config, options, &hierarchies, &stats.gcp);
+    if (!anonymized.ok()) {
+      return Status(anonymized.status().code(),
+                    StrFormat("shard %zu: ", s) +
+                        anonymized.status().message());
     }
-    record.gcp = stats.gcp;
     stats.seconds = shard_watch.ElapsedSeconds();
-    record.seconds = stats.seconds;
 
+    // One pass over the anonymized ids writes each line into the checkpoint
+    // block and the release (or, for a hash plan without a checkpoint, into
+    // the held lines).
+    SECRETA_TRACE_SPAN("shard.write");
+    auto write_line = [&](size_t i) -> Status {
+      line.clear();
+      anonymized->AppendCsvLine(i, &line);
+      if (range_plan) return emit(line);
+      if (checkpoint == nullptr) {
+        held_lines[s].append(line);
+        held_lines[s] += '\n';
+      }
+      return Status::OK();
+    };
     if (checkpoint != nullptr) {
-      SECRETA_TRACE_SPAN("shard.checkpoint");
-      SECRETA_RETURN_IF_ERROR(checkpoint->Append(record));
+      const std::vector<uint32_t> rows = plan.Rows(s);
+      const ShardMeta block{s, stats.rows, stats.gcp, stats.seconds};
+      SECRETA_RETURN_IF_ERROR(checkpoint->Append(
+          block, [&](size_t i, uint32_t* row, std::string_view* csv) {
+            SECRETA_RETURN_IF_ERROR(write_line(i));
+            *row = rows[i];
+            *csv = line;
+            return Status::OK();
+          }));
     } else {
-      local_records[s] = std::move(record);
+      for (size_t i = 0; i < stats.rows; ++i) {
+        SECRETA_RETURN_IF_ERROR(write_line(i));
+      }
     }
     result.shards.push_back(stats);
   }
+
+  if (!range_plan) {
+    // ---- hash merge: a k-way merge by global row id ------------------------
+    // Each shard's rows ascend, so row r is the next line of the shard that
+    // owns it: one line per shard is in flight, never the whole release.
+    SECRETA_RETURN_IF_ERROR(CheckCancelled(options.cancel, "sharded-merge"));
+    SECRETA_TRACE_SPAN("shard.merge");
+    std::vector<ShardCheckpoint::PayloadReader> readers;
+    std::vector<size_t> held_offsets(held_lines.size(), 0);
+    if (checkpoint != nullptr) {
+      readers.reserve(plan.num_shards());
+      for (size_t s = 0; s < plan.num_shards(); ++s) {
+        SECRETA_ASSIGN_OR_RETURN(ShardCheckpoint::PayloadReader reader,
+                                 checkpoint->OpenPayload(s));
+        readers.push_back(std::move(reader));
+      }
+    }
+    uint32_t row = 0;
+    std::string_view csv;
+    for (size_t r = 0; r < num_records; ++r) {
+      const size_t s = plan.ShardOf(r);
+      if (checkpoint != nullptr) {
+        SECRETA_ASSIGN_OR_RETURN(const bool more, readers[s].Next(&row, &csv));
+        if (!more || row != r) return RowMismatch(*checkpoint, s, row, r);
+      } else {
+        const std::string_view held = held_lines[s];
+        const size_t begin = held_offsets[s];
+        const size_t end = held.find('\n', begin);
+        csv = held.substr(begin, end - begin);
+        held_offsets[s] = end + 1;
+      }
+      SECRETA_RETURN_IF_ERROR(emit(csv));
+    }
+  }
+  SECRETA_RETURN_IF_ERROR(release.Commit());
+  result.release_fingerprint = release.fingerprint();
 
   double gcp_weight = 0;
   for (const ShardRunStats& stats : result.shards) {
@@ -268,92 +445,6 @@ Result<ShardedRunResult> RunShardedAnonymization(
   }
   result.weighted_gcp =
       num_records == 0 ? 0 : gcp_weight / static_cast<double>(num_records);
-
-  // ---- merge: emit the release in global row order ------------------------
-  SECRETA_RETURN_IF_ERROR(CheckCancelled(options.cancel, "sharded-merge"));
-  SECRETA_TRACE_SPAN("shard.merge");
-  const std::string header = ReleaseHeaderLine(provider.schema());
-  // Fnv1a64 continued line by line: equals Fnv1a64 of the whole release CSV.
-  uint64_t fingerprint = Fnv1a64(header);
-  fingerprint = Fnv1a64("\n", fingerprint);
-
-  std::ofstream out;
-  std::string tmp_path;
-  if (!options.output_path.empty()) {
-    tmp_path = options.output_path + ".tmp";
-    out.open(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot open release output: " + tmp_path);
-    }
-    out << header << '\n';
-  }
-  csv::CsvTable merged_table;
-  if (options.materialize_result) {
-    SECRETA_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                             csv::ParseCsvLine(header));
-    merged_table.reserve(num_records + 1);
-    merged_table.push_back(std::move(fields));
-  }
-
-  auto take_record = [&](size_t s) -> Result<ShardRecord> {
-    if (checkpoint != nullptr) return checkpoint->ReadPayload(s);
-    auto it = local_records.find(s);
-    if (it == local_records.end()) {
-      return Status::Internal(StrFormat("shard %zu output missing", s));
-    }
-    ShardRecord record = std::move(it->second);
-    local_records.erase(it);
-    return record;
-  };
-  auto emit_line = [&](const std::string& line) -> Status {
-    fingerprint = Fnv1a64(line, fingerprint);
-    fingerprint = Fnv1a64("\n", fingerprint);
-    if (out.is_open()) out << line << '\n';
-    if (options.materialize_result) {
-      SECRETA_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                               csv::ParseCsvLine(line));
-      merged_table.push_back(std::move(fields));
-    }
-    return Status::OK();
-  };
-
-  if (plan.kind() == ShardKind::kRange) {
-    // Range shards are contiguous ascending blocks: concatenation in shard
-    // order IS global row order, one shard resident at a time.
-    for (size_t s = 0; s < plan.num_shards(); ++s) {
-      SECRETA_ASSIGN_OR_RETURN(ShardRecord record, take_record(s));
-      for (const std::string& line : record.lines) {
-        SECRETA_RETURN_IF_ERROR(emit_line(line));
-      }
-    }
-  } else {
-    // Hash shards interleave rows; restoring global order needs everything
-    // at once (hash partitioning targets decorrelation, not out-of-core).
-    std::vector<std::pair<uint32_t, std::string>> rows;
-    rows.reserve(num_records);
-    for (size_t s = 0; s < plan.num_shards(); ++s) {
-      SECRETA_ASSIGN_OR_RETURN(ShardRecord record, take_record(s));
-      for (size_t i = 0; i < record.rows.size(); ++i) {
-        rows.emplace_back(record.rows[i], std::move(record.lines[i]));
-      }
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [row, line] : rows) {
-      SECRETA_RETURN_IF_ERROR(emit_line(line));
-    }
-  }
-  result.release_fingerprint = fingerprint;
-
-  if (out.is_open()) {
-    out.flush();
-    if (!out) return Status::IOError("release write failed: " + tmp_path);
-    out.close();
-    if (std::rename(tmp_path.c_str(), options.output_path.c_str()) != 0) {
-      return Status::IOError("cannot move release into place: " +
-                             options.output_path);
-    }
-  }
 
   if (options.materialize_result) {
     if (merged_table.size() != num_records + 1) {
@@ -365,11 +456,17 @@ Result<ShardedRunResult> RunShardedAnonymization(
     SECRETA_ASSIGN_OR_RETURN(Dataset merged,
                              Dataset::FromCsv(merged_table, schema));
     if (options.audit) {
+      // Judge only what the mode promises: k for relational runs, k^m for
+      // transaction runs, (k, k^m) per class for RT runs. The relational
+      // labels of a transaction run and the items of a relational run are
+      // passed through, not anonymized.
       SECRETA_ASSIGN_OR_RETURN(
           AuditReport audit,
-          AuditAnonymizedDataset(merged, config.params.k, config.params.m,
-                                 /*check_km_per_class=*/config.mode ==
-                                     AnonMode::kRt));
+          AuditAnonymizedDataset(
+              merged, config.params.k,
+              ModeUsesTransaction(config.mode) ? config.params.m : 0,
+              /*check_km_per_class=*/config.mode == AnonMode::kRt,
+              /*check_k=*/ModeUsesRelational(config.mode)));
       result.audit = std::move(audit);
     }
     result.merged = std::move(merged);

@@ -5,13 +5,27 @@
 // Shards run one at a time. Each is materialized through a ColumnProvider
 // (one mmap window for SBC1 files), anonymized with the standard engine
 // (RunAnonymization; only the algorithms' own pool work fans out, which
-// for relational Incognito is its per-level lattice scan), turned into its
-// anonymized Dataset from ids (BuildAnonymizedDataset), and written as
-// release lines straight from that dataset's ids (Dataset::AppendCsvLine).
-// The lines are appended to a ShardCheckpoint so interrupted runs resume
-// byte-identically. Spans:
-// shard.load, shard.anonymize, shard.materialize (dataset and lines) and
-// shard.checkpoint per computed shard, one shard.merge per run.
+// for relational Incognito is its per-level lattice scan) and turned into
+// its anonymized Dataset from ids (BuildAnonymizedDataset). One pass then
+// writes its release lines from that dataset's ids (Dataset::AppendCsvLine)
+// through one reused line buffer into the shard's ShardCheckpoint block, so
+// interrupted runs resume byte-identically, and into the release.
+//
+// The release (`<output>.tmp`, header first) is opened before any shard
+// runs, so an unwritable output path is refused up front. A range plan's
+// shards are contiguous ascending blocks, so the release is written inside
+// the shard loop: a computed shard's lines as they are written, a shard
+// already in the checkpoint streamed from it. A hash plan's rows interleave;
+// after the loop a k-way merge by global row id takes each row's line from
+// the shard that owns it (ShardPlan::ShardOf), reading one PayloadReader per
+// shard from the checkpoint or, without a checkpoint, the lines the loop
+// held. Either way the merge holds one line per shard, and no path holds a
+// copy of a shard's lines beside its anonymized dataset. The tmp file is
+// renamed into place only after every shard is done and is removed on any
+// failure or cancellation. Spans: shard.load, shard.anonymize,
+// shard.materialize and shard.write (lines to checkpoint and release) per
+// computed shard, shard.replay per resumed shard of a range plan, and one
+// shard.merge per hash-plan run.
 //
 // A relational or RT plan with a shard of fewer than k rows is refused with
 // InvalidArgument before any shard runs: no relational algorithm can make
@@ -23,17 +37,16 @@
 //   * for S > 1 the release is byte-identical across backends (memory vs
 //     binary/mmap), thread-pool sizes, and checkpoint resume — though not
 //     to the unsharded run, since each shard is anonymized independently;
-//   * the merged release still satisfies the privacy guarantee: every
-//     equivalence class of the concatenation is a class of some shard, so
-//     per-shard k (and k^m) survive the union — re-checked for real with
-//     core/audit.h rather than assumed.
+//   * the merged release still satisfies the mode's privacy guarantee:
+//     every equivalence class of the concatenation is a class of some
+//     shard, so per-shard k (and k^m) survive the union — re-checked for
+//     real with core/audit.h rather than assumed, for exactly the guarantee
+//     the mode promises (k, k^m, or (k, k^m) per class).
 //
 // The merged release is defined by its CSV bytes (header + one line per
 // record, global row order); `release_fingerprint` is the FNV-1a of exactly
-// those bytes. Range plans merge shard-at-a-time (payloads stream from the
-// checkpoint), so peak residency stays one shard plus the open output
-// stream; hash plans must gather all rows to restore row order and are
-// documented as not out-of-core at merge time.
+// those bytes. Replayed blocks must hold the plan's row ids in order; a
+// block that does not is refused with FailedPrecondition naming the shard.
 
 #ifndef SECRETA_ENGINE_SHARDED_RUNNER_H_
 #define SECRETA_ENGINE_SHARDED_RUNNER_H_
@@ -68,8 +81,9 @@ struct ShardedRunOptions {
   HierarchyBuildOptions hierarchy;
 
   /// When non-empty, per-shard outputs are logged here (ShardCheckpoint):
-  /// finished shards are skipped on restart and merged from disk instead of
-  /// being held in memory. Empty: outputs stay in memory (small runs).
+  /// finished shards are skipped on restart and stream from disk into the
+  /// release. Empty: nothing is resumable, and only hash plans hold lines
+  /// (every computed shard's, until the merge).
   std::string checkpoint_path;
 
   /// When non-empty, the merged release CSV is written here (atomically).
@@ -92,8 +106,12 @@ struct ShardedRunOptions {
 struct ShardRunStats {
   size_t shard = 0;
   size_t rows = 0;
-  double gcp = 0;      ///< shard-mean GCP (0 for transaction-only runs)
-  double seconds = 0;  ///< anonymize+materialize time (0 when resumed)
+  double gcp = 0;  ///< shard-mean GCP (0 for transaction-only runs)
+  /// Load, anonymize and materialize time, up to the anonymized dataset.
+  /// Writing the shard's lines is not included: the checkpoint's head line
+  /// records this time and is written before them. Resumed shards report
+  /// the recorded time.
+  double seconds = 0;
   bool resumed = false;
 };
 

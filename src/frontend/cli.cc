@@ -574,11 +574,20 @@ Status CommandLineInterface::CmdShardRun(const std::vector<std::string>& args) {
       result.weighted_gcp, result.anonymize_seconds, result.total_seconds,
       static_cast<unsigned long long>(result.release_fingerprint));
   if (result.audit.has_value()) {
-    *out_ << "merged audit: k-anonymity "
-          << (result.audit->k_anonymous ? "OK" : "VIOLATED") << ", k^m "
-          << (result.audit->km_anonymous ? "OK" : "VIOLATED")
-          << " (min class " << result.audit->min_class_size << ") — "
-          << result.audit->details << "\n";
+    // Only the verdicts the mode promises: the run audits nothing else.
+    const AuditReport& audit = *result.audit;
+    const bool k_checked = current_.mode != AnonMode::kTransaction;
+    const bool km_checked = current_.mode != AnonMode::kRelational;
+    *out_ << "merged audit: ";
+    if (k_checked) {
+      *out_ << "k-anonymity " << (audit.k_anonymous ? "OK" : "VIOLATED");
+    }
+    if (km_checked) {
+      *out_ << (k_checked ? ", " : "") << "k^m "
+            << (audit.km_anonymous ? "OK" : "VIOLATED");
+    }
+    if (k_checked) *out_ << " (min class " << audit.min_class_size << ")";
+    *out_ << " — " << audit.details << "\n";
   }
   if (!options.output_path.empty()) {
     *out_ << "release written to " << options.output_path << "\n";

@@ -1,5 +1,10 @@
 #include "robust/shard_checkpoint.h"
 
+#include <charconv>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/string_util.h"
 #include "robust/record_log.h"
 
@@ -13,35 +18,60 @@ constexpr const char* kMagic = "secreta-shard-checkpoint";
 // neither load nor verification has to hold the block in memory.
 uint64_t PayloadSeed() { return Fnv1a64("shard-payload"); }
 
-uint64_t FoldPayloadRow(uint64_t fp, uint32_t row, const std::string& line) {
+uint64_t FoldPayloadRow(uint64_t fp, uint32_t row, std::string_view csv) {
   fp = HashCombine(fp, static_cast<uint64_t>(row));
-  return HashCombine(fp, Fnv1a64(line));
+  return HashCombine(fp, Fnv1a64(csv));
 }
 
-// Reads `count` payload lines "<rowid>\t<csv>" into their fingerprint
-// `*fp`, keeping them in `*record` when it is non-null. False on a torn or
-// malformed line.
-bool ReadPayloadLines(std::istream& in, size_t count, uint64_t* fp,
-                      ShardRecord* record) {
-  *fp = PayloadSeed();
-  std::string line;
-  for (size_t i = 0; i < count; ++i) {
-    if (!ReadRecordLine(in, &line)) return false;
-    const size_t tab = line.find('\t');
-    uint64_t row = 0;
-    if (tab == std::string::npos || !DecodeU64(line.substr(0, tab), &row) ||
-        row > 0xffffffffull) {
-      return false;
-    }
-    std::string csv = line.substr(tab + 1);
-    *fp = FoldPayloadRow(*fp, static_cast<uint32_t>(row), csv);
-    if (record != nullptr) {
-      record->rows.push_back(static_cast<uint32_t>(row));
-      record->lines.push_back(std::move(csv));
-    }
-  }
+// Parses a payload line "<rowid>\t<csv>" in place. The row id is plain
+// decimal digits that fit 32 bits: no sign, no space.
+bool ParsePayloadLine(std::string_view line, uint32_t* row,
+                      std::string_view* csv) {
+  const size_t tab = line.find('\t');
+  if (tab == std::string_view::npos) return false;
+  const char* digits_end = line.data() + tab;
+  const auto [end, error] = std::from_chars(line.data(), digits_end, *row);
+  if (error != std::errc() || end != digits_end) return false;
+  *csv = line.substr(tab + 1);
   return true;
 }
+
+// Stages payload lines in one fixed-size buffer and writes it to `out`
+// whenever the next line would not fit. A line longer than the buffer is
+// written straight through.
+class PayloadStage {
+ public:
+  explicit PayloadStage(std::ostream* out) : out_(out) {
+    buffer_.reserve(ShardCheckpoint::kBufferBytes);
+  }
+
+  void Add(uint32_t row, std::string_view csv) {
+    char id[std::numeric_limits<uint32_t>::digits10 + 1];
+    const size_t id_size =
+        static_cast<size_t>(std::to_chars(id, id + sizeof(id), row).ptr - id);
+    const size_t size = id_size + 1 + csv.size() + 1;
+    if (buffer_.size() + size > ShardCheckpoint::kBufferBytes) Flush();
+    if (size > ShardCheckpoint::kBufferBytes) {
+      out_->write(id, static_cast<std::streamsize>(id_size)).put('\t');
+      out_->write(csv.data(), static_cast<std::streamsize>(csv.size()));
+      out_->put('\n');
+      return;
+    }
+    buffer_.append(id, id_size);
+    buffer_ += '\t';
+    buffer_.append(csv);
+    buffer_ += '\n';
+  }
+
+  void Flush() {
+    out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    buffer_.clear();
+  }
+
+ private:
+  std::ostream* out_;
+  std::string buffer_;
+};
 
 }  // namespace
 
@@ -53,7 +83,7 @@ Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
   // Shard blocks: "shard <s> <rows> <gcp> <secs>", then <rows> payload
   // lines "<rowid>\t<csv>", then "done <s> <payload-fp>". Payload lines are
   // folded into the fingerprint but NOT retained — only the offset of the
-  // first one is, for later ReadPayload() calls.
+  // first one is, for later OpenPayload() calls.
   SECRETA_RETURN_IF_ERROR(OpenRecordLog(
       path, kMagic, "run/dataset/partition", {run_key, dataset_fp, plan_fp},
       [&](std::istream& in) {
@@ -72,11 +102,17 @@ Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
         entry.meta.shard = static_cast<size_t>(shard);
         entry.meta.num_rows = static_cast<size_t>(rows);
         entry.offset = static_cast<std::streamoff>(in.tellg());
-        if (!ReadPayloadLines(in, entry.meta.num_rows, &entry.payload_fp,
-                              nullptr) ||
-            !ReadRecordLine(in, &line)) {
-          return false;
+        entry.payload_fp = PayloadSeed();
+        for (size_t i = 0; i < entry.meta.num_rows; ++i) {
+          uint32_t row = 0;
+          std::string_view csv;
+          if (!ReadRecordLine(in, &line) ||
+              !ParsePayloadLine(line, &row, &csv)) {
+            return false;
+          }
+          entry.payload_fp = FoldPayloadRow(entry.payload_fp, row, csv);
         }
+        if (!ReadRecordLine(in, &line)) return false;
         std::vector<std::string> tail = SplitWhitespace(line);
         uint64_t done_shard = 0;
         uint64_t done_fp = 0;
@@ -105,7 +141,8 @@ bool ShardCheckpoint::FindMeta(size_t shard, ShardMeta* out) const {
   return true;
 }
 
-Result<ShardRecord> ShardCheckpoint::ReadPayload(size_t shard) const {
+Result<ShardCheckpoint::PayloadReader> ShardCheckpoint::OpenPayload(
+    size_t shard) const {
   Entry entry;
   {
     MutexLock lock(mutex_);
@@ -116,62 +153,116 @@ Result<ShardRecord> ShardCheckpoint::ReadPayload(size_t shard) const {
     }
     entry = it->second;
   }
-  std::ifstream in(path_);
-  if (!in) {
+  PayloadReader reader(path_, shard, entry.meta.num_rows, entry.payload_fp);
+  reader.in_.open(path_, std::ios::binary);
+  if (!reader.in_ || !reader.in_.seekg(entry.offset)) {
     return Status::IOError("cannot reopen shard checkpoint: " + path_);
   }
-  in.seekg(entry.offset);
-  ShardRecord record;
-  record.shard = entry.meta.shard;
-  record.gcp = entry.meta.gcp;
-  record.seconds = entry.meta.seconds;
-  record.rows.reserve(entry.meta.num_rows);
-  record.lines.reserve(entry.meta.num_rows);
-  uint64_t fp = 0;
-  if (!ReadPayloadLines(in, entry.meta.num_rows, &fp, &record) ||
-      fp != entry.payload_fp) {
-    return Status::IOError(StrFormat(
-        "shard checkpoint %s: shard %zu payload changed since load",
-        path_.c_str(), shard));
-  }
-  return record;
+  return reader;
 }
 
-Status ShardCheckpoint::Append(const ShardRecord& record) {
-  if (record.rows.size() != record.lines.size()) {
-    return Status::InvalidArgument("shard record rows/lines length mismatch");
-  }
-  for (const std::string& l : record.lines) {
-    if (l.find('\n') != std::string::npos ||
-        l.find('\r') != std::string::npos) {
-      return Status::InvalidArgument("shard record lines must be single-line");
-    }
-  }
+Status ShardCheckpoint::Append(const ShardMeta& meta,
+                               const PayloadLine& line) {
   MutexLock lock(mutex_);
-  out_ << "shard " << record.shard << ' ' << record.rows.size() << ' '
-       << EncodeDouble(record.gcp) << ' ' << EncodeDouble(record.seconds)
-       << '\n'
+  if (torn_) {
+    return Status::FailedPrecondition(
+        "shard checkpoint " + path_ +
+        " ends in a torn block; reopen it to resume");
+  }
+  out_ << "shard " << meta.shard << ' ' << meta.num_rows << ' '
+       << EncodeDouble(meta.gcp) << ' ' << EncodeDouble(meta.seconds) << '\n'
        << std::flush;
   Entry entry;
-  entry.meta.shard = record.shard;
-  entry.meta.num_rows = record.rows.size();
-  entry.meta.gcp = record.gcp;
-  entry.meta.seconds = record.seconds;
+  entry.meta = meta;
   // With std::ios::app every write lands at end-of-file, so after the head
   // line the put position IS the offset of the first payload line.
   entry.offset = static_cast<std::streamoff>(out_.tellp());
+  torn_ = true;  // until the "done" line is out
+  PayloadStage stage(&out_);
   uint64_t fp = PayloadSeed();
-  for (size_t i = 0; i < record.rows.size(); ++i) {
-    out_ << record.rows[i] << '\t' << record.lines[i] << '\n';
-    fp = FoldPayloadRow(fp, record.rows[i], record.lines[i]);
+  for (size_t i = 0; i < meta.num_rows; ++i) {
+    uint32_t row = 0;
+    std::string_view csv;
+    SECRETA_RETURN_IF_ERROR(line(i, &row, &csv));
+    if (csv.find('\n') != std::string_view::npos ||
+        csv.find('\r') != std::string_view::npos) {
+      return Status::InvalidArgument("shard record lines must be single-line");
+    }
+    stage.Add(row, csv);
+    fp = FoldPayloadRow(fp, row, csv);
   }
-  entry.payload_fp = fp;
-  out_ << "done " << record.shard << ' ' << U64Hex(fp) << '\n' << std::flush;
+  stage.Flush();
+  out_ << "done " << meta.shard << ' ' << U64Hex(fp) << '\n' << std::flush;
   if (!out_) {
     return Status::IOError("shard checkpoint append failed: " + path_);
   }
-  records_[record.shard] = entry;
+  torn_ = false;
+  entry.payload_fp = fp;
+  records_[meta.shard] = entry;
   return Status::OK();
+}
+
+ShardCheckpoint::PayloadReader::PayloadReader(std::string path, size_t shard,
+                                              size_t num_rows,
+                                              uint64_t payload_fp)
+    : path_(std::move(path)),
+      shard_(shard),
+      num_rows_(num_rows),
+      expected_fp_(payload_fp),
+      fp_(PayloadSeed()),
+      buffer_(new char[kBufferBytes]) {}
+
+Result<bool> ShardCheckpoint::PayloadReader::Next(uint32_t* row,
+                                                  std::string_view* csv) {
+  if (read_ == num_rows_) return false;
+  std::string_view line;
+  if (!ReadLine(&line) || !ParsePayloadLine(line, row, csv)) {
+    return Changed();
+  }
+  fp_ = FoldPayloadRow(fp_, *row, *csv);
+  if (++read_ == num_rows_ && fp_ != expected_fp_) return Changed();
+  return true;
+}
+
+bool ShardCheckpoint::PayloadReader::ReadLine(std::string_view* line) {
+  long_line_.clear();
+  for (;;) {
+    const char* start = buffer_.get() + begin_;
+    const size_t available = end_ - begin_;
+    const void* newline = std::memchr(start, '\n', available);
+    if (newline != nullptr) {
+      const size_t size = static_cast<size_t>(
+          static_cast<const char*>(newline) - start);
+      begin_ += size + 1;
+      if (long_line_.empty()) {
+        *line = std::string_view(start, size);
+      } else {
+        long_line_.append(start, size);
+        *line = long_line_;
+      }
+      return true;
+    }
+    if (available == kBufferBytes) {
+      // A line longer than the buffer: carry the part read so far.
+      long_line_.append(start, available);
+      begin_ = end_ = 0;
+    } else if (begin_ > 0) {
+      std::memmove(buffer_.get(), start, available);
+      begin_ = 0;
+      end_ = available;
+    }
+    in_.read(buffer_.get() + end_,
+             static_cast<std::streamsize>(kBufferBytes - end_));
+    const size_t got = static_cast<size_t>(in_.gcount());
+    if (got == 0) return false;  // the file ends inside the line
+    end_ += got;
+  }
+}
+
+Status ShardCheckpoint::PayloadReader::Changed() const {
+  return Status::IOError(
+      StrFormat("shard checkpoint %s: shard %zu payload changed since load",
+                path_.c_str(), shard_));
 }
 
 }  // namespace secreta

@@ -6,11 +6,14 @@
 // persists, per completed shard: the global row ids, the anonymized CSV
 // line of every row, and the shard's aggregate stats.
 //
-// Payloads stay on disk. Only per-shard metadata (stats, row count,
-// payload fingerprint, file offset) is held in memory; ReadPayload() seeks
-// and re-reads one shard's block on demand. That keeps the resident
-// footprint of a resumed 1M-record run at one shard, which is the whole
-// point of sharding (see docs/OPERATIONS.md "Out-of-core & sharded runs").
+// Payloads stay on disk and every payload byte moves through one fixed-size
+// buffer (kBufferBytes) in each direction. Append stages a block's lines as
+// its caller produces them; a PayloadReader streams one stored block back
+// line by line, parsing each in place. Only per-shard metadata (stats, row
+// count, payload fingerprint, file offset) is held in memory, so neither
+// writing nor replaying a 1M-record run holds a shard's lines, which is the
+// whole point of sharding (see docs/OPERATIONS.md "Out-of-core & sharded
+// runs").
 //
 // The file is a RecordLog (record_log.h), flushed per shard, whose header
 // pins (run key, dataset fingerprint, shard-plan fingerprint); opening
@@ -18,17 +21,19 @@
 // with FailedPrecondition. Each shard block ends with a "done" line carrying
 // an FNV-1a of the block payload: a process killed mid-append leaves a block
 // without a valid "done" line, which Open cuts off, so resume recomputes
-// exactly the unfinished shards.
+// exactly the unfinished shards. A PayloadReader re-hashes the block it
+// streams against the fingerprint Open recorded.
 
 #ifndef SECRETA_ROBUST_SHARD_CHECKPOINT_H_
 #define SECRETA_ROBUST_SHARD_CHECKPOINT_H_
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/annotations.h"
 #include "common/mutex.h"
@@ -36,27 +41,30 @@
 
 namespace secreta {
 
-/// One completed shard's output, exactly as needed for a byte-identical
-/// merge: ascending global row ids and one anonymized CSV line per row.
-struct ShardRecord {
-  size_t shard = 0;
-  std::vector<uint32_t> rows;
-  std::vector<std::string> lines;  ///< newline-free, parallel to `rows`
-  double gcp = 0;                  ///< shard-mean GCP of the recoding
-  double seconds = 0;              ///< original anonymize+materialize time
-};
-
-/// Per-shard stats available without touching the payload.
+/// Per-shard stats available without touching the payload; the head line of
+/// a shard block.
 struct ShardMeta {
   size_t shard = 0;
   size_t num_rows = 0;
-  double gcp = 0;
-  double seconds = 0;
+  double gcp = 0;      ///< shard-mean GCP of the recoding
+  double seconds = 0;  ///< original anonymize+materialize time
 };
 
 /// \brief Append-only, thread-safe per-shard output log for one sharded run.
 class ShardCheckpoint {
  public:
+  /// Bytes of the one buffer that payload lines are staged in (Append) or
+  /// read through (PayloadReader). A line longer than it still round-trips.
+  static constexpr size_t kBufferBytes = 64 << 10;
+
+  /// Produces payload line `i` of a block being appended: sets `*row` to its
+  /// global row id and `*csv` to its newline-free CSV text, which must stay
+  /// valid until the next call.
+  using PayloadLine =
+      std::function<Status(size_t i, uint32_t* row, std::string_view* csv)>;
+
+  class PayloadReader;
+
   /// Opens (or creates) the checkpoint at `path` for the run identified by
   /// `run_key` (CheckpointLog::PointKey of the config) over the dataset and
   /// partition with the given fingerprints.
@@ -68,12 +76,20 @@ class ShardCheckpoint {
   /// Copies the stored metadata for `shard`. False if missing.
   bool FindMeta(size_t shard, ShardMeta* out) const SECRETA_EXCLUDES(mutex_);
 
-  /// Re-reads `shard`'s payload from disk and re-verifies its fingerprint.
-  Result<ShardRecord> ReadPayload(size_t shard) const SECRETA_EXCLUDES(mutex_);
+  /// Opens `shard`'s stored payload for streaming. NotFound if it is not in
+  /// the checkpoint.
+  Result<PayloadReader> OpenPayload(size_t shard) const
+      SECRETA_EXCLUDES(mutex_);
 
-  /// Appends one completed shard and flushes. `record.rows` and
-  /// `record.lines` must be the same length; lines must be newline-free.
-  Status Append(const ShardRecord& record) SECRETA_EXCLUDES(mutex_);
+  /// Appends one completed shard as a block and flushes it: the head line
+  /// from `meta`, then `meta.num_rows` payload lines from `line`, then the
+  /// "done" line with the payload fingerprint. The block is written under
+  /// the checkpoint's lock, so `line` must not call back into this
+  /// checkpoint. A block that fails part-way (an error from `line`, a line
+  /// with a newline, a failed write) is left torn for the next Open to cut,
+  /// and every later Append fails.
+  Status Append(const ShardMeta& meta, const PayloadLine& line)
+      SECRETA_EXCLUDES(mutex_);
 
   /// Shards loaded from a pre-existing file at Open (pre-crash progress).
   size_t loaded() const { return loaded_; }
@@ -95,6 +111,47 @@ class ShardCheckpoint {
   mutable Mutex mutex_;
   std::map<size_t, Entry> records_ SECRETA_GUARDED_BY(mutex_);
   std::ofstream out_ SECRETA_GUARDED_BY(mutex_);
+  /// An Append failed part-way and left a torn block at the end of the file.
+  bool torn_ SECRETA_GUARDED_BY(mutex_) = false;
+};
+
+/// \brief Streams one stored shard block's payload lines, in file order,
+/// through a kBufferBytes buffer.
+///
+/// Each line "<row>\t<csv>" is parsed in place. Before the last line is
+/// handed out, the block is checked against the fingerprint Open recorded,
+/// so a reader that returns every line has verified the whole block.
+class ShardCheckpoint::PayloadReader {
+ public:
+  size_t num_rows() const { return num_rows_; }
+
+  /// Reads the next payload line: `*row` gets its global row id and `*csv`
+  /// a view of its CSV text, valid until the next call. False once all
+  /// num_rows() lines have been read. A torn or malformed line, or a block
+  /// that no longer matches its fingerprint, fails with IOError ("payload
+  /// changed since load").
+  Result<bool> Next(uint32_t* row, std::string_view* csv);
+
+ private:
+  friend class ShardCheckpoint;
+
+  PayloadReader(std::string path, size_t shard, size_t num_rows,
+                uint64_t payload_fp);
+  bool ReadLine(std::string_view* line);
+  Status Changed() const;
+
+  std::string path_;
+  size_t shard_ = 0;
+  size_t num_rows_ = 0;
+  size_t read_ = 0;
+  uint64_t expected_fp_ = 0;
+  uint64_t fp_ = 0;
+  std::ifstream in_;
+  std::unique_ptr<char[]> buffer_;
+  size_t begin_ = 0;  ///< unread bytes are buffer_[begin_, end_)
+  size_t end_ = 0;
+  /// The current line when it did not fit in the buffer.
+  std::string long_line_;
 };
 
 }  // namespace secreta

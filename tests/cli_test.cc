@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "csv/csv.h"
 #include "tests/test_util.h"
@@ -195,6 +197,37 @@ TEST_F(CliTest, HierarchyFileRoundTripThroughCli) {
   std::string tree = TakeOutput();
   EXPECT_NE(tree.find("leaves)"), std::string::npos);
   EXPECT_FALSE(Run("hierarchy show Nope").ok());
+}
+
+// A sharded run's merged audit judges, and prints, only what its mode
+// promises: k for relational, k^m for transaction, both for RT runs.
+TEST_F(CliTest, ShardRunAuditsOnlyTheModesGuarantee) {
+  ASSERT_OK(Run("generate 200 7"));
+  ASSERT_OK(Run("param k 4"));
+  ASSERT_OK(Run("param m 2"));
+  struct Case {
+    std::vector<std::string> setup;
+    std::string audit;  // the line's start, up to its details
+  };
+  const Case cases[] = {
+      {{"mode relational", "algo rel Incognito"},
+       "merged audit: k-anonymity OK (min class "},
+      {{"mode transaction", "algo txn COAT"}, "merged audit: k^m OK — ok"},
+      {{"mode rt", "algo rel Cluster", "algo txn COAT", "merger RTmerger"},
+       "merged audit: k-anonymity OK, k^m OK (min class "},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.setup[0]);
+    for (const std::string& line : c.setup) ASSERT_OK(Run(line));
+    TakeOutput();
+    ASSERT_OK(Run("shard-run shards=4"));
+    const std::string out = TakeOutput();
+    const size_t at = out.find("merged audit: ");
+    ASSERT_NE(at, std::string::npos) << out;
+    const std::string audit = out.substr(at, out.find('\n', at) - at);
+    EXPECT_EQ(audit.rfind(c.audit, 0), 0u) << audit;
+    EXPECT_EQ(audit.find("VIOLATED"), std::string::npos) << audit;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 #include "engine/sharded_runner.h"
 #include "hierarchy/hierarchy_builder.h"
 #include "obs/trace.h"
+#include "robust/checkpoint.h"
 #include "robust/shard_checkpoint.h"
 #include "tests/test_util.h"
 
@@ -581,20 +583,61 @@ TEST(DatasetMemoryBytesTest, GrowsWithRecords) {
 // ---------------------------------------------------------------------------
 // ShardCheckpoint
 
+// One shard block's payload as a test writes and reads it.
+struct Block {
+  ShardMeta meta;
+  std::vector<uint32_t> rows;
+  std::vector<std::string> lines;  ///< parallel to `rows`
+};
+
+Block MakeBlock(size_t shard, std::vector<uint32_t> rows,
+                std::vector<std::string> lines, double gcp = 0,
+                double seconds = 0) {
+  Block block;
+  block.meta.shard = shard;
+  block.meta.num_rows = rows.size();
+  block.meta.gcp = gcp;
+  block.meta.seconds = seconds;
+  block.rows = std::move(rows);
+  block.lines = std::move(lines);
+  return block;
+}
+
+Status AppendBlock(ShardCheckpoint* ckpt, const Block& block) {
+  return ckpt->Append(block.meta,
+                      [&](size_t i, uint32_t* row, std::string_view* csv) {
+                        *row = block.rows[i];
+                        *csv = block.lines[i];
+                        return Status::OK();
+                      });
+}
+
+// Streams `shard`'s payload back through a PayloadReader.
+Result<Block> ReadBlock(const ShardCheckpoint& ckpt, size_t shard) {
+  SECRETA_ASSIGN_OR_RETURN(ShardCheckpoint::PayloadReader reader,
+                           ckpt.OpenPayload(shard));
+  Block block;
+  uint32_t row = 0;
+  std::string_view csv;
+  for (;;) {
+    SECRETA_ASSIGN_OR_RETURN(const bool more, reader.Next(&row, &csv));
+    if (!more) break;
+    block.rows.push_back(row);
+    block.lines.emplace_back(csv);
+  }
+  return block;
+}
+
 TEST(ShardCheckpointTest, AppendReopenReadPayloadRoundTrip) {
   std::string path = TempPath("shard_ckpt_roundtrip.txt");
   std::remove(path.c_str());
-  ShardRecord record;
-  record.shard = 1;
-  record.rows = {4, 5, 6};
-  record.lines = {"a,b", "c,d", "e,\"f,g\""};
-  record.gcp = 0.25;
-  record.seconds = 1.5;
+  const Block record =
+      MakeBlock(1, {4, 5, 6}, {"a,b", "c,d", "e,\"f,g\""}, 0.25, 1.5);
   {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 7, 8, 9));
     EXPECT_EQ(ckpt->loaded(), 0u);
-    ASSERT_OK(ckpt->Append(record));
+    ASSERT_OK(AppendBlock(ckpt.get(), record));
     ShardMeta meta;
     EXPECT_TRUE(ckpt->FindMeta(1, &meta));
     EXPECT_FALSE(ckpt->FindMeta(0, &meta));
@@ -607,10 +650,10 @@ TEST(ShardCheckpointTest, AppendReopenReadPayloadRoundTrip) {
   EXPECT_EQ(meta.num_rows, 3u);
   EXPECT_DOUBLE_EQ(meta.gcp, 0.25);
   EXPECT_DOUBLE_EQ(meta.seconds, 1.5);
-  ASSERT_OK_AND_ASSIGN(ShardRecord loaded, ckpt->ReadPayload(1));
+  ASSERT_OK_AND_ASSIGN(Block loaded, ReadBlock(*ckpt, 1));
   EXPECT_EQ(loaded.rows, record.rows);
   EXPECT_EQ(loaded.lines, record.lines);
-  EXPECT_FALSE(ckpt->ReadPayload(0).ok());
+  EXPECT_FALSE(ckpt->OpenPayload(0).ok());
 }
 
 TEST(ShardCheckpointTest, RejectsForeignRunDatasetOrPlan) {
@@ -619,10 +662,7 @@ TEST(ShardCheckpointTest, RejectsForeignRunDatasetOrPlan) {
   {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 1, 2, 3));
-    ShardRecord record;
-    record.rows = {0};
-    record.lines = {"a,b"};
-    ASSERT_OK(ckpt->Append(record));
+    ASSERT_OK(AppendBlock(ckpt.get(), MakeBlock(0, {0}, {"a,b"})));
   }
   const std::string bytes = ReadFileBytes(path);
   EXPECT_FALSE(ShardCheckpoint::Open(path, 9, 2, 3).ok());  // other run
@@ -646,16 +686,12 @@ TEST(ShardCheckpointTest, WritesAndReadsGoldenV1Bytes) {
       "done 2 78654d858f8b095b\n";
   std::string path = TempPath("shard_ckpt_golden.txt");
   std::remove(path.c_str());
-  ShardRecord record;
-  record.shard = 2;
-  record.rows = {4, 9};
-  record.lines = {"30-39,\"a,b\"", "40-49,c"};
-  record.gcp = 1.0 / 3.0;
-  record.seconds = 0.5;
+  const Block record =
+      MakeBlock(2, {4, 9}, {"30-39,\"a,b\"", "40-49,c"}, 1.0 / 3.0, 0.5);
   {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 7, 8, 9));
-    ASSERT_OK(ckpt->Append(record));
+    ASSERT_OK(AppendBlock(ckpt.get(), record));
   }
   EXPECT_EQ(ReadFileBytes(path), golden);
 
@@ -668,7 +704,7 @@ TEST(ShardCheckpointTest, WritesAndReadsGoldenV1Bytes) {
   EXPECT_EQ(meta.num_rows, 2u);
   EXPECT_EQ(meta.gcp, 1.0 / 3.0);
   EXPECT_EQ(meta.seconds, 0.5);
-  ASSERT_OK_AND_ASSIGN(ShardRecord loaded, ckpt->ReadPayload(2));
+  ASSERT_OK_AND_ASSIGN(Block loaded, ReadBlock(*ckpt, 2));
   EXPECT_EQ(loaded.rows, record.rows);
   EXPECT_EQ(loaded.lines, record.lines);
 }
@@ -680,12 +716,11 @@ TEST(ShardCheckpointTest, DropsBlocksWithoutValidDoneLine) {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 5, 6, 7));
     for (size_t s = 0; s < 2; ++s) {
-      ShardRecord record;
-      record.shard = s;
-      record.rows = {static_cast<uint32_t>(2 * s),
-                     static_cast<uint32_t>(2 * s + 1)};
-      record.lines = {"x,y", "z,w"};
-      ASSERT_OK(ckpt->Append(record));
+      ASSERT_OK(AppendBlock(
+          ckpt.get(), MakeBlock(s,
+                                {static_cast<uint32_t>(2 * s),
+                                 static_cast<uint32_t>(2 * s + 1)},
+                                {"x,y", "z,w"})));
     }
   }
   const std::string bytes = ReadFileBytes(path);
@@ -704,7 +739,7 @@ TEST(ShardCheckpointTest, DropsBlocksWithoutValidDoneLine) {
     ShardMeta meta;
     EXPECT_TRUE(ckpt->FindMeta(0, &meta));
     EXPECT_FALSE(ckpt->FindMeta(1, &meta));
-    ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(0));
+    ASSERT_OK_AND_ASSIGN(Block record, ReadBlock(*ckpt, 0));
     EXPECT_EQ(record.lines.size(), 2u);
     EXPECT_EQ(ReadFileBytes(path), first);
   }
@@ -714,17 +749,15 @@ TEST(ShardCheckpointTest, AppendAfterTornBlockSurvivesReopen) {
   std::string path = TempPath("shard_ckpt_torn_append.txt");
   std::remove(path.c_str());
   auto record_for = [](size_t shard) {
-    ShardRecord record;
-    record.shard = shard;
-    record.rows = {static_cast<uint32_t>(2 * shard),
-                   static_cast<uint32_t>(2 * shard + 1)};
-    record.lines = {"x,y", "z,\"w,v\""};
-    return record;
+    return MakeBlock(shard,
+                     {static_cast<uint32_t>(2 * shard),
+                      static_cast<uint32_t>(2 * shard + 1)},
+                     {"x,y", "z,\"w,v\""});
   };
   {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 5, 6, 7));
-    ASSERT_OK(ckpt->Append(record_for(0)));
+    ASSERT_OK(AppendBlock(ckpt.get(), record_for(0)));
   }
   // Killed mid-append: a head line and half its payload.
   WriteFileBytes(path,
@@ -734,8 +767,8 @@ TEST(ShardCheckpointTest, AppendAfterTornBlockSurvivesReopen) {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 5, 6, 7));
     EXPECT_EQ(ckpt->loaded(), 1u);
-    ASSERT_OK(ckpt->Append(record_for(1)));
-    ASSERT_OK(ckpt->Append(record_for(2)));
+    ASSERT_OK(AppendBlock(ckpt.get(), record_for(1)));
+    ASSERT_OK(AppendBlock(ckpt.get(), record_for(2)));
   }
   // The resume after a second crash still reads everything written.
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
@@ -744,10 +777,107 @@ TEST(ShardCheckpointTest, AppendAfterTornBlockSurvivesReopen) {
   for (size_t shard = 0; shard < 3; ++shard) {
     ShardMeta meta;
     EXPECT_TRUE(ckpt->FindMeta(shard, &meta)) << shard;
-    ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(shard));
+    ASSERT_OK_AND_ASSIGN(Block record, ReadBlock(*ckpt, shard));
     EXPECT_EQ(record.rows, record_for(shard).rows);
     EXPECT_EQ(record.lines, record_for(shard).lines);
   }
+}
+
+// Append writes a block as its lines arrive, so a line it refuses part-way
+// leaves a torn block: later appends are refused, and reopening cuts it.
+TEST(ShardCheckpointTest, FailedAppendLeavesATornBlock) {
+  std::string path = TempPath("shard_ckpt_failed_append.txt");
+  std::remove(path.c_str());
+  std::string first;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 5, 6, 7));
+    ASSERT_OK(AppendBlock(ckpt.get(), MakeBlock(0, {0, 1}, {"x,y", "z,w"})));
+    first = ReadFileBytes(path);
+    const Status refused =
+        AppendBlock(ckpt.get(), MakeBlock(1, {2, 3}, {"x,y", "z\nw"}));
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(AppendBlock(ckpt.get(), MakeBlock(2, {4}, {"x,y"})).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                       ShardCheckpoint::Open(path, 5, 6, 7));
+  EXPECT_EQ(ckpt->loaded(), 1u);
+  EXPECT_EQ(ReadFileBytes(path), first);
+}
+
+TEST(ShardCheckpointTest, LineLongerThanTheBufferRoundTrips) {
+  std::string path = TempPath("shard_ckpt_long_line.txt");
+  std::remove(path.c_str());
+  // A line twice the buffer between two short ones, so the reader meets it
+  // part-way through a buffer and carries it across refills.
+  std::string long_line(2 * ShardCheckpoint::kBufferBytes + 3, 'a');
+  long_line[0] = '"';
+  long_line[ShardCheckpoint::kBufferBytes] = ',';
+  long_line.back() = '"';
+  const Block record = MakeBlock(0, {1, 2, 3}, {"x,y", long_line, "z,w"});
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 1, 2, 3));
+    ASSERT_OK(AppendBlock(ckpt.get(), record));
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                       ShardCheckpoint::Open(path, 1, 2, 3));
+  EXPECT_EQ(ckpt->loaded(), 1u);
+  ASSERT_OK_AND_ASSIGN(Block loaded, ReadBlock(*ckpt, 0));
+  EXPECT_EQ(loaded.rows, record.rows);
+  EXPECT_EQ(loaded.lines, record.lines);
+}
+
+// Open takes a row id as plain decimal digits that fit 32 bits, followed by
+// a tab: anything else makes the block torn, and it is cut off.
+TEST(ShardCheckpointTest, MalformedRowIdMakesATornBlock) {
+  const std::string header =
+      "secreta-shard-checkpoint\tv1\t0000000000000007\t0000000000000008\t"
+      "0000000000000009\n";
+  const std::string good = "\n4\t30-39,c\n";
+  std::string path = TempPath("shard_ckpt_bad_row.txt");
+  for (const char* bad : {"\n+4\t30-39,c\n", "\n-4\t30-39,c\n",
+                          "\n 4\t30-39,c\n", "\n4294967296\t30-39,c\n",
+                          "\n4 30-39,c\n"}) {
+    SCOPED_TRACE(bad);
+    std::remove(path.c_str());
+    {
+      ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                           ShardCheckpoint::Open(path, 7, 8, 9));
+      ASSERT_OK(AppendBlock(ckpt.get(), MakeBlock(2, {4}, {"30-39,c"})));
+    }
+    std::string bytes = ReadFileBytes(path);
+    const size_t at = bytes.find(good);
+    ASSERT_NE(at, std::string::npos);
+    bytes.replace(at, good.size(), bad);
+    WriteFileBytes(path, bytes);
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 7, 8, 9));
+    EXPECT_EQ(ckpt->loaded(), 0u);
+    EXPECT_EQ(ReadFileBytes(path), header);
+  }
+}
+
+TEST(ShardCheckpointTest, ReaderRefusesAPayloadChangedAfterOpen) {
+  std::string path = TempPath("shard_ckpt_changed.txt");
+  std::remove(path.c_str());
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 1, 2, 3));
+    ASSERT_OK(AppendBlock(ckpt.get(), MakeBlock(0, {0, 1}, {"a,b", "c,d"})));
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                       ShardCheckpoint::Open(path, 1, 2, 3));
+  std::string bytes = ReadFileBytes(path);
+  bytes[bytes.find("c,d")] = 'e';
+  WriteFileBytes(path, bytes);
+  Result<Block> changed = ReadBlock(*ckpt, 0);
+  ASSERT_FALSE(changed.ok());
+  EXPECT_NE(changed.status().message().find(
+                "shard 0 payload changed since load"),
+            std::string::npos)
+      << changed.status().message();
 }
 
 // ---------------------------------------------------------------------------
@@ -870,7 +1000,19 @@ TEST(ShardedRunnerTest, CheckpointResumeIsByteIdentical) {
   EXPECT_EQ(third.release_fingerprint, first.release_fingerprint);
 }
 
+// Cuts a shard checkpoint after its first block, as a crash after shard 0.
+void CutAfterFirstBlock(const std::string& ckpt_path) {
+  std::string bytes = ReadFileBytes(ckpt_path);
+  size_t done = bytes.find("\ndone ");
+  ASSERT_NE(done, std::string::npos);
+  size_t cut = bytes.find('\n', done + 1);
+  WriteFileBytes(ckpt_path, bytes.substr(0, cut + 1));
+}
+
+// The FNV-1a literal was produced by the in-memory gather-and-sort merge
+// that the k-way merge replaced; every path must keep its bytes.
 TEST(ShardedRunnerTest, HashPlanRestoresGlobalRowOrder) {
+  constexpr uint64_t kPinned = 0xd824610ea734b6d3ULL;
   Dataset dataset = SmallRtDataset(150, 53);
   AlgorithmConfig config = RtConfig();
   std::unique_ptr<ColumnProvider> provider = MakeMemoryProvider(dataset);
@@ -880,15 +1022,31 @@ TEST(ShardedRunnerTest, HashPlanRestoresGlobalRowOrder) {
   options.salt = 7;
   ASSERT_OK_AND_ASSIGN(ShardedRunResult first,
                        RunShardedAnonymization(*provider, config, options));
+  EXPECT_EQ(first.release_fingerprint, kPinned)
+      << "0x" << std::hex << first.release_fingerprint;
   ASSERT_TRUE(first.merged.has_value());
   EXPECT_EQ(first.merged->num_records(), dataset.num_records());
-  // Deterministic: a second identical run emits identical bytes.
-  ASSERT_OK_AND_ASSIGN(ShardedRunResult second,
-                       RunShardedAnonymization(*provider, config, options));
-  EXPECT_EQ(first.release_fingerprint, second.release_fingerprint);
   ASSERT_TRUE(first.audit.has_value());
   EXPECT_TRUE(first.audit->k_anonymous);
   EXPECT_TRUE(first.audit->km_anonymous);
+
+  // Through a checkpoint: fresh, resumed after block 0, fully resumed.
+  std::string ckpt_path = TempPath("sharded_hash_ckpt.txt");
+  std::remove(ckpt_path.c_str());
+  options.checkpoint_path = ckpt_path;
+  ASSERT_OK_AND_ASSIGN(ShardedRunResult fresh,
+                       RunShardedAnonymization(*provider, config, options));
+  EXPECT_EQ(fresh.resumed_shards, 0u);
+  EXPECT_EQ(fresh.release_fingerprint, kPinned);
+  CutAfterFirstBlock(ckpt_path);
+  ASSERT_OK_AND_ASSIGN(ShardedRunResult partial,
+                       RunShardedAnonymization(*provider, config, options));
+  EXPECT_EQ(partial.resumed_shards, 1u);
+  EXPECT_EQ(partial.release_fingerprint, kPinned);
+  ASSERT_OK_AND_ASSIGN(ShardedRunResult full,
+                       RunShardedAnonymization(*provider, config, options));
+  EXPECT_EQ(full.resumed_shards, 3u);
+  EXPECT_EQ(full.release_fingerprint, kPinned);
 }
 
 TEST(ShardedRunnerTest, SingleModeRunsWork) {
@@ -905,7 +1063,18 @@ TEST(ShardedRunnerTest, SingleModeRunsWork) {
                        RunShardedAnonymization(*provider, relational, options));
   ASSERT_TRUE(rel_result.audit.has_value());
   EXPECT_TRUE(rel_result.audit->k_anonymous);
+  EXPECT_GE(rel_result.audit->min_class_size, 4u);
   EXPECT_GT(rel_result.weighted_gcp, 0.0);
+  // A relational run promises only k: its pass-through transactions are not
+  // judged for k^m, even with m set.
+  relational.params.m = 2;
+  ASSERT_OK_AND_ASSIGN(rel_result,
+                       RunShardedAnonymization(*provider, relational, options));
+  ASSERT_TRUE(rel_result.audit.has_value());
+  EXPECT_TRUE(rel_result.audit->k_anonymous);
+  EXPECT_TRUE(rel_result.audit->km_anonymous);
+  EXPECT_EQ(rel_result.audit->worst_itemset_support, 0u);
+  EXPECT_EQ(rel_result.audit->details, "ok");
 
   AlgorithmConfig transaction;
   transaction.mode = AnonMode::kTransaction;
@@ -917,6 +1086,11 @@ TEST(ShardedRunnerTest, SingleModeRunsWork) {
       RunShardedAnonymization(*provider, transaction, options));
   ASSERT_TRUE(txn_result.audit.has_value());
   EXPECT_TRUE(txn_result.audit->km_anonymous);
+  // A transaction run promises only k^m: its pass-through relational labels
+  // are not grouped into classes.
+  EXPECT_TRUE(txn_result.audit->k_anonymous);
+  EXPECT_EQ(txn_result.audit->min_class_size, 0u);
+  EXPECT_EQ(txn_result.audit->details, "ok");
 }
 
 TEST(ShardedRunnerTest, NoMaterializeSkipsMergedDataset) {
@@ -1063,14 +1237,15 @@ TEST(ShardedRunnerTest, TracedRunRecordsShardSpans) {
   auto first = RunShardedAnonymization(*provider, RtConfig(), options);
   tracer.Disable();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
+  // A range plan writes each computed shard's lines to the checkpoint and
+  // the release in the loop: no merge pass.
   EXPECT_EQ(count_spans(tracer.CollectEvents()),
             (std::map<std::string, size_t>{{"shard.anonymize", 3},
-                                           {"shard.checkpoint", 3},
                                            {"shard.load", 3},
                                            {"shard.materialize", 3},
-                                           {"shard.merge", 1}}));
+                                           {"shard.write", 3}}));
 
-  // The resume replays every shard from the checkpoint: only the merge.
+  // The resume streams every shard from the checkpoint into the release.
   tracer.Reset();
   tracer.Enable();
   auto resumed = RunShardedAnonymization(*provider, RtConfig(), options);
@@ -1078,8 +1253,171 @@ TEST(ShardedRunnerTest, TracedRunRecordsShardSpans) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->resumed_shards, 3u);
   EXPECT_EQ(count_spans(tracer.CollectEvents()),
-            (std::map<std::string, size_t>{{"shard.merge", 1}}));
+            (std::map<std::string, size_t>{{"shard.replay", 3}}));
+
+  // A hash plan merges after the loop.
+  std::remove(ckpt_path.c_str());
+  options.shard_kind = ShardKind::kHash;
   tracer.Reset();
+  tracer.Enable();
+  auto hashed = RunShardedAnonymization(*provider, RtConfig(), options);
+  tracer.Disable();
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  EXPECT_EQ(count_spans(tracer.CollectEvents()),
+            (std::map<std::string, size_t>{{"shard.anonymize", 3},
+                                           {"shard.load", 3},
+                                           {"shard.materialize", 3},
+                                           {"shard.merge", 1},
+                                           {"shard.write", 3}}));
+  tracer.Reset();
+}
+
+// Serves `inner`'s shards, calling `on_shard` before each one is decoded.
+class HookedProvider : public ColumnProvider {
+ public:
+  HookedProvider(const ColumnProvider& inner,
+                 std::function<void(size_t)> on_shard)
+      : inner_(inner), on_shard_(std::move(on_shard)) {}
+
+  DataSource source() const override { return inner_.source(); }
+  const Schema& schema() const override { return inner_.schema(); }
+  size_t num_records() const override { return inner_.num_records(); }
+  const std::vector<Dictionary>& dictionaries() const override {
+    return inner_.dictionaries();
+  }
+  const Dictionary& item_dictionary() const override {
+    return inner_.item_dictionary();
+  }
+  const std::vector<uint64_t>& item_supports() const override {
+    return inner_.item_supports();
+  }
+  uint64_t content_fingerprint() const override {
+    return inner_.content_fingerprint();
+  }
+  Result<Dataset> Materialize() const override { return inner_.Materialize(); }
+  Result<Dataset> MaterializeShard(const ShardPlan& plan,
+                                   size_t shard) const override {
+    on_shard_(shard);
+    return inner_.MaterializeShard(plan, shard);
+  }
+
+ private:
+  const ColumnProvider& inner_;
+  std::function<void(size_t)> on_shard_;
+};
+
+bool FileExists(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file != nullptr) std::fclose(file);
+  return file != nullptr;
+}
+
+TEST(ShardedRunnerTest, FailedRunLeavesNoRelease) {
+  Dataset dataset = SmallRtDataset(180, 101);
+  std::unique_ptr<ColumnProvider> memory = MakeMemoryProvider(dataset);
+  std::string ckpt_path = TempPath("sharded_failed_ckpt.txt");
+  std::string release_path = TempPath("sharded_failed_release.csv");
+  std::remove(ckpt_path.c_str());
+  std::remove(release_path.c_str());
+  ShardedRunOptions options;
+  options.num_shards = 3;
+  options.checkpoint_path = ckpt_path;
+  options.output_path = release_path;
+
+  CancellationToken cancelled;
+  cancelled.Cancel();
+  options.cancel = &cancelled;
+  auto result = RunShardedAnonymization(*memory, RtConfig(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(FileExists(release_path));
+  EXPECT_FALSE(FileExists(release_path + ".tmp"));
+  options.cancel = nullptr;
+
+  // A checkpoint holding shards 1 and 2 only; shard 1's payload changes on
+  // disk after Open verified it, while shard 0 is being computed.
+  ASSERT_OK(RunShardedAnonymization(*memory, RtConfig(), options).status());
+  std::remove(release_path.c_str());
+  const std::string bytes = ReadFileBytes(ckpt_path);
+  const size_t block0 = bytes.find("shard 0 ");
+  const size_t block1 = bytes.find("shard 1 ");
+  ASSERT_NE(block0, std::string::npos);
+  ASSERT_NE(block1, std::string::npos);
+  WriteFileBytes(ckpt_path, bytes.substr(0, block0) + bytes.substr(block1));
+  HookedProvider flipping(*memory, [&](size_t) {
+    std::string now = ReadFileBytes(ckpt_path);
+    const size_t line = now.find('	', now.find("shard 1 "));
+    now[line + 1] = now[line + 1] == 'x' ? 'y' : 'x';
+    WriteFileBytes(ckpt_path, now);
+  });
+  result = RunShardedAnonymization(flipping, RtConfig(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(
+                "shard 1 payload changed since load"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_FALSE(FileExists(release_path));
+  EXPECT_FALSE(FileExists(release_path + ".tmp"));
+}
+
+TEST(ShardedRunnerTest, UnwritableOutputIsRefusedBeforeAnyShardRuns) {
+  Dataset dataset = SmallRtDataset(120, 103);
+  std::unique_ptr<ColumnProvider> memory = MakeMemoryProvider(dataset);
+  size_t decoded = 0;
+  HookedProvider counting(*memory, [&](size_t) { ++decoded; });
+  std::string ckpt_path = TempPath("sharded_unwritable_ckpt.txt");
+  std::remove(ckpt_path.c_str());
+  ShardedRunOptions options;
+  options.num_shards = 2;
+  options.checkpoint_path = ckpt_path;
+  options.output_path = TempPath("no_such_dir/release.csv");
+  auto result = RunShardedAnonymization(counting, RtConfig(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(decoded, 0u);
+  EXPECT_FALSE(FileExists(ckpt_path));
+}
+
+TEST(ShardedRunnerTest, ReplayRefusesRowIdsTheBlockDoesNotShareWithThePlan) {
+  Dataset dataset = SmallRtDataset(120, 107);
+  std::unique_ptr<ColumnProvider> provider = MakeMemoryProvider(dataset);
+  AlgorithmConfig config = RtConfig();
+  std::string ckpt_path = TempPath("sharded_rows_ckpt.txt");
+  for (ShardKind kind : {ShardKind::kRange, ShardKind::kHash}) {
+    SCOPED_TRACE(ShardKindName(kind));
+    const ShardPlan plan = ShardPlan::Make(kind, dataset.num_records(), 2);
+    // Shard 1's block has the plan's row count, but its first two row ids
+    // swapped: the right rows in the wrong order.
+    std::remove(ckpt_path.c_str());
+    {
+      ASSERT_OK_AND_ASSIGN(
+          std::unique_ptr<ShardCheckpoint> ckpt,
+          ShardCheckpoint::Open(
+              ckpt_path,
+              CheckpointLog::PointKey(config, provider->content_fingerprint(),
+                                      0, 0),
+              provider->content_fingerprint(), plan.Fingerprint()));
+      for (size_t s = 0; s < 2; ++s) {
+        std::vector<uint32_t> rows = plan.Rows(s);
+        if (s == 1) std::swap(rows[0], rows[1]);
+        ASSERT_OK(AppendBlock(
+            ckpt.get(),
+            MakeBlock(s, rows, std::vector<std::string>(rows.size(), "a"))));
+      }
+    }
+    ShardedRunOptions options;
+    options.num_shards = 2;
+    options.shard_kind = kind;
+    options.checkpoint_path = ckpt_path;
+    options.materialize_result = false;
+    options.audit = false;
+    auto result = RunShardedAnonymization(*provider, config, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(result.status().message().find("shard 1 holds row"),
+              std::string::npos)
+        << result.status().message();
+  }
 }
 
 }  // namespace
