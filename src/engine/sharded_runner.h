@@ -19,8 +19,8 @@
 // after the loop a k-way merge by global row id takes each row's line from
 // the shard that owns it (ShardPlan::ShardOf), reading one PayloadReader per
 // shard from the checkpoint or, without a checkpoint, the lines the loop
-// held. Either way the merge holds one line per shard, and no path holds a
-// copy of a shard's lines beside its anonymized dataset. The tmp file is
+// held. Either way the merge holds one line per shard in flight; only a
+// hash plan without a checkpoint holds lines at all. The tmp file is
 // renamed into place only after every shard is done and is removed on any
 // failure or cancellation. Spans: shard.load, shard.anonymize,
 // shard.materialize and shard.write (lines to checkpoint and release) per

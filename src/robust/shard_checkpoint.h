@@ -46,8 +46,10 @@ namespace secreta {
 struct ShardMeta {
   size_t shard = 0;
   size_t num_rows = 0;
-  double gcp = 0;      ///< shard-mean GCP of the recoding
-  double seconds = 0;  ///< original anonymize+materialize time
+  double gcp = 0;  ///< shard-mean GCP of the recoding
+  /// Load, anonymize and materialize time of the original run; the head
+  /// line is written before the lines, so it does not cover writing them.
+  double seconds = 0;
 };
 
 /// \brief Append-only, thread-safe per-shard output log for one sharded run.
@@ -123,11 +125,9 @@ class ShardCheckpoint {
 /// so a reader that returns every line has verified the whole block.
 class ShardCheckpoint::PayloadReader {
  public:
-  size_t num_rows() const { return num_rows_; }
-
   /// Reads the next payload line: `*row` gets its global row id and `*csv`
-  /// a view of its CSV text, valid until the next call. False once all
-  /// num_rows() lines have been read. A torn or malformed line, or a block
+  /// a view of its CSV text, valid until the next call. False once every
+  /// line of the block has been read. A torn or malformed line, or a block
   /// that no longer matches its fingerprint, fails with IOError ("payload
   /// changed since load").
   Result<bool> Next(uint32_t* row, std::string_view* csv);
