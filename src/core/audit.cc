@@ -18,6 +18,7 @@ Result<AuditReport> AuditAnonymizedDataset(const Dataset& anonymized, int k,
   // Relational classes by published label vectors.
   std::map<std::vector<ValueId>, std::vector<size_t>> classes;
   bool has_relational = check_k && anonymized.num_relational() > 0;
+  report.k_checked = has_relational;
   if (has_relational) {
     for (size_t r = 0; r < n; ++r) {
       std::vector<ValueId> key;
@@ -44,7 +45,8 @@ Result<AuditReport> AuditAnonymizedDataset(const Dataset& anonymized, int k,
   // k^m over published item labels. Published items are opaque tokens here,
   // which is exactly the recipient's view of generalized items.
   report.km_anonymous = true;
-  if (anonymized.has_transaction() && m >= 1) {
+  report.km_checked = anonymized.has_transaction() && m >= 1;
+  if (report.km_checked) {
     // Records as ItemId vectors (already dictionary-encoded).
     const auto& records32 = anonymized.transactions().raw();
     std::vector<std::vector<int32_t>> records(records32.begin(),

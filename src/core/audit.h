@@ -17,6 +17,9 @@ namespace secreta {
 struct AuditReport {
   bool k_anonymous = false;
   bool km_anonymous = false;
+  /// Which checks were made; a check not made passes vacuously.
+  bool k_checked = false;
+  bool km_checked = false;
   /// Smallest relational equivalence-class size found (0 if no relational
   /// attributes).
   size_t min_class_size = 0;
@@ -30,10 +33,11 @@ struct AuditReport {
 /// transaction attribute (itemsets of published item labels).
 ///
 /// For (k, k^m)-anonymity both flags must hold and the k^m check is repeated
-/// inside every relational class; use `check_km_per_class` for that. A check
-/// that is not made passes vacuously: k^m with `m` = 0, and k with `check_k`
-/// off (for a release whose relational labels were passed through, not
-/// anonymized; min_class_size is then 0).
+/// inside every relational class; use `check_km_per_class` for that. k is
+/// checked when `check_k` is on and there are relational attributes, k^m when
+/// `m` >= 1 and there is a transaction attribute; the report's `*_checked`
+/// flags say which were. Turn `check_k` off for a release whose relational
+/// labels were passed through, not anonymized (min_class_size is then 0).
 Result<AuditReport> AuditAnonymizedDataset(const Dataset& anonymized, int k,
                                            int m, bool check_km_per_class,
                                            bool check_k = true);

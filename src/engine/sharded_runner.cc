@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -145,16 +146,16 @@ Result<Dataset> AnonymizeShard(const ColumnProvider& provider,
 }
 
 // The release CSV as it is written: the header, then one line per record in
-// global row order. Lines are staged in one fixed-size buffer; each chunk is
-// folded into the fingerprint (Fnv1a64 continues across chunks, so the
-// result is the hash of the whole file) and written to `<output>.tmp`,
-// which Commit renames into place. Destroyed uncommitted, the writer removes
-// the tmp file, so a failed or cancelled run leaves no release behind.
+// global row order, each folded into the fingerprint and written to
+// `<output>.tmp` through a 64 KiB stream buffer (rather than the default
+// 8 KiB one, which measurably slowed writing), which Commit renames into
+// place. Destroyed uncommitted, the writer removes the tmp file, so a failed
+// or cancelled run leaves no release behind.
 class ReleaseWriter {
  public:
-  static constexpr size_t kChunkBytes = 64 << 10;
+  static constexpr size_t kBufferBytes = 64 << 10;
 
-  ReleaseWriter() { chunk_.reserve(kChunkBytes); }
+  ReleaseWriter() = default;
   ~ReleaseWriter() {
     if (!tmp_path_.empty() && !committed_) {
       out_.close();
@@ -168,6 +169,8 @@ class ReleaseWriter {
   /// only fingerprinted.
   Status Open(const std::string& output_path) {
     const std::string tmp_path = output_path + ".tmp";
+    buffer_.reset(new char[kBufferBytes]);
+    out_.rdbuf()->pubsetbuf(buffer_.get(), kBufferBytes);
     out_.open(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out_) {
       return Status::IOError("cannot open release output: " + tmp_path);
@@ -178,21 +181,15 @@ class ReleaseWriter {
   }
 
   void Add(std::string_view line) {
-    if (chunk_.size() + line.size() + 1 > kChunkBytes) {
-      Flush();
-      if (line.size() + 1 > kChunkBytes) {  // straight through
-        Write(line);
-        Write("\n");
-        return;
-      }
+    fingerprint_ = Fnv1a64("\n", Fnv1a64(line, fingerprint_));
+    if (out_.is_open()) {
+      out_.write(line.data(), static_cast<std::streamsize>(line.size()));
+      out_.put('\n');
     }
-    chunk_.append(line);
-    chunk_ += '\n';
   }
 
-  /// Writes the last chunk and moves the release into place.
+  /// Moves the release into place.
   Status Commit() {
-    Flush();
     if (tmp_path_.empty()) return Status::OK();
     out_.close();
     if (!out_) return Status::IOError("release write failed: " + tmp_path_);
@@ -206,23 +203,22 @@ class ReleaseWriter {
   uint64_t fingerprint() const { return fingerprint_; }
 
  private:
-  void Write(std::string_view bytes) {
-    fingerprint_ = Fnv1a64(bytes, fingerprint_);
-    if (out_.is_open()) {
-      out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-  }
-  void Flush() {
-    Write(chunk_);
-    chunk_.clear();
-  }
-
-  std::string chunk_;
   uint64_t fingerprint_ = kFnv1a64Basis;
   std::string path_;
   std::string tmp_path_;
+  std::unique_ptr<char[]> buffer_;  ///< out_'s; declared first, outlives it
   std::ofstream out_;
   bool committed_ = false;
+};
+
+// A computed hash-plan shard's release lines, held for the merge when there
+// is no checkpoint to read them back from: the lines back to back, and where
+// each ends (a quoted field may hold a newline, so the bytes alone do not
+// say).
+struct HeldLines {
+  std::string bytes;
+  std::vector<size_t> ends;
+  size_t taken = 0;  ///< lines the merge has consumed
 };
 
 Status RowMismatch(const ShardCheckpoint& checkpoint, size_t shard,
@@ -314,13 +310,10 @@ Result<ShardedRunResult> RunShardedAnonymization(
   // Range shards are contiguous ascending blocks: concatenation in shard
   // order IS global row order, so each shard's lines go to the release as
   // the loop reaches it. Hash shards interleave rows and are merged after
-  // the loop, from the checkpoint or, without one, from `held_lines` (each
-  // computed shard's lines, newline-terminated).
+  // the loop, from the checkpoint or, without one, from `held`.
   const bool range_plan = plan.kind() == ShardKind::kRange;
-  std::vector<std::string> held_lines;
-  if (!range_plan && checkpoint == nullptr) {
-    held_lines.resize(plan.num_shards());
-  }
+  std::vector<HeldLines> held;
+  if (!range_plan && checkpoint == nullptr) held.resize(plan.num_shards());
 
   SharedHierarchies hierarchies;
   std::string line;  // every computed release line, in turn
@@ -379,8 +372,8 @@ Result<ShardedRunResult> RunShardedAnonymization(
       anonymized->AppendCsvLine(i, &line);
       if (range_plan) return emit(line);
       if (checkpoint == nullptr) {
-        held_lines[s].append(line);
-        held_lines[s] += '\n';
+        held[s].bytes.append(line);
+        held[s].ends.push_back(held[s].bytes.size());
       }
       return Status::OK();
     };
@@ -405,18 +398,15 @@ Result<ShardedRunResult> RunShardedAnonymization(
   if (!range_plan) {
     // ---- hash merge: a k-way merge by global row id ------------------------
     // Each shard's rows ascend, so row r is the next line of the shard that
-    // owns it: one line per shard is in flight, never the whole release.
+    // owns it. With a checkpoint, every shard's reader streams its block
+    // side by side through one file handle and a fixed buffer budget.
     SECRETA_RETURN_IF_ERROR(CheckCancelled(options.cancel, "sharded-merge"));
     SECRETA_TRACE_SPAN("shard.merge");
     std::vector<ShardCheckpoint::PayloadReader> readers;
-    std::vector<size_t> held_offsets(held_lines.size(), 0);
     if (checkpoint != nullptr) {
-      readers.reserve(plan.num_shards());
-      for (size_t s = 0; s < plan.num_shards(); ++s) {
-        SECRETA_ASSIGN_OR_RETURN(ShardCheckpoint::PayloadReader reader,
-                                 checkpoint->OpenPayload(s));
-        readers.push_back(std::move(reader));
-      }
+      std::vector<size_t> shards(plan.num_shards());
+      for (size_t s = 0; s < shards.size(); ++s) shards[s] = s;
+      SECRETA_ASSIGN_OR_RETURN(readers, checkpoint->OpenPayloads(shards));
     }
     uint32_t row = 0;
     std::string_view csv;
@@ -426,11 +416,11 @@ Result<ShardedRunResult> RunShardedAnonymization(
         SECRETA_ASSIGN_OR_RETURN(const bool more, readers[s].Next(&row, &csv));
         if (!more || row != r) return RowMismatch(*checkpoint, s, row, r);
       } else {
-        const std::string_view held = held_lines[s];
-        const size_t begin = held_offsets[s];
-        const size_t end = held.find('\n', begin);
-        csv = held.substr(begin, end - begin);
-        held_offsets[s] = end + 1;
+        HeldLines& lines = held[s];
+        const size_t begin = lines.taken == 0 ? 0 : lines.ends[lines.taken - 1];
+        csv = std::string_view(lines.bytes)
+                  .substr(begin, lines.ends[lines.taken] - begin);
+        ++lines.taken;
       }
       SECRETA_RETURN_IF_ERROR(emit(csv));
     }

@@ -17,12 +17,13 @@
 // the shard loop: a computed shard's lines as they are written, a shard
 // already in the checkpoint streamed from it. A hash plan's rows interleave;
 // after the loop a k-way merge by global row id takes each row's line from
-// the shard that owns it (ShardPlan::ShardOf), reading one PayloadReader per
-// shard from the checkpoint or, without a checkpoint, the lines the loop
-// held. Either way the merge holds one line per shard in flight; only a
-// hash plan without a checkpoint holds lines at all. The tmp file is
-// renamed into place only after every shard is done and is removed on any
-// failure or cancellation. Spans: shard.load, shard.anonymize,
+// the shard that owns it (ShardPlan::ShardOf). With a checkpoint it reads
+// one PayloadReader per shard, all opened together (OpenPayloads: one
+// descriptor and a fixed buffer budget however many shards there are);
+// without one it walks the lines the loop held, the only lines any path
+// holds. The release is written through a 64 KiB stream buffer. The tmp
+// file is renamed into place only after every shard is done and is removed
+// on any failure or cancellation. Spans: shard.load, shard.anonymize,
 // shard.materialize and shard.write (lines to checkpoint and release) per
 // computed shard, shard.replay per resumed shard of a range plan, and one
 // shard.merge per hash-plan run.

@@ -1,5 +1,6 @@
 #include "robust/shard_checkpoint.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <limits>
@@ -36,50 +37,17 @@ bool ParsePayloadLine(std::string_view line, uint32_t* row,
   return true;
 }
 
-// Stages payload lines in one fixed-size buffer and writes it to `out`
-// whenever the next line would not fit. A line longer than the buffer is
-// written straight through.
-class PayloadStage {
- public:
-  explicit PayloadStage(std::ostream* out) : out_(out) {
-    buffer_.reserve(ShardCheckpoint::kBufferBytes);
-  }
-
-  void Add(uint32_t row, std::string_view csv) {
-    char id[std::numeric_limits<uint32_t>::digits10 + 1];
-    const size_t id_size =
-        static_cast<size_t>(std::to_chars(id, id + sizeof(id), row).ptr - id);
-    const size_t size = id_size + 1 + csv.size() + 1;
-    if (buffer_.size() + size > ShardCheckpoint::kBufferBytes) Flush();
-    if (size > ShardCheckpoint::kBufferBytes) {
-      out_->write(id, static_cast<std::streamsize>(id_size)).put('\t');
-      out_->write(csv.data(), static_cast<std::streamsize>(csv.size()));
-      out_->put('\n');
-      return;
-    }
-    buffer_.append(id, id_size);
-    buffer_ += '\t';
-    buffer_.append(csv);
-    buffer_ += '\n';
-  }
-
-  void Flush() {
-    out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-
- private:
-  std::ostream* out_;
-  std::string buffer_;
-};
-
 }  // namespace
 
 Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
     const std::string& path, uint64_t run_key, uint64_t dataset_fp,
     uint64_t plan_fp) {
+  std::unique_ptr<ShardCheckpoint> log(new ShardCheckpoint(path));
   std::map<size_t, Entry> records;
-  std::ofstream out;
+  // Nothing else can reach the log before Open returns; the lock only
+  // satisfies the analysis for out_.
+  MutexLock lock(log->mutex_);
+  log->out_.rdbuf()->pubsetbuf(log->out_buffer_.get(), kBufferBytes);
   // Shard blocks: "shard <s> <rows> <gcp> <secs>", then <rows> payload
   // lines "<rowid>\t<csv>", then "done <s> <payload-fp>". Payload lines are
   // folded into the fingerprint but NOT retained — only the offset of the
@@ -124,12 +92,9 @@ Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
         records[entry.meta.shard] = entry;
         return true;
       },
-      &out));
-  std::unique_ptr<ShardCheckpoint> log(new ShardCheckpoint(path));
+      &log->out_));
   log->loaded_ = records.size();
-  MutexLock lock(log->mutex_);
   log->records_ = std::move(records);
-  log->out_ = std::move(out);
   return log;
 }
 
@@ -141,24 +106,63 @@ bool ShardCheckpoint::FindMeta(size_t shard, ShardMeta* out) const {
   return true;
 }
 
+// What the readers of one OpenPayloads call share: the file, read at each
+// reader's own offset, their buffers, and the scratch in which a line longer
+// than a reader's buffer is put together.
+struct ShardCheckpoint::PayloadFile {
+  std::string path;
+  std::ifstream in;
+  std::streamoff position = 0;  ///< where `in` stands
+  std::unique_ptr<char[]> buffers;
+  std::string long_line;
+};
+
+Result<ShardCheckpoint::Entry> ShardCheckpoint::FindEntry(size_t shard) const {
+  MutexLock lock(mutex_);
+  auto it = records_.find(shard);
+  if (it == records_.end()) {
+    return Status::NotFound(
+        StrFormat("shard %zu not in checkpoint %s", shard, path_.c_str()));
+  }
+  return it->second;
+}
+
 Result<ShardCheckpoint::PayloadReader> ShardCheckpoint::OpenPayload(
     size_t shard) const {
-  Entry entry;
-  {
-    MutexLock lock(mutex_);
-    auto it = records_.find(shard);
-    if (it == records_.end()) {
-      return Status::NotFound(
-          StrFormat("shard %zu not in checkpoint %s", shard, path_.c_str()));
-    }
-    entry = it->second;
+  SECRETA_ASSIGN_OR_RETURN(std::vector<PayloadReader> readers,
+                           OpenPayloads({shard}));
+  return std::move(readers.front());
+}
+
+Result<std::vector<ShardCheckpoint::PayloadReader>>
+ShardCheckpoint::OpenPayloads(const std::vector<size_t>& shards) const {
+  std::vector<Entry> entries;
+  entries.reserve(shards.size());
+  for (size_t shard : shards) {
+    SECRETA_ASSIGN_OR_RETURN(Entry entry, FindEntry(shard));
+    entries.push_back(entry);
   }
-  PayloadReader reader(path_, shard, entry.meta.num_rows, entry.payload_fp);
-  reader.in_.open(path_, std::ios::binary);
-  if (!reader.in_ || !reader.in_.seekg(entry.offset)) {
+  auto file = std::make_shared<PayloadFile>();
+  file->path = path_;
+  // Unbuffered: every refill reads straight into a reader's own buffer.
+  file->in.rdbuf()->pubsetbuf(nullptr, 0);
+  file->in.open(path_, std::ios::binary);
+  if (!file->in) {
     return Status::IOError("cannot reopen shard checkpoint: " + path_);
   }
-  return reader;
+  const size_t capacity =
+      shards.empty() ? 0
+                     : std::clamp(kSharedBufferBytes / shards.size(),
+                                  kMinReaderBytes, kBufferBytes);
+  file->buffers.reset(new char[capacity * shards.size()]);
+  std::vector<PayloadReader> readers;
+  readers.reserve(shards.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    readers.push_back(PayloadReader(file, entries[i],
+                                    file->buffers.get() + i * capacity,
+                                    capacity));
+  }
+  return readers;
 }
 
 Status ShardCheckpoint::Append(const ShardMeta& meta,
@@ -178,8 +182,9 @@ Status ShardCheckpoint::Append(const ShardMeta& meta,
   // line the put position IS the offset of the first payload line.
   entry.offset = static_cast<std::streamoff>(out_.tellp());
   torn_ = true;  // until the "done" line is out
-  PayloadStage stage(&out_);
   uint64_t fp = PayloadSeed();
+  // "<rowid>\t": the id through std::to_chars, not a locale-aware operator<<.
+  char id[std::numeric_limits<uint32_t>::digits10 + 2];
   for (size_t i = 0; i < meta.num_rows; ++i) {
     uint32_t row = 0;
     std::string_view csv;
@@ -188,10 +193,13 @@ Status ShardCheckpoint::Append(const ShardMeta& meta,
         csv.find('\r') != std::string_view::npos) {
       return Status::InvalidArgument("shard record lines must be single-line");
     }
-    stage.Add(row, csv);
+    char* id_end = std::to_chars(id, id + sizeof(id) - 1, row).ptr;
+    *id_end++ = '\t';
+    out_.write(id, id_end - id);
+    out_.write(csv.data(), static_cast<std::streamsize>(csv.size()));
+    out_.put('\n');
     fp = FoldPayloadRow(fp, row, csv);
   }
-  stage.Flush();
   out_ << "done " << meta.shard << ' ' << U64Hex(fp) << '\n' << std::flush;
   if (!out_) {
     return Status::IOError("shard checkpoint append failed: " + path_);
@@ -202,15 +210,17 @@ Status ShardCheckpoint::Append(const ShardMeta& meta,
   return Status::OK();
 }
 
-ShardCheckpoint::PayloadReader::PayloadReader(std::string path, size_t shard,
-                                              size_t num_rows,
-                                              uint64_t payload_fp)
-    : path_(std::move(path)),
-      shard_(shard),
-      num_rows_(num_rows),
-      expected_fp_(payload_fp),
+ShardCheckpoint::PayloadReader::PayloadReader(
+    std::shared_ptr<PayloadFile> file, const Entry& entry, char* buffer,
+    size_t capacity)
+    : file_(std::move(file)),
+      shard_(entry.meta.shard),
+      num_rows_(entry.meta.num_rows),
+      expected_fp_(entry.payload_fp),
       fp_(PayloadSeed()),
-      buffer_(new char[kBufferBytes]) {}
+      offset_(entry.offset),
+      buffer_(buffer),
+      capacity_(capacity) {}
 
 Result<bool> ShardCheckpoint::PayloadReader::Next(uint32_t* row,
                                                   std::string_view* csv) {
@@ -225,44 +235,59 @@ Result<bool> ShardCheckpoint::PayloadReader::Next(uint32_t* row,
 }
 
 bool ShardCheckpoint::PayloadReader::ReadLine(std::string_view* line) {
-  long_line_.clear();
+  std::string& long_line = file_->long_line;
+  bool carried = false;  // part of the line is already in `long_line`
   for (;;) {
-    const char* start = buffer_.get() + begin_;
+    const char* start = buffer_ + begin_;
     const size_t available = end_ - begin_;
     const void* newline = std::memchr(start, '\n', available);
     if (newline != nullptr) {
       const size_t size = static_cast<size_t>(
           static_cast<const char*>(newline) - start);
       begin_ += size + 1;
-      if (long_line_.empty()) {
-        *line = std::string_view(start, size);
+      if (carried) {
+        long_line.append(start, size);
+        *line = long_line;
       } else {
-        long_line_.append(start, size);
-        *line = long_line_;
+        *line = std::string_view(start, size);
       }
       return true;
     }
-    if (available == kBufferBytes) {
+    if (available == capacity_) {
       // A line longer than the buffer: carry the part read so far.
-      long_line_.append(start, available);
+      if (!carried) long_line.clear();
+      carried = true;
+      long_line.append(start, available);
       begin_ = end_ = 0;
     } else if (begin_ > 0) {
-      std::memmove(buffer_.get(), start, available);
+      std::memmove(buffer_, start, available);
       begin_ = 0;
       end_ = available;
     }
-    in_.read(buffer_.get() + end_,
-             static_cast<std::streamsize>(kBufferBytes - end_));
-    const size_t got = static_cast<size_t>(in_.gcount());
-    if (got == 0) return false;  // the file ends inside the line
-    end_ += got;
+    if (!Refill()) return false;  // the file ends inside the line
   }
+}
+
+// Reads into the free tail of the buffer from this reader's offset, seeking
+// the shared file only when another reader moved it.
+bool ShardCheckpoint::PayloadReader::Refill() {
+  PayloadFile& file = *file_;
+  if (file.position != offset_ || !file.in.good()) {
+    file.in.clear();
+    if (!file.in.seekg(offset_)) return false;
+  }
+  file.in.read(buffer_ + end_, static_cast<std::streamsize>(capacity_ - end_));
+  const size_t got = static_cast<size_t>(file.in.gcount());
+  offset_ += static_cast<std::streamoff>(got);
+  file.position = offset_;
+  end_ += got;
+  return got > 0;
 }
 
 Status ShardCheckpoint::PayloadReader::Changed() const {
   return Status::IOError(
       StrFormat("shard checkpoint %s: shard %zu payload changed since load",
-                path_.c_str(), shard_));
+                file_->path.c_str(), shard_));
 }
 
 }  // namespace secreta

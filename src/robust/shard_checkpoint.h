@@ -6,14 +6,16 @@
 // persists, per completed shard: the global row ids, the anonymized CSV
 // line of every row, and the shard's aggregate stats.
 //
-// Payloads stay on disk and every payload byte moves through one fixed-size
-// buffer (kBufferBytes) in each direction. Append stages a block's lines as
-// its caller produces them; a PayloadReader streams one stored block back
-// line by line, parsing each in place. Only per-shard metadata (stats, row
-// count, payload fingerprint, file offset) is held in memory, so neither
-// writing nor replaying a 1M-record run holds a shard's lines, which is the
-// whole point of sharding (see docs/OPERATIONS.md "Out-of-core & sharded
-// runs").
+// Payloads stay on disk. Append writes a block's lines into the file as its
+// caller produces them; a PayloadReader streams one stored block back line by
+// line through a fixed-size buffer, parsing each in place. Readers opened
+// together (OpenPayloads, for a hash-plan merge that reads every shard side
+// by side) share one file handle and split one fixed budget of buffer bytes,
+// so neither descriptors nor buffers grow with the shard count. Only
+// per-shard metadata (stats, row count, payload fingerprint, file offset) is
+// held in memory, so neither writing nor replaying a 1M-record run holds a
+// shard's lines, which is the whole point of sharding (see
+// docs/OPERATIONS.md "Out-of-core & sharded runs").
 //
 // The file is a RecordLog (record_log.h), flushed per shard, whose header
 // pins (run key, dataset fingerprint, shard-plan fingerprint); opening
@@ -34,6 +36,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/mutex.h"
@@ -55,9 +58,13 @@ struct ShardMeta {
 /// \brief Append-only, thread-safe per-shard output log for one sharded run.
 class ShardCheckpoint {
  public:
-  /// Bytes of the one buffer that payload lines are staged in (Append) or
-  /// read through (PayloadReader). A line longer than it still round-trips.
+  /// Bytes of the buffer a PayloadReader opened alone reads through. A line
+  /// longer than its reader's buffer still round-trips.
   static constexpr size_t kBufferBytes = 64 << 10;
+  /// Buffer bytes that the readers of one OpenPayloads call split evenly,
+  /// each getting at most kBufferBytes and at least kMinReaderBytes.
+  static constexpr size_t kSharedBufferBytes = 1 << 20;
+  static constexpr size_t kMinReaderBytes = 64;
 
   /// Produces payload line `i` of a block being appended: sets `*row` to its
   /// global row id and `*csv` to its newline-free CSV text, which must stay
@@ -78,13 +85,22 @@ class ShardCheckpoint {
   /// Copies the stored metadata for `shard`. False if missing.
   bool FindMeta(size_t shard, ShardMeta* out) const SECRETA_EXCLUDES(mutex_);
 
-  /// Opens `shard`'s stored payload for streaming. NotFound if it is not in
-  /// the checkpoint.
+  /// Opens `shard`'s stored payload for streaming, through a kBufferBytes
+  /// buffer. NotFound if it is not in the checkpoint.
   Result<PayloadReader> OpenPayload(size_t shard) const
       SECRETA_EXCLUDES(mutex_);
 
+  /// Opens the stored payloads of `shards` (in that order) for streaming side
+  /// by side. The readers share one file handle and one allocation of at
+  /// most max(kSharedBufferBytes, kMinReaderBytes * shards.size()) bytes, so
+  /// a merge over thousands of shards needs one descriptor. NotFound if a
+  /// shard is not in the checkpoint.
+  Result<std::vector<PayloadReader>> OpenPayloads(
+      const std::vector<size_t>& shards) const SECRETA_EXCLUDES(mutex_);
+
   /// Appends one completed shard as a block and flushes it: the head line
-  /// from `meta`, then `meta.num_rows` payload lines from `line`, then the
+  /// from `meta`, then `meta.num_rows` payload lines from `line`, each
+  /// written straight into the file's kBufferBytes stream buffer, then the
   /// "done" line with the payload fingerprint. The block is written under
   /// the checkpoint's lock, so `line` must not call back into this
   /// checkpoint. A block that fails part-way (an error from `line`, a line
@@ -105,28 +121,40 @@ class ShardCheckpoint {
     std::streamoff offset = 0;
   };
 
-  explicit ShardCheckpoint(std::string path) : path_(std::move(path)) {}
+  struct PayloadFile;
+
+  explicit ShardCheckpoint(std::string path)
+      : path_(std::move(path)), out_buffer_(new char[kBufferBytes]) {}
+
+  /// Copies the stored entry for `shard`; NotFound if it is missing.
+  Result<Entry> FindEntry(size_t shard) const SECRETA_EXCLUDES(mutex_);
 
   const std::string path_;
   size_t loaded_ = 0;
 
   mutable Mutex mutex_;
   std::map<size_t, Entry> records_ SECRETA_GUARDED_BY(mutex_);
+  /// out_'s buffer (kBufferBytes; the default is 8 KiB), set before it
+  /// opens and declared first so that it outlives the stream.
+  const std::unique_ptr<char[]> out_buffer_;
   std::ofstream out_ SECRETA_GUARDED_BY(mutex_);
   /// An Append failed part-way and left a torn block at the end of the file.
   bool torn_ SECRETA_GUARDED_BY(mutex_) = false;
 };
 
 /// \brief Streams one stored shard block's payload lines, in file order,
-/// through a kBufferBytes buffer.
+/// through its share of a buffer.
 ///
 /// Each line "<row>\t<csv>" is parsed in place. Before the last line is
 /// handed out, the block is checked against the fingerprint Open recorded,
-/// so a reader that returns every line has verified the whole block.
+/// so a reader that returns every line has verified the whole block. Readers
+/// from one OpenPayloads call read their file handle at their own offsets,
+/// one at a time: they are not thread-safe with respect to each other.
 class ShardCheckpoint::PayloadReader {
  public:
   /// Reads the next payload line: `*row` gets its global row id and `*csv`
-  /// a view of its CSV text, valid until the next call. False once every
+  /// a view of its CSV text, valid until the next Next call on this reader
+  /// or on another reader from the same OpenPayloads call. False once every
   /// line of the block has been read. A torn or malformed line, or a block
   /// that no longer matches its fingerprint, fails with IOError ("payload
   /// changed since load").
@@ -135,23 +163,24 @@ class ShardCheckpoint::PayloadReader {
  private:
   friend class ShardCheckpoint;
 
-  PayloadReader(std::string path, size_t shard, size_t num_rows,
-                uint64_t payload_fp);
+  PayloadReader(std::shared_ptr<PayloadFile> file, const Entry& entry,
+                char* buffer, size_t capacity);
   bool ReadLine(std::string_view* line);
+  bool Refill();
   Status Changed() const;
 
-  std::string path_;
+  std::shared_ptr<PayloadFile> file_;
   size_t shard_ = 0;
   size_t num_rows_ = 0;
   size_t read_ = 0;
   uint64_t expected_fp_ = 0;
   uint64_t fp_ = 0;
-  std::ifstream in_;
-  std::unique_ptr<char[]> buffer_;
+  /// File offset of the first byte not yet read into the buffer.
+  std::streamoff offset_ = 0;
+  char* buffer_ = nullptr;  ///< this reader's slice of the shared buffer
+  size_t capacity_ = 0;
   size_t begin_ = 0;  ///< unread bytes are buffer_[begin_, end_)
   size_t end_ = 0;
-  /// The current line when it did not fit in the buffer.
-  std::string long_line_;
 };
 
 }  // namespace secreta

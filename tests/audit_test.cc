@@ -75,6 +75,27 @@ TEST(AuditTest, KmViolationReported) {
   EXPECT_TRUE(audit1.km_anonymous);
 }
 
+// A check that is not made passes vacuously; the report says which were.
+TEST(AuditTest, ReportsWhichChecksWereMade) {
+  Dataset ds = testing::SmallRtDataset(100, 407);
+  ASSERT_OK_AND_ASSIGN(AuditReport both,
+                       AuditAnonymizedDataset(ds, 5, 2, true));
+  EXPECT_TRUE(both.k_checked);
+  EXPECT_TRUE(both.km_checked);
+  ASSERT_OK_AND_ASSIGN(AuditReport k_only,
+                       AuditAnonymizedDataset(ds, 5, 0, false));
+  EXPECT_TRUE(k_only.k_checked);
+  EXPECT_FALSE(k_only.km_checked);
+  EXPECT_TRUE(k_only.km_anonymous);
+  ASSERT_OK_AND_ASSIGN(AuditReport km_only,
+                       AuditAnonymizedDataset(ds, 5, 2, false,
+                                              /*check_k=*/false));
+  EXPECT_FALSE(km_only.k_checked);
+  EXPECT_TRUE(km_only.km_checked);
+  EXPECT_TRUE(km_only.k_anonymous);
+  EXPECT_EQ(km_only.min_class_size, 0u);
+}
+
 TEST(AuditTest, BadParametersRejected) {
   Dataset ds = testing::SmallRtDataset(20);
   EXPECT_FALSE(AuditAnonymizedDataset(ds, 0, 1, false).ok());

@@ -5,6 +5,9 @@
 // anonymization runner's byte-identity guarantees.
 
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <functional>
@@ -880,6 +883,81 @@ TEST(ShardCheckpointTest, ReaderRefusesAPayloadChangedAfterOpen) {
       << changed.status().message();
 }
 
+// Lowers this process's soft limit on open descriptors to `headroom` above
+// the lowest free one for the guard's lifetime, so a test can show that a
+// path opens few descriptors however many shards it reads.
+class DescriptorLimit {
+ public:
+  explicit DescriptorLimit(int headroom) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    const int lowest_free = ::open("/dev/null", O_RDONLY);
+    EXPECT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(lowest_free + headroom);
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~DescriptorLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  DescriptorLimit(const DescriptorLimit&) = delete;
+  DescriptorLimit& operator=(const DescriptorLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+// Readers opened together, as a hash-plan merge opens one per shard, share
+// one descriptor and a fixed buffer budget. Read round-robin, each reader
+// refills from its own offset; lines longer than a reader's share of the
+// buffer are put together across refills.
+TEST(ShardCheckpointTest, ReadersOpenedTogetherShareOneDescriptor) {
+  constexpr size_t kShards = 300;
+  constexpr size_t kRows = 3;
+  std::string path = TempPath("shard_ckpt_many_readers.txt");
+  std::remove(path.c_str());
+  std::vector<Block> blocks;
+  for (size_t s = 0; s < kShards; ++s) {
+    std::vector<uint32_t> rows;
+    std::vector<std::string> lines;
+    for (size_t i = 0; i < kRows; ++i) {
+      rows.push_back(static_cast<uint32_t>(i * kShards + s));
+      // Up to ~5 KB: past the ~3.4 KB each of 300 readers gets.
+      const size_t size = (s * 7 + i * 1601) % 5000 + 1;
+      lines.push_back(StrFormat("%zu-%zu,", s, i) +
+                      std::string(size, static_cast<char>('a' + (s + i) % 26)));
+    }
+    blocks.push_back(MakeBlock(s, std::move(rows), std::move(lines)));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 1, 2, 3));
+    for (const Block& block : blocks) ASSERT_OK(AppendBlock(ckpt.get(), block));
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                       ShardCheckpoint::Open(path, 1, 2, 3));
+  ASSERT_EQ(ckpt->loaded(), kShards);
+  std::vector<size_t> shards(kShards);
+  for (size_t s = 0; s < kShards; ++s) shards[s] = s;
+  DescriptorLimit limit(8);
+  ASSERT_OK_AND_ASSIGN(std::vector<ShardCheckpoint::PayloadReader> readers,
+                       ckpt->OpenPayloads(shards));
+  ASSERT_EQ(readers.size(), kShards);
+  uint32_t row = 0;
+  std::string_view csv;
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t s = 0; s < kShards; ++s) {
+      ASSERT_OK_AND_ASSIGN(const bool more, readers[s].Next(&row, &csv));
+      ASSERT_TRUE(more);
+      EXPECT_EQ(row, blocks[s].rows[i]);
+      EXPECT_EQ(csv, blocks[s].lines[i]) << "shard " << s << " line " << i;
+    }
+  }
+  for (size_t s = 0; s < kShards; ++s) {
+    ASSERT_OK_AND_ASSIGN(const bool more, readers[s].Next(&row, &csv));
+    EXPECT_FALSE(more);
+  }
+  EXPECT_FALSE(ckpt->OpenPayloads({0, kShards}).ok());  // NotFound
+}
+
 // ---------------------------------------------------------------------------
 // Sharded anonymization runner
 
@@ -1073,6 +1151,8 @@ TEST(ShardedRunnerTest, SingleModeRunsWork) {
   ASSERT_TRUE(rel_result.audit.has_value());
   EXPECT_TRUE(rel_result.audit->k_anonymous);
   EXPECT_TRUE(rel_result.audit->km_anonymous);
+  EXPECT_TRUE(rel_result.audit->k_checked);
+  EXPECT_FALSE(rel_result.audit->km_checked);
   EXPECT_EQ(rel_result.audit->worst_itemset_support, 0u);
   EXPECT_EQ(rel_result.audit->details, "ok");
 
@@ -1089,6 +1169,8 @@ TEST(ShardedRunnerTest, SingleModeRunsWork) {
   // A transaction run promises only k^m: its pass-through relational labels
   // are not grouped into classes.
   EXPECT_TRUE(txn_result.audit->k_anonymous);
+  EXPECT_FALSE(txn_result.audit->k_checked);
+  EXPECT_TRUE(txn_result.audit->km_checked);
   EXPECT_EQ(txn_result.audit->min_class_size, 0u);
   EXPECT_EQ(txn_result.audit->details, "ok");
 }
@@ -1418,6 +1500,83 @@ TEST(ShardedRunnerTest, ReplayRefusesRowIdsTheBlockDoesNotShareWithThePlan) {
               std::string::npos)
         << result.status().message();
   }
+}
+
+AlgorithmConfig CoatConfig() {
+  AlgorithmConfig config;
+  config.mode = AnonMode::kTransaction;
+  config.transaction_algorithm = "COAT";
+  config.params.k = 2;
+  config.params.m = 1;
+  return config;
+}
+
+// The k-way merge of a hash plan with a checkpoint reads every shard side by
+// side. Its readers share one descriptor, so a plan with more shards than
+// the process may open descriptors still runs and resumes.
+TEST(ShardedRunnerTest, HashMergeOverManyShardsNeedsOneDescriptor) {
+  constexpr size_t kShards = 64;
+  Dataset dataset = SmallRtDataset(256, 109);
+  std::unique_ptr<ColumnProvider> provider = MakeMemoryProvider(dataset);
+  const AlgorithmConfig config = CoatConfig();
+  ShardedRunOptions options;
+  options.num_shards = kShards;
+  options.shard_kind = ShardKind::kHash;
+  options.salt = 3;
+  ASSERT_OK_AND_ASSIGN(ShardedRunResult in_memory,
+                       RunShardedAnonymization(*provider, config, options));
+  ASSERT_EQ(in_memory.plan.num_shards(), kShards);
+
+  std::string ckpt_path = TempPath("sharded_many_shards_ckpt.txt");
+  std::remove(ckpt_path.c_str());
+  options.checkpoint_path = ckpt_path;
+  DescriptorLimit limit(16);
+  ASSERT_OK_AND_ASSIGN(ShardedRunResult fresh,
+                       RunShardedAnonymization(*provider, config, options));
+  EXPECT_EQ(fresh.resumed_shards, 0u);
+  EXPECT_EQ(fresh.release_fingerprint, in_memory.release_fingerprint);
+  ASSERT_OK_AND_ASSIGN(ShardedRunResult resumed,
+                       RunShardedAnonymization(*provider, config, options));
+  EXPECT_EQ(resumed.resumed_shards, kShards);
+  EXPECT_EQ(resumed.release_fingerprint, in_memory.release_fingerprint);
+}
+
+// A quoted field may hold a newline. A hash plan without a checkpoint holds
+// each computed shard's lines until the merge; a value with a newline must
+// come out whole, on its own row.
+TEST(ShardedRunnerTest, HashPlanWithoutCheckpointKeepsMultiLineValues) {
+  Dataset source = SmallRtDataset(150, 113);
+  csv::CsvTable table = source.ToCsv();
+  const size_t column = *source.schema().FindAttribute("Occupation");
+  for (size_t r = 1; r < table.size(); r += 4) {
+    table[r][column] += "\nsecond line, \"quoted\"";
+  }
+  ASSERT_OK_AND_ASSIGN(Dataset dataset,
+                       Dataset::FromCsv(table, source.schema()));
+  std::unique_ptr<ColumnProvider> provider = MakeMemoryProvider(dataset);
+  std::string release_path = TempPath("sharded_multiline_release.csv");
+  ShardedRunOptions options;
+  options.num_shards = 3;
+  options.shard_kind = ShardKind::kHash;
+  options.salt = 5;
+  options.output_path = release_path;
+  ASSERT_OK_AND_ASSIGN(ShardedRunResult result,
+                       RunShardedAnonymization(*provider, CoatConfig(), options));
+  ASSERT_TRUE(result.merged.has_value());
+  ASSERT_EQ(result.merged->num_records(), dataset.num_records());
+  ASSERT_OK_AND_ASSIGN(csv::CsvTable release,
+                       csv::ParseCsv(ReadFileBytes(release_path)));
+  ASSERT_EQ(release.size(), table.size());
+  // Transaction runs pass relational labels through: every row keeps its own.
+  for (size_t r = 1; r < table.size(); ++r) {
+    EXPECT_EQ(release[r][column], table[r][column]) << "row " << r - 1;
+    EXPECT_EQ(result.merged->CsvRow(r - 1)[column], table[r][column]);
+  }
+  options.materialize_result = false;
+  options.audit = false;
+  ASSERT_OK_AND_ASSIGN(ShardedRunResult unmaterialized,
+                       RunShardedAnonymization(*provider, CoatConfig(), options));
+  EXPECT_EQ(unmaterialized.release_fingerprint, result.release_fingerprint);
 }
 
 }  // namespace
