@@ -418,9 +418,8 @@ Result<ShardedRunResult> RunShardedAnonymization(
       } else {
         HeldLines& lines = held[s];
         const size_t begin = lines.taken == 0 ? 0 : lines.ends[lines.taken - 1];
-        csv = std::string_view(lines.bytes)
-                  .substr(begin, lines.ends[lines.taken] - begin);
-        ++lines.taken;
+        const size_t end = lines.ends[lines.taken++];
+        csv = std::string_view(lines.bytes).substr(begin, end - begin);
       }
       SECRETA_RETURN_IF_ERROR(emit(csv));
     }

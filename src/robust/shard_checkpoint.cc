@@ -142,6 +142,8 @@ ShardCheckpoint::OpenPayloads(const std::vector<size_t>& shards) const {
     SECRETA_ASSIGN_OR_RETURN(Entry entry, FindEntry(shard));
     entries.push_back(entry);
   }
+  std::vector<PayloadReader> readers;
+  if (shards.empty()) return readers;
   auto file = std::make_shared<PayloadFile>();
   file->path = path_;
   // Unbuffered: every refill reads straight into a reader's own buffer.
@@ -150,17 +152,13 @@ ShardCheckpoint::OpenPayloads(const std::vector<size_t>& shards) const {
   if (!file->in) {
     return Status::IOError("cannot reopen shard checkpoint: " + path_);
   }
-  const size_t capacity =
-      shards.empty() ? 0
-                     : std::clamp(kSharedBufferBytes / shards.size(),
-                                  kMinReaderBytes, kBufferBytes);
+  const size_t capacity = std::clamp(kSharedBufferBytes / shards.size(),
+                                     kMinReaderBytes, kBufferBytes);
   file->buffers.reset(new char[capacity * shards.size()]);
-  std::vector<PayloadReader> readers;
   readers.reserve(shards.size());
   for (size_t i = 0; i < entries.size(); ++i) {
-    readers.push_back(PayloadReader(file, entries[i],
-                                    file->buffers.get() + i * capacity,
-                                    capacity));
+    readers.push_back(PayloadReader(
+        file, entries[i], file->buffers.get() + i * capacity, capacity));
   }
   return readers;
 }

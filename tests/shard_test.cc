@@ -1560,8 +1560,9 @@ TEST(ShardedRunnerTest, HashPlanWithoutCheckpointKeepsMultiLineValues) {
   options.shard_kind = ShardKind::kHash;
   options.salt = 5;
   options.output_path = release_path;
-  ASSERT_OK_AND_ASSIGN(ShardedRunResult result,
-                       RunShardedAnonymization(*provider, CoatConfig(), options));
+  ASSERT_OK_AND_ASSIGN(
+      ShardedRunResult result,
+      RunShardedAnonymization(*provider, CoatConfig(), options));
   ASSERT_TRUE(result.merged.has_value());
   ASSERT_EQ(result.merged->num_records(), dataset.num_records());
   ASSERT_OK_AND_ASSIGN(csv::CsvTable release,
@@ -1574,8 +1575,9 @@ TEST(ShardedRunnerTest, HashPlanWithoutCheckpointKeepsMultiLineValues) {
   }
   options.materialize_result = false;
   options.audit = false;
-  ASSERT_OK_AND_ASSIGN(ShardedRunResult unmaterialized,
-                       RunShardedAnonymization(*provider, CoatConfig(), options));
+  ASSERT_OK_AND_ASSIGN(
+      ShardedRunResult unmaterialized,
+      RunShardedAnonymization(*provider, CoatConfig(), options));
   EXPECT_EQ(unmaterialized.release_fingerprint, result.release_fingerprint);
 }
 
