@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/parallel.h"
+#include "common/string_util.h"
 #include "core/equivalence.h"
 #include "core/recoding.h"
 #include "metrics/information_loss.h"
@@ -74,21 +75,11 @@ class LevelTables {
 bool CheckAnonymousReference(const RelationalContext& context,
                              LevelTables* tables, const Subset& subset,
                              const Levels& levels, int k) {
-  struct VecHash {
-    size_t operator()(const std::vector<NodeId>& v) const {
-      size_t h = 0xcbf29ce484222325ULL;
-      for (NodeId x : v) {
-        h ^= static_cast<size_t>(static_cast<uint32_t>(x));
-        h *= 0x100000001b3ULL;
-      }
-      return h;
-    }
-  };
   std::vector<const std::vector<NodeId>*> maps(subset.size());
   for (size_t i = 0; i < subset.size(); ++i) {
     maps[i] = &tables->Table(subset[i], levels[i]);
   }
-  std::unordered_map<std::vector<NodeId>, size_t, VecHash> counts;
+  std::unordered_map<std::vector<NodeId>, size_t, IntVectorHash> counts;
   std::vector<NodeId> key(subset.size());
   size_t n = context.num_records();
   counts.reserve(n / 4);

@@ -4,6 +4,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "common/string_util.h"
 #include "core/equivalence.h"
 #include "kernels/kernels.h"
 #include "metrics/information_loss.h"
@@ -203,17 +204,7 @@ Result<RtResult> RtAnonymizer::Anonymize(const RelationalContext& rel_context,
   }
   // Combine per-cluster transaction recodings, sharing gens that cover the
   // same item set (keeps the per-cluster k^m guarantee valid globally).
-  struct CoversHash {
-    size_t operator()(const std::vector<ItemId>& v) const {
-      size_t h = 0xcbf29ce484222325ULL;
-      for (ItemId x : v) {
-        h ^= static_cast<size_t>(static_cast<uint32_t>(x));
-        h *= 0x100000001b3ULL;
-      }
-      return h;
-    }
-  };
-  std::unordered_map<std::vector<ItemId>, int32_t, CoversHash> gen_index;
+  std::unordered_map<std::vector<ItemId>, int32_t, IntVectorHash> gen_index;
   result.transaction.records.resize(data.num_records());
   for (const Cluster& cluster : clusters) {
     if (!cluster.alive) continue;

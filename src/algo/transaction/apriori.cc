@@ -24,25 +24,16 @@ AprioriLoop::AprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset,
           cut->FirstItemUnder(cut->NodeOf(static_cast<ItemId>(item)));
     }
   }
-  rows_begin_.assign(static_cast<size_t>(leaf_end - leaf_begin) + 1, 0);
-  for (size_t row : subset) {
-    for (ItemId item : data.items(row).raw()) {
-      if (key_of_item_[static_cast<size_t>(item)] < 0) continue;
-      ++rows_begin_[static_cast<size_t>(pos_of(item) - leaf_begin) + 1];
+  const auto num_positions = static_cast<size_t>(leaf_end - leaf_begin);
+  rows_ = Csr::Build(num_positions, [&](auto emit) {
+    for (size_t j = 0; j < subset.size(); ++j) {
+      for (ItemId item : data.items(subset[j]).raw()) {
+        if (key_of_item_[static_cast<size_t>(item)] < 0) continue;
+        emit(static_cast<size_t>(pos_of(item) - leaf_begin),
+             static_cast<uint32_t>(j));
+      }
     }
-  }
-  for (size_t p = 1; p < rows_begin_.size(); ++p) {
-    rows_begin_[p] += rows_begin_[p - 1];
-  }
-  rows_.resize(rows_begin_.back());
-  std::vector<uint32_t> next(rows_begin_.begin(), rows_begin_.end() - 1);
-  for (size_t j = 0; j < subset.size(); ++j) {
-    for (ItemId item : data.items(subset[j]).raw()) {
-      if (key_of_item_[static_cast<size_t>(item)] < 0) continue;
-      rows_[next[static_cast<size_t>(pos_of(item) - leaf_begin)]++] =
-          static_cast<uint32_t>(j);
-    }
-  }
+  });
   records_.resize(subset.size());
   for (size_t j = 0; j < subset.size(); ++j) Rekey(j);
   stamp_.assign(subset.size(), 0);
@@ -70,9 +61,7 @@ void AprioriLoop::Raise(NodeId target, CountTree* tree) {
     ItemId item = context.ItemOfLeaf(h.leaves()[static_cast<size_t>(pos)]);
     if (item < 0 || key_of_item_[static_cast<size_t>(item)] == key) continue;
     key_of_item_[static_cast<size_t>(item)] = key;
-    auto slot = static_cast<size_t>(pos - leaf_begin_);
-    for (uint32_t p = rows_begin_[slot]; p < rows_begin_[slot + 1]; ++p) {
-      uint32_t j = rows_[p];
+    for (uint32_t j : rows_[static_cast<size_t>(pos - leaf_begin_)]) {
       if (stamp_[j] == epoch_) continue;
       stamp_[j] = epoch_;
       changed_.push_back(j);

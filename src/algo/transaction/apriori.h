@@ -12,6 +12,7 @@
 
 #include "algo/transaction/count_tree.h"
 #include "algo/transaction/cut.h"
+#include "common/csr.h"
 #include "core/algorithm.h"
 
 namespace secreta {
@@ -67,10 +68,9 @@ class AprioriLoop {
   std::vector<int32_t> key_of_item_;
   /// records_[j]: sorted distinct keys of subset[j]'s counted items.
   std::vector<std::vector<int32_t>> records_;
-  /// CSR from leaf position (minus leaf_begin) to the subset indices of the
-  /// records holding that position's item.
-  std::vector<uint32_t> rows_begin_;
-  std::vector<uint32_t> rows_;
+  /// Leaf position (minus leaf_begin) -> the subset indices of the records
+  /// holding that position's item.
+  Csr rows_;
   /// Per-record stamp of the last raise that changed it, and that raise's
   /// changed records.
   std::vector<uint32_t> stamp_;

@@ -32,8 +32,13 @@ GenSpace::GenSpace(std::vector<std::vector<ItemId>> transactions,
 }
 
 void GenSpace::InitFromIdentity() {
-  size_t num_items = item_dict_->size();
-  item_records_.assign(num_items, {});
+  item_records_ = Csr::Build(item_dict_->size(), [&](auto emit) {
+    for (size_t r = 0; r < original_.size(); ++r) {
+      for (ItemId item : original_[r]) {
+        emit(static_cast<size_t>(item), static_cast<uint32_t>(r));
+      }
+    }
+  });
   support_.assign(covers_.size(), 0);
   occurrences_.assign(covers_.size(), 0);
   gen_rows_.assign(covers_.size(), {});
@@ -42,7 +47,6 @@ void GenSpace::InitFromIdentity() {
     auto& rec = records_[r];
     rec.clear();
     for (ItemId item : original_[r]) {
-      item_records_[static_cast<size_t>(item)].push_back(r);
       ++total_occurrences_;
       int32_t g = item_gen_[static_cast<size_t>(item)];
       if (g == kSuppressedGen) {
@@ -98,8 +102,8 @@ int32_t GenSpace::Merge(int32_t a, int32_t b) {
   // Collect the affected rows (any row containing a or b).
   std::vector<size_t> rows;
   for (ItemId item : merged) {
-    rows.insert(rows.end(), item_records_[static_cast<size_t>(item)].begin(),
-                item_records_[static_cast<size_t>(item)].end());
+    auto item_rows = item_records_[static_cast<size_t>(item)];
+    rows.insert(rows.end(), item_rows.begin(), item_rows.end());
   }
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
@@ -142,8 +146,8 @@ void GenSpace::Suppress(int32_t g) {
   std::vector<size_t> rows;
   for (ItemId item : covers_[static_cast<size_t>(g)]) {
     item_gen_[static_cast<size_t>(item)] = kSuppressedGen;
-    rows.insert(rows.end(), item_records_[static_cast<size_t>(item)].begin(),
-                item_records_[static_cast<size_t>(item)].end());
+    auto item_rows = item_records_[static_cast<size_t>(item)];
+    rows.insert(rows.end(), item_rows.begin(), item_rows.end());
   }
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());

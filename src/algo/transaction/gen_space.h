@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/csr.h"
 #include "core/results.h"
 #include "data/dictionary.h"
 
@@ -99,7 +100,7 @@ class GenSpace {
   std::vector<std::vector<ItemId>> covers_;       // per gen
   std::vector<size_t> support_;                   // per gen: #records with gen
   std::vector<size_t> occurrences_;               // per gen: #item occurrences
-  std::vector<std::vector<size_t>> item_records_; // item -> rows containing it
+  Csr item_records_;                              // item -> rows containing it
   std::vector<std::vector<uint32_t>> gen_rows_;   // gen -> rows containing it
   bool use_reference_impl_ = false;
   size_t total_occurrences_ = 0;

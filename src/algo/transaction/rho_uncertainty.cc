@@ -1,57 +1,18 @@
 #include "algo/transaction/rho_uncertainty.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
-#include <unordered_map>
+
+#include "core/guarantees.h"
 #include "obs/trace.h"
 
 namespace secreta {
 
 namespace {
 
-struct VecHash {
-  size_t operator()(const std::vector<ItemId>& v) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (ItemId x : v) {
-      h ^= static_cast<size_t>(static_cast<uint32_t>(x));
-      h *= 0x100000001b3ULL;
-    }
-    return h;
-  }
-};
-
-using SupportMap = std::unordered_map<std::vector<ItemId>, size_t, VecHash>;
-
-// Counts the support of every itemset of size <= max_size in `records`.
-SupportMap CountItemsets(const std::vector<std::vector<ItemId>>& records,
-                         int max_size) {
-  SupportMap counts;
-  std::vector<size_t> choice;
-  std::vector<ItemId> current;
-  for (const auto& rec : records) {
-    choice.clear();
-    std::function<void(size_t)> dfs = [&](size_t start) {
-      if (!choice.empty()) {
-        current.clear();
-        for (size_t idx : choice) current.push_back(rec[idx]);
-        ++counts[current];
-      }
-      if (choice.size() == static_cast<size_t>(max_size)) return;
-      for (size_t i = start; i < rec.size(); ++i) {
-        choice.push_back(i);
-        dfs(i + 1);
-        choice.pop_back();
-      }
-    };
-    dfs(0);
-  }
-  return counts;
-}
-
 // The worst rule X -> s with confidence > rho, if any. Returns (itemset A =
 // X + {s}, position of s in A) through out-params.
-bool FindWorstRule(const SupportMap& counts,
+bool FindWorstRule(const ItemsetCounts& counts,
                    const std::vector<char>& is_sensitive, double rho, int m,
                    std::vector<ItemId>* worst_set, ItemId* worst_consequent) {
   double worst_conf = rho;
@@ -81,23 +42,24 @@ bool FindWorstRule(const SupportMap& counts,
   return found;
 }
 
-// Generalized records projected back to original items; multi-item gens are
-// skipped (an adversary cannot pin the exact item). Suppression-only outputs
-// keep every surviving item.
-std::vector<std::vector<ItemId>> SingletonView(
-    const TransactionRecoding& recoding) {
-  std::vector<std::vector<ItemId>> out;
-  out.reserve(recoding.records.size());
+// Counts the support of every itemset of size <= max_size in the generalized
+// records projected back to original items; multi-item gens are skipped (an
+// adversary cannot pin the exact item). Suppression-only outputs keep every
+// surviving item.
+ItemsetCounts CountSingletonItemsets(const TransactionRecoding& recoding,
+                                     int max_size) {
+  ItemsetCounts counts;
+  std::vector<ItemId> items;
   for (const auto& rec : recoding.records) {
-    std::vector<ItemId> items;
+    items.clear();
     for (int32_t g : rec) {
       const auto& covers = recoding.gens[static_cast<size_t>(g)].covers;
       if (covers.size() == 1) items.push_back(covers[0]);
     }
     std::sort(items.begin(), items.end());
-    out.push_back(std::move(items));
+    CountSubsets(items, max_size, &counts);
   }
-  return out;
+  return counts;
 }
 
 }  // namespace
@@ -105,7 +67,7 @@ std::vector<std::vector<ItemId>> SingletonView(
 bool SatisfiesRhoUncertainty(const TransactionRecoding& recoding,
                              const std::vector<char>& is_sensitive, double rho,
                              int m) {
-  SupportMap counts = CountItemsets(SingletonView(recoding), m + 1);
+  ItemsetCounts counts = CountSingletonItemsets(recoding, m + 1);
   std::vector<ItemId> worst_set;
   ItemId worst_consequent = kInvalidValue;
   return !FindWorstRule(counts, is_sensitive, rho, m, &worst_set,
@@ -148,7 +110,8 @@ Result<TransactionRecoding> RhoUncertaintyAnonymizer::AnonymizeSubset(
   GenSpace space(std::move(txns), context.dataset().item_dictionary());
 
   while (true) {
-    SupportMap counts = CountItemsets(SingletonView(space.Export()), params.m + 1);
+    ItemsetCounts counts =
+        CountSingletonItemsets(space.Export(), params.m + 1);
     std::vector<ItemId> worst_set;
     ItemId worst_consequent = kInvalidValue;
     if (!FindWorstRule(counts, is_sensitive, params.rho, params.m, &worst_set,

@@ -111,7 +111,7 @@ std::string ToLower(std::string_view input) {
 uint64_t Fnv1a64(std::string_view input, uint64_t hash) {
   for (char c : input) {
     hash ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-    hash *= 0x100000001b3ULL;
+    hash *= kFnv1a64Prime;
   }
   return hash;
 }

@@ -3,6 +3,8 @@
 #ifndef SECRETA_COMMON_STRING_UTIL_H_
 #define SECRETA_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +47,8 @@ inline bool StartsWith(std::string_view text, std::string_view prefix) {
 
 /// The 64-bit FNV-1a offset basis: the hash of no bytes.
 inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+/// The 64-bit FNV prime.
+inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ULL;
 
 /// 64-bit FNV-1a hash. Stable across runs, platforms and standard-library
 /// implementations (unlike std::hash), so it is safe to use for
@@ -55,6 +59,21 @@ uint64_t Fnv1a64(std::string_view input, uint64_t hash = kFnv1a64Basis);
 
 /// Combines two 64-bit hashes order-dependently (boost::hash_combine-style).
 uint64_t HashCombine(uint64_t seed, uint64_t value);
+
+/// FNV-1a over an int vector, one 32-bit word per element: the hash of every
+/// unordered_map keyed by node tuples, itemsets or gen covers. It is the same
+/// on every run and platform, so those maps iterate in the same order and
+/// whatever is built by walking them keeps its bytes.
+struct IntVectorHash {
+  size_t operator()(const std::vector<int32_t>& v) const {
+    uint64_t h = kFnv1a64Basis;
+    for (int32_t x : v) {
+      h ^= static_cast<uint32_t>(x);
+      h *= kFnv1a64Prime;
+    }
+    return static_cast<size_t>(h);
+  }
+};
 
 }  // namespace secreta
 

@@ -4,26 +4,17 @@
 #include <functional>
 #include <unordered_map>
 
+#include "common/string_util.h"
+
 namespace secreta {
 
 namespace {
-
-struct VecHash {
-  size_t operator()(const std::vector<NodeId>& v) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (NodeId x : v) {
-      h ^= static_cast<size_t>(static_cast<uint32_t>(x));
-      h *= 0x100000001b3ULL;
-    }
-    return h;
-  }
-};
 
 EquivalenceClasses GroupRows(size_t num_records, size_t width,
                              const std::function<NodeId(size_t, size_t)>& get) {
   EquivalenceClasses out;
   out.group_of.resize(num_records);
-  std::unordered_map<std::vector<NodeId>, size_t, VecHash> index;
+  std::unordered_map<std::vector<NodeId>, size_t, IntVectorHash> index;
   std::vector<NodeId> key(width);
   for (size_t r = 0; r < num_records; ++r) {
     for (size_t q = 0; q < width; ++q) key[q] = get(r, q);

@@ -1,47 +1,29 @@
 #include "core/guarantees.h"
 
-#include <functional>
-#include <unordered_map>
-
 namespace secreta {
 
 namespace {
 
-struct VecHash {
-  size_t operator()(const std::vector<int32_t>& v) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (int32_t x : v) {
-      h ^= static_cast<size_t>(static_cast<uint32_t>(x));
-      h *= 0x100000001b3ULL;
-    }
-    return h;
+// Counts `current` extended by each of items[start..] in turn, then those
+// extensions' own extensions, until `current` holds m items.
+void CountFrom(const std::vector<int32_t>& items, size_t start, int m,
+               std::vector<int32_t>* current, ItemsetCounts* counts) {
+  if (current->size() == static_cast<size_t>(m)) return;
+  for (size_t i = start; i < items.size(); ++i) {
+    current->push_back(items[i]);
+    ++(*counts)[*current];
+    CountFrom(items, i + 1, m, current, counts);
+    current->pop_back();
   }
-};
-
-// Enumerates all subsets of `items` with size in [1, m], counting support.
-void CountSubsets(const std::vector<int32_t>& items, int m,
-                  std::unordered_map<std::vector<int32_t>, size_t, VecHash>* counts) {
-  std::vector<int32_t> current;
-  std::vector<size_t> choice;  // indices into items forming the current subset
-  choice.reserve(static_cast<size_t>(m));
-  // Recursion depth is bounded by m (tiny).
-  std::function<void(size_t)> rec = [&](size_t start) {
-    if (!choice.empty()) {
-      current.clear();
-      for (size_t idx : choice) current.push_back(items[idx]);
-      (*counts)[current]++;
-    }
-    if (choice.size() == static_cast<size_t>(m)) return;
-    for (size_t i = start; i < items.size(); ++i) {
-      choice.push_back(i);
-      rec(i + 1);
-      choice.pop_back();
-    }
-  };
-  rec(0);
 }
 
 }  // namespace
+
+void CountSubsets(const std::vector<int32_t>& items, int m,
+                  ItemsetCounts* counts) {
+  std::vector<int32_t> current;
+  CountFrom(items, 0, m, &current, counts);
+}
 
 bool IsKAnonymous(const RelationalRecoding& recoding, int k) {
   if (recoding.num_records() == 0) return true;
@@ -52,7 +34,7 @@ bool IsKAnonymous(const RelationalRecoding& recoding, int k) {
 std::vector<KmViolation> FindKmViolations(
     const std::vector<std::vector<int32_t>>& records, int k, int m,
     const std::vector<size_t>* subset, size_t max_violations) {
-  std::unordered_map<std::vector<int32_t>, size_t, VecHash> counts;
+  ItemsetCounts counts;
   if (subset != nullptr) {
     for (size_t r : *subset) CountSubsets(records[r], m, &counts);
   } else {

@@ -7,13 +7,26 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/string_util.h"
 #include "core/equivalence.h"
 #include "core/results.h"
 
 namespace secreta {
+
+/// Support of each itemset (sorted ids) counted so far.
+using ItemsetCounts =
+    std::unordered_map<std::vector<int32_t>, size_t, IntVectorHash>;
+
+/// Adds one to the support of every subset of `items` (sorted) with 1..m
+/// elements. Subsets are reached depth-first in index order ({a}, {a,b},
+/// {a,c}, {b}, ...), so counting the same records in the same order always
+/// builds a map that iterates in the same order.
+void CountSubsets(const std::vector<int32_t>& items, int m,
+                  ItemsetCounts* counts);
 
 /// True if every equivalence class of the recoding has >= k records.
 SECRETA_MUST_USE_RESULT bool IsKAnonymous(const RelationalRecoding& recoding, int k);

@@ -117,7 +117,7 @@ class BinaryColumnProvider : public ColumnProvider {
 
   Result<Dataset> MaterializeShard(const ShardPlan& plan,
                                    size_t shard) const override {
-    const ShardPlan native = reader_.plan();
+    const ShardPlan& native = reader_.plan();
     if (plan.kind() != native.kind() ||
         plan.num_records() != native.num_records() ||
         plan.num_shards() != native.num_shards() ||

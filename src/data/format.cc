@@ -284,6 +284,7 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(const std::string& path) {
   uint32_t num_attributes = 0;
   uint32_t num_shards = 0;
   uint8_t shard_kind = 0;
+  uint64_t salt = 0;
   uint64_t num_records = 0;
   SECRETA_RETURN_IF_ERROR(header.ReadU32(&magic));
   if (magic != kSbcMagic) {
@@ -307,9 +308,8 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(const std::string& path) {
   SECRETA_RETURN_IF_ERROR(header.ReadU32(&num_shards));
   SECRETA_RETURN_IF_ERROR(header.ReadU8(&shard_kind));
   SECRETA_RETURN_IF_ERROR(header.Skip(7));  // reserved
-  SECRETA_RETURN_IF_ERROR(header.ReadU64(&reader.salt_));
+  SECRETA_RETURN_IF_ERROR(header.ReadU64(&salt));
   if (shard_kind > 1) return Corrupt("unknown shard kind");
-  reader.shard_kind_ = shard_kind == 1 ? ShardKind::kHash : ShardKind::kRange;
   reader.num_records_ = static_cast<size_t>(num_records);
   if (num_shards == 0) return Corrupt("zero shards");
 
@@ -394,6 +394,9 @@ Result<BinaryDatasetReader> BinaryDatasetReader::Open(const std::string& path) {
   if (num_records > (footer_offset - kSbcHeaderBytes) / record_bytes) {
     return Corrupt("record count exceeds what the file can hold");
   }
+  reader.plan_ = ShardPlan::Make(
+      shard_kind == 1 ? ShardKind::kHash : ShardKind::kRange,
+      reader.num_records_, num_shards, salt);
 
   // Dictionary pages.
   for (size_t attr : reader.schema_.RelationalIndices()) {

@@ -86,10 +86,8 @@ class BinaryDatasetReader {
   size_t num_records() const { return num_records_; }
   size_t num_shards() const { return shard_offsets_.size(); }
 
-  /// The partition the file was written with.
-  ShardPlan plan() const {
-    return ShardPlan::Make(shard_kind_, num_records_, num_shards(), salt_);
-  }
+  /// The partition the file was written with, made once by Open.
+  const ShardPlan& plan() const { return plan_; }
 
   /// Global relational dictionaries, schema order.
   const std::vector<Dictionary>& dictionaries() const { return dictionaries_; }
@@ -126,8 +124,7 @@ class BinaryDatasetReader {
   Schema schema_;
   uint16_t flags_ = 0;
   size_t num_records_ = 0;
-  ShardKind shard_kind_ = ShardKind::kRange;
-  uint64_t salt_ = 0;
+  ShardPlan plan_;
   std::vector<Dictionary> dictionaries_;
   std::vector<std::vector<double>> numeric_;
   Dictionary item_dictionary_;

@@ -49,6 +49,14 @@ ShardPlan ShardPlan::Make(ShardKind kind, size_t num_records,
   plan.num_shards_ =
       std::max<size_t>(1, std::min(num_shards, std::max<size_t>(1, num_records)));
   plan.salt_ = salt;
+  if (kind == ShardKind::kHash) {
+    plan.hash_rows_ = std::make_shared<const Csr>(
+        Csr::Build(plan.num_shards_, [&](auto emit) {
+          for (size_t r = 0; r < num_records; ++r) {
+            emit(plan.ShardOf(r), static_cast<uint32_t>(r));
+          }
+        }));
+  }
   return plan;
 }
 
@@ -69,29 +77,22 @@ size_t ShardPlan::ShardOf(size_t row) const {
 }
 
 std::vector<uint32_t> ShardPlan::Rows(size_t shard) const {
+  if (kind_ == ShardKind::kHash) {
+    const std::span<const uint32_t> rows = (*hash_rows_)[shard];
+    return {rows.begin(), rows.end()};
+  }
   std::vector<uint32_t> rows;
-  if (kind_ == ShardKind::kRange) {
-    size_t begin = RangeStart(shard, num_records_, num_shards_);
-    size_t end = RangeStart(shard + 1, num_records_, num_shards_);
-    rows.reserve(end - begin);
-    for (size_t r = begin; r < end; ++r) rows.push_back(static_cast<uint32_t>(r));
-    return rows;
-  }
-  rows.reserve(num_records_ / num_shards_ + 16);
-  for (size_t r = 0; r < num_records_; ++r) {
-    if (ShardOf(r) == shard) rows.push_back(static_cast<uint32_t>(r));
-  }
+  size_t begin = RangeStart(shard, num_records_, num_shards_);
+  size_t end = RangeStart(shard + 1, num_records_, num_shards_);
+  rows.reserve(end - begin);
+  for (size_t r = begin; r < end; ++r) rows.push_back(static_cast<uint32_t>(r));
   return rows;
 }
 
 size_t ShardPlan::ShardSize(size_t shard) const {
-  if (kind_ == ShardKind::kRange) {
-    return RangeStart(shard + 1, num_records_, num_shards_) -
-           RangeStart(shard, num_records_, num_shards_);
-  }
-  size_t count = 0;
-  for (size_t r = 0; r < num_records_; ++r) count += (ShardOf(r) == shard);
-  return count;
+  if (kind_ == ShardKind::kHash) return (*hash_rows_)[shard].size();
+  return RangeStart(shard + 1, num_records_, num_shards_) -
+         RangeStart(shard, num_records_, num_shards_);
 }
 
 uint64_t ShardPlan::Fingerprint() const {

@@ -9,6 +9,9 @@
 //           section, mapped and unmapped as a window.
 //   kHash   row r lands in shard SplitMix64(r ⊕ salt) mod S — decorrelates
 //           shard membership from record order (e.g. time-sorted inputs).
+//           Make buckets every row by shard once (4 bytes per record, shared
+//           by copies of the plan), so listing or sizing a shard is as cheap
+//           as for a range plan.
 //
 // Per-shard RNG seeds derive from the run seed via ShardSeed(); shard 0
 // always receives the run seed itself, so a 1-shard plan reproduces the
@@ -19,9 +22,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
+#include "common/csr.h"
 #include "common/status.h"
 
 namespace secreta {
@@ -48,10 +53,10 @@ class ShardPlan {
   /// Shard owning global row `row` (< num_records()).
   size_t ShardOf(size_t row) const;
 
-  /// Global row ids of shard `s`, ascending. O(N) for hash plans.
+  /// Global row ids of shard `s`, ascending.
   std::vector<uint32_t> Rows(size_t shard) const;
 
-  /// Cardinality of shard `s` without materializing its rows.
+  /// Cardinality of shard `s` without materializing its rows. O(1).
   size_t ShardSize(size_t shard) const;
 
   /// Stable identity of the partition (folded into checkpoint keys).
@@ -62,6 +67,8 @@ class ShardPlan {
   size_t num_records_ = 0;
   size_t num_shards_ = 1;
   uint64_t salt_ = 0;
+  /// Hash plans: shard -> its rows, ascending. Immutable, so copies share it.
+  std::shared_ptr<const Csr> hash_rows_;
 };
 
 /// Per-shard RNG seed: shard 0 keeps `run_seed` (1-shard == unsharded),

@@ -29,22 +29,6 @@ Status CheckRecordCounts(size_t n, const RelationalRecoding* relational,
   return Status::OK();
 }
 
-// Counting sort into CSR lists: `for_each_pair(emit)` calls emit(key, value)
-// for every pair (it runs twice, to count and to place), and key k's values
-// land in (*values)[(*begin)[k], (*begin)[k + 1]) in emission order.
-template <typename ForEachPair>
-void BuildLists(size_t num_keys, ForEachPair for_each_pair,
-                std::vector<size_t>* begin, std::vector<uint32_t>* values) {
-  begin->assign(num_keys + 1, 0);
-  for_each_pair([&](size_t key, uint32_t) { ++(*begin)[key + 1]; });
-  for (size_t k = 0; k < num_keys; ++k) (*begin)[k + 1] += (*begin)[k];
-  values->resize((*begin)[num_keys]);
-  std::vector<size_t> cursor(begin->begin(), begin->end() - 1);
-  for_each_pair([&](size_t key, uint32_t value) {
-    (*values)[cursor[key]++] = value;
-  });
-}
-
 }  // namespace
 
 Result<QueryEvaluator> QueryEvaluator::Create(
@@ -232,40 +216,33 @@ Result<RecodingCache> QueryEvaluator::BuildRecodingCache(
   if (transaction != nullptr) {
     size_t num_items = dataset_->item_dictionary().size();
     size_t num_gens = transaction->gens.size();
-    BuildLists(
-        num_gens,
-        [&](auto emit) {
-          for (size_t r = 0; r < n; ++r) {
-            for (int32_t g : transaction->records[r]) {
-              emit(static_cast<size_t>(g), static_cast<uint32_t>(r));
-            }
-          }
-        },
-        &caches.gen_row_begin, &caches.gen_rows);
+    caches.gen_rows = Csr::Build(num_gens, [&](auto emit) {
+      for (size_t r = 0; r < n; ++r) {
+        for (int32_t g : transaction->records[r]) {
+          emit(static_cast<size_t>(g), static_cast<uint32_t>(r));
+        }
+      }
+    });
     // The gens each item stands for, descending: its item_map gen in a
     // global recoding, every gen covering it in a local one.
-    BuildLists(
-        num_items,
-        [&](auto emit) {
-          if (!transaction->item_map.empty()) {
-            for (size_t item = 0; item < transaction->item_map.size();
-                 ++item) {
-              int32_t g = transaction->item_map[item];
-              if (g != kSuppressedGen && item < num_items) {
-                emit(item, static_cast<uint32_t>(g));
-              }
-            }
-            return;
+    caches.item_gens = Csr::Build(num_items, [&](auto emit) {
+      if (!transaction->item_map.empty()) {
+        for (size_t item = 0; item < transaction->item_map.size(); ++item) {
+          int32_t g = transaction->item_map[item];
+          if (g != kSuppressedGen && item < num_items) {
+            emit(item, static_cast<uint32_t>(g));
           }
-          for (size_t g = num_gens; g-- > 0;) {
-            for (ItemId item : transaction->gens[g].covers) {
-              if (static_cast<size_t>(item) < num_items) {
-                emit(static_cast<size_t>(item), static_cast<uint32_t>(g));
-              }
-            }
+        }
+        return;
+      }
+      for (size_t g = num_gens; g-- > 0;) {
+        for (ItemId item : transaction->gens[g].covers) {
+          if (static_cast<size_t>(item) < num_items) {
+            emit(static_cast<size_t>(item), static_cast<uint32_t>(g));
           }
-        },
-        &caches.item_gen_begin, &caches.item_gens);
+        }
+      }
+    });
     caches.gen_share.assign(num_gens, 0.0);
     for (size_t g = 0; g < num_gens; ++g) {
       size_t covers = transaction->gens[g].covers.size();
@@ -273,13 +250,8 @@ Result<RecodingCache> QueryEvaluator::BuildRecodingCache(
     }
     caches.item_cover.assign(num_items, RecordBitmap(n));
     for (size_t item = 0; item < num_items; ++item) {
-      for (size_t i = caches.item_gen_begin[item];
-           i < caches.item_gen_begin[item + 1]; ++i) {
-        size_t g = caches.item_gens[i];
-        for (size_t j = caches.gen_row_begin[g];
-             j < caches.gen_row_begin[g + 1]; ++j) {
-          caches.item_cover[item].Set(caches.gen_rows[j]);
-        }
+      for (uint32_t g : caches.item_gens[item]) {
+        for (uint32_t r : caches.gen_rows[g]) caches.item_cover[item].Set(r);
       }
     }
   }
@@ -367,15 +339,9 @@ double QueryEvaluator::EstimateFast(const BoundWorkload::FastQuery& q,
     // so no candidate needs a branch.
     double* painted = scratch->painted.data();
     for (ItemId item : q.items) {
-      const size_t i = static_cast<size_t>(item);
-      for (size_t k = caches.item_gen_begin[i];
-           k < caches.item_gen_begin[i + 1]; ++k) {
-        const size_t g = caches.item_gens[k];
+      for (uint32_t g : caches.item_gens[static_cast<size_t>(item)]) {
         const double share = caches.gen_share[g];
-        for (size_t j = caches.gen_row_begin[g];
-             j < caches.gen_row_begin[g + 1]; ++j) {
-          painted[caches.gen_rows[j]] = share;
-        }
+        for (uint32_t r : caches.gen_rows[g]) painted[r] = share;
       }
       for (size_t c = 0; c < count; ++c) {
         products[c] *= painted[candidates[c]];

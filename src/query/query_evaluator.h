@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/csr.h"
 #include "common/thread_pool.h"
 #include "core/context.h"
 #include "core/results.h"
@@ -109,15 +110,11 @@ struct RecodingCache {
   /// this, when there is no transaction recoding.
   std::vector<RecordBitmap> item_cover;
   /// Each gen's rows, ascending: gen g is held by the records
-  /// gen_rows[gen_row_begin[g], gen_row_begin[g + 1]). 4 bytes per
-  /// record-gen pair.
-  std::vector<size_t> gen_row_begin;  // num_gens + 1
-  std::vector<uint32_t> gen_rows;
+  /// gen_rows[g]. 4 bytes per record-gen pair.
+  Csr gen_rows;
   /// Each item's gens, descending id: the gens standing for item i (the
-  /// ones item_cover reads) are item_gens[item_gen_begin[i],
-  /// item_gen_begin[i + 1]). 4 bytes per gen-item pair.
-  std::vector<size_t> item_gen_begin;  // num_items + 1
-  std::vector<uint32_t> item_gens;
+  /// ones item_cover reads) are item_gens[i]. 4 bytes per gen-item pair.
+  Csr item_gens;
   /// Each gen's share of an item it stands for: 1/|covers|.
   std::vector<double> gen_share;
 };

@@ -33,47 +33,30 @@ size_t RecordBitmap::AndCount(const RecordBitmap& a, const RecordBitmap& b) {
       kernels::AndPopcount(a.words_.data(), b.words_.data(), a.words_.size()));
 }
 
-template <typename KeysOf>
-QueryIndex::Csr QueryIndex::Csr::Build(size_t num_records, size_t domain,
-                                       KeysOf keys_of) {
-  // One pass counts each key's records, one places them. Records are placed
-  // in ascending order, so every list comes out ascending.
-  Csr csr;
-  csr.offsets.assign(domain + 1, 0);
-  for (size_t r = 0; r < num_records; ++r) {
-    keys_of(r, [&](size_t key) { ++csr.offsets[key + 1]; });
-  }
-  for (size_t k = 0; k < domain; ++k) csr.offsets[k + 1] += csr.offsets[k];
-  csr.records.resize(csr.offsets[domain]);
-  std::vector<size_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
-  for (size_t r = 0; r < num_records; ++r) {
-    keys_of(r, [&](size_t key) {
-      csr.records[cursor[key]++] = static_cast<uint32_t>(r);
-    });
-  }
-  return csr;
-}
-
 QueryIndex QueryIndex::Build(const Dataset& dataset) {
+  // Records are emitted in ascending order, so every list comes out
+  // ascending.
   QueryIndex index;
-  index.num_records_ = dataset.num_records();
+  const size_t n = dataset.num_records();
+  index.num_records_ = n;
   for (size_t col = 0; col < dataset.num_relational(); ++col) {
-    index.columns_.push_back(Csr::Build(
-        index.num_records_, dataset.dictionary(col).size(),
-        [&](size_t r, auto add) {
-          add(static_cast<size_t>(dataset.value(r, col).raw()));
+    index.columns_.push_back(
+        Csr::Build(dataset.dictionary(col).size(), [&](auto emit) {
+          for (size_t r = 0; r < n; ++r) {
+            emit(static_cast<size_t>(dataset.value(r, col).raw()),
+                 static_cast<uint32_t>(r));
+          }
         }));
   }
   // Transactions exist only when the schema has a transaction attribute.
-  const size_t txn_records =
-      dataset.has_transaction() ? index.num_records_ : 0;
-  index.items_ = Csr::Build(
-      txn_records, dataset.item_dictionary().size(),
-      [&](size_t r, auto add) {
-        for (ItemId item : dataset.items(r).raw()) {
-          add(static_cast<size_t>(item));
-        }
-      });
+  index.items_ = Csr::Build(dataset.item_dictionary().size(), [&](auto emit) {
+    if (!dataset.has_transaction()) return;
+    for (size_t r = 0; r < n; ++r) {
+      for (ItemId item : dataset.items(r).raw()) {
+        emit(static_cast<size_t>(item), static_cast<uint32_t>(r));
+      }
+    }
+  });
   return index;
 }
 
@@ -82,9 +65,7 @@ RecordBitmap QueryIndex::ClauseBitmap(size_t col,
   RecordBitmap bitmap(num_records_);
   for (size_t v = 0; v < match.size(); ++v) {
     if (!match[v]) continue;
-    size_t n = 0;
-    const uint32_t* recs = postings(col, static_cast<ValueId>(v), &n);
-    for (size_t i = 0; i < n; ++i) bitmap.Set(recs[i]);
+    for (uint32_t r : postings(col, static_cast<ValueId>(v))) bitmap.Set(r);
   }
   return bitmap;
 }
@@ -92,31 +73,25 @@ RecordBitmap QueryIndex::ClauseBitmap(size_t col,
 std::vector<uint32_t> QueryIndex::ItemIntersection(
     const std::vector<ItemId>& items) const {
   if (items.empty()) return {};
-  struct List {
-    const uint32_t* data;
-    size_t size;
-  };
-  std::vector<List> lists;
+  std::vector<std::span<const uint32_t>> lists;
   lists.reserve(items.size());
-  for (ItemId item : items) {
-    List list{};
-    list.data = item_postings(item, &list.size);
-    lists.push_back(list);
-  }
+  for (ItemId item : items) lists.push_back(item_postings(item));
   // Merge starting from the rarest item so the running result only shrinks.
   std::sort(lists.begin(), lists.end(),
-            [](const List& a, const List& b) { return a.size < b.size; });
-  std::vector<uint32_t> result(lists[0].data, lists[0].data + lists[0].size);
+            [](std::span<const uint32_t> a, std::span<const uint32_t> b) {
+              return a.size() < b.size();
+            });
+  std::vector<uint32_t> result(lists[0].begin(), lists[0].end());
   for (size_t l = 1; l < lists.size() && !result.empty(); ++l) {
     // Branchless linear merge, in place: the write cursor never passes the
     // read cursor, and a record is kept only when both lists hold it.
-    const List& other = lists[l];
+    const std::span<const uint32_t> other = lists[l];
     size_t kept = 0;
     size_t i = 0;
     size_t j = 0;
-    while (i < result.size() && j < other.size) {
+    while (i < result.size() && j < other.size()) {
       const uint32_t x = result[i];
-      const uint32_t y = other.data[j];
+      const uint32_t y = other[j];
       result[kept] = x;
       kept += (x == y);
       i += (x <= y);

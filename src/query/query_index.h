@@ -14,8 +14,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/csr.h"
 #include "data/dataset.h"
 
 namespace secreta {
@@ -109,13 +111,13 @@ class QueryIndex {
   size_t num_records() const { return num_records_; }
 
   /// Sorted record ids holding value `id` in relational column `col`.
-  const uint32_t* postings(size_t col, ValueId id, size_t* out_size) const {
-    return columns_[col].List(static_cast<size_t>(id), out_size);
+  std::span<const uint32_t> postings(size_t col, ValueId id) const {
+    return columns_[col][static_cast<size_t>(id)];
   }
 
   /// Sorted record ids whose transaction contains `item`.
-  const uint32_t* item_postings(ItemId item, size_t* out_size) const {
-    return items_.List(static_cast<size_t>(item), out_size);
+  std::span<const uint32_t> item_postings(ItemId item) const {
+    return items_[static_cast<size_t>(item)];
   }
 
   /// Bitmap of records matching a value disjunction on `col`: the union of
@@ -127,26 +129,9 @@ class QueryIndex {
   std::vector<uint32_t> ItemIntersection(const std::vector<ItemId>& items) const;
 
  private:
-  /// Posting lists of one attribute: key k's records are
-  /// records[offsets[k], offsets[k + 1]).
-  struct Csr {
-    std::vector<size_t> offsets;    // per key, size = domain + 1
-    std::vector<uint32_t> records;  // grouped by key, ascending within
-
-    /// Counting sort over keys [0, domain): `keys_of(r, add)` calls add(key)
-    /// for every key record r holds.
-    template <typename KeysOf>
-    static Csr Build(size_t num_records, size_t domain, KeysOf keys_of);
-
-    const uint32_t* List(size_t key, size_t* out_size) const {
-      *out_size = offsets[key + 1] - offsets[key];
-      return records.data() + offsets[key];
-    }
-  };
-
   size_t num_records_ = 0;
-  std::vector<Csr> columns_;
-  Csr items_;
+  std::vector<Csr> columns_;  // per column: value -> records
+  Csr items_;                 // item -> records
 };
 
 }  // namespace secreta

@@ -1,4 +1,4 @@
-// Tests for the remaining common substrate: RNG, thread pool, timers.
+// Tests for the remaining common substrate: RNG, thread pool, timers, CSR.
 
 #include <gtest/gtest.h>
 
@@ -6,13 +6,43 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/csr.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace secreta {
 namespace {
+
+std::vector<uint32_t> Values(const Csr& csr, size_t key) {
+  return {csr[key].begin(), csr[key].end()};
+}
+
+TEST(CsrTest, KeepsEmissionOrderWithinAKey) {
+  const std::vector<std::pair<size_t, uint32_t>> pairs = {
+      {2, 9}, {0, 4}, {2, 1}, {2, 5}, {0, 3}, {3, 7}};
+  Csr csr = Csr::Build(4, [&](auto emit) {
+    for (const auto& [key, value] : pairs) emit(key, value);
+  });
+  ASSERT_EQ(csr.num_keys(), 4u);
+  EXPECT_EQ(Values(csr, 0), (std::vector<uint32_t>{4, 3}));
+  EXPECT_TRUE(csr[1].empty());  // a key with no values
+  EXPECT_EQ(Values(csr, 2), (std::vector<uint32_t>{9, 1, 5}));
+  EXPECT_EQ(Values(csr, 3), (std::vector<uint32_t>{7}));
+}
+
+TEST(CsrTest, EmptyBuilds) {
+  EXPECT_EQ(Csr::Build(0, [](auto) {}).num_keys(), 0u);
+
+  Csr no_pairs = Csr::Build(3, [](auto) {});
+  ASSERT_EQ(no_pairs.num_keys(), 3u);
+  for (size_t k = 0; k < 3; ++k) EXPECT_TRUE(no_pairs[k].empty());
+
+  EXPECT_EQ(Csr().num_keys(), 0u);
+}
 
 TEST(RngTest, DeterministicForSeed) {
   Rng a(42);

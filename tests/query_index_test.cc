@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <span>
 
 #include "algo/rt/rt_anonymizer.h"
 #include "common/parallel.h"
@@ -76,10 +77,9 @@ TEST(QueryIndexTest, PostingsMatchScan) {
       for (size_t r = 0; r < ds.num_records(); ++r) {
         if (ds.value(r, col).raw() == id) expected.push_back(static_cast<uint32_t>(r));
       }
-      size_t n = 0;
-      const uint32_t* got = index.postings(col, id, &n);
-      ASSERT_EQ(n, expected.size());
-      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got));
+      std::span<const uint32_t> got = index.postings(col, id);
+      ASSERT_EQ(got.size(), expected.size());
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin()));
     }
   }
   for (size_t i = 0; i < ds.item_dictionary().size(); ++i) {
@@ -91,9 +91,9 @@ TEST(QueryIndexTest, PostingsMatchScan) {
         expected.push_back(static_cast<uint32_t>(r));
       }
     }
-    size_t n = 0;
-    const uint32_t* got = index.item_postings(item, &n);
-    EXPECT_EQ(std::vector<uint32_t>(got, got + n), expected) << "item " << i;
+    std::span<const uint32_t> got = index.item_postings(item);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), expected)
+        << "item " << i;
   }
 }
 

@@ -68,8 +68,9 @@ TEST(ShardPlanTest, RangePlanIsContiguousAndCovering) {
   EXPECT_EQ(all.back(), 9u);
 }
 
-TEST(ShardPlanTest, HashPlanCoversEveryRowExactlyOnce) {
-  ShardPlan plan = ShardPlan::Make(ShardKind::kHash, 1000, 7, /*salt=*/99);
+// Every row in exactly one shard, each shard's rows ascending and agreeing
+// with ShardOf and ShardSize.
+void ExpectCoversEveryRowOnce(const ShardPlan& plan) {
   std::set<uint32_t> seen;
   size_t total = 0;
   for (size_t s = 0; s < plan.num_shards(); ++s) {
@@ -82,12 +83,50 @@ TEST(ShardPlanTest, HashPlanCoversEveryRowExactlyOnce) {
       EXPECT_TRUE(first || r > prev) << "rows must ascend";
       first = false;
       prev = r;
+      EXPECT_LT(r, plan.num_records());
       EXPECT_EQ(plan.ShardOf(r), s);
       EXPECT_TRUE(seen.insert(r).second) << "row " << r << " assigned twice";
     }
   }
-  EXPECT_EQ(total, 1000u);
+  EXPECT_EQ(total, plan.num_records());
+}
+
+TEST(ShardPlanTest, HashPlanCoversEveryRowExactlyOnce) {
+  struct Case {
+    size_t records;
+    size_t shards;
+    uint64_t salt;
+    size_t want_shards;
+  };
+  const Case cases[] = {
+      {1000, 7, 99, 7},
+      {0, 5, 1, 1},    // no records: one empty shard
+      {3, 10, 7, 3},   // more shards than records: clamped
+      {1, 1, 0, 1},
+      {257, 16, 42, 16},
+      {64, 64, 5, 64},  // as many shards as records
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(StrFormat("records=%zu shards=%zu salt=%llu", c.records,
+                           c.shards, static_cast<unsigned long long>(c.salt)));
+    ShardPlan plan = ShardPlan::Make(ShardKind::kHash, c.records, c.shards,
+                                     c.salt);
+    ASSERT_EQ(plan.num_shards(), c.want_shards);
+    ExpectCoversEveryRowOnce(plan);
+    // A copy lists the same rows, and outlives the plan it was copied from.
+    ShardPlan copy;
+    {
+      ShardPlan original = plan;
+      copy = original;
+    }
+    ASSERT_EQ(copy.num_shards(), plan.num_shards());
+    ExpectCoversEveryRowOnce(copy);
+    for (size_t s = 0; s < plan.num_shards(); ++s) {
+      EXPECT_EQ(copy.Rows(s), plan.Rows(s));
+    }
+  }
   // A different salt reshuffles membership.
+  ShardPlan plan = ShardPlan::Make(ShardKind::kHash, 1000, 7, /*salt=*/99);
   ShardPlan other = ShardPlan::Make(ShardKind::kHash, 1000, 7, /*salt=*/100);
   bool any_moved = false;
   for (size_t r = 0; r < 1000; ++r) {

@@ -95,5 +95,16 @@ TEST(Fnv1a64Test, KnownVectorsAndContinuation) {
   EXPECT_EQ(Fnv1a64("foo", kFnv1a64Basis), Fnv1a64("foo"));
 }
 
+// Pinned: unordered_maps keyed by int vectors iterate in this hash's order,
+// and algorithm outputs are built by walking them.
+TEST(IntVectorHashTest, PinnedValues) {
+  IntVectorHash hash;
+  EXPECT_EQ(hash({}), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(hash({0}), 0xaf63bd4c8601b7dfULL);
+  EXPECT_EQ(hash({1, 2, 3}), 0xd0aa6218672cf5abULL);
+  EXPECT_EQ(hash({-1, 7}), 0x14f89294b11a46bULL);
+  EXPECT_EQ(hash({INT32_MAX, INT32_MIN}), 0x150fee44b11aceaULL);
+}
+
 }  // namespace
 }  // namespace secreta

@@ -30,6 +30,12 @@ the default GCC build would silently skip):
                     invariants (bounds checks, fingerprint verification,
                     unmap-on-drop) are enforced in one place. Applies to
                     src/, tests/ and bench/ alike.
+  hash-copy         The 64-bit FNV prime (0x100000001b3) may only be
+                    spelled in src/common/. Everything else hashes through
+                    Fnv1a64 or IntVectorHash (common/string_util.h), so
+                    there is one FNV-1a, and every map it keys iterates in
+                    the order the pinned tests fix. Applies to src/, tests/,
+                    bench/ and examples/ alike.
   include-style     Internal headers are included with "quotes", system and
                     third-party headers with <angle brackets>. A <...>
                     include that resolves to a repo header defeats header
@@ -84,6 +90,8 @@ RAW_IO_TOKEN = re.compile(r"(^|[^\w.])(mmap|munmap|madvise|fread)\s*\(")
 # `->gauge("` / etc. Matched on the raw line (the comment stripper also
 # blanks string literals, which would hide exactly what this rule needs).
 METRIC_CALL = re.compile(r'[.>](counter|gauge|histogram)\s*\(\s*"')
+# The FNV-1a 64 prime, in hex (any case, leading zeros, suffix) or decimal.
+FNV_PRIME_TOKEN = re.compile(r"\b(0[xX]0*100000001[bB]3|1099511628211)")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+(<([^>]+)>|"([^"]+)")')
 ALLOW_RE = re.compile(r"//\s*lint:allow\s+([\w-]+)")
 
@@ -192,6 +200,7 @@ def check_file(path: Path, rel: str, errors: list[str],
     is_mutex_header = rel == "src/common/mutex.h"
     is_kernel_source = rel.startswith("src/kernels/")
     is_data_source = rel.startswith("src/data/")
+    is_common_source = rel.startswith("src/common/")
     includes: list[tuple[int, str, bool]] = []  # (lineno, target, angled)
 
     for lineno, raw, line in iter_source_lines(path):
@@ -247,6 +256,14 @@ def check_file(path: Path, rel: str, errors: list[str],
                     "kernels from kernels/kernels.h (AndPopcount, "
                     "PopcountRange, ...) instead of a raw "
                     "__builtin_popcount* loop"
+                )
+
+        if not is_common_source and FNV_PRIME_TOKEN.search(code):
+            if not allowed(raw, "hash-copy"):
+                errors.append(
+                    f"{rel}:{lineno}: hash-copy: the FNV prime belongs in "
+                    "src/common/ only; hash through Fnv1a64 or IntVectorHash "
+                    "(common/string_util.h) instead of a local copy"
                 )
 
     for lineno, target, angled in includes:
