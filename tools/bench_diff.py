@@ -45,11 +45,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_lines(path: Path) -> list[dict]:
-    """One result document, or JSON lines of them."""
+    """One run's results file, or JSON lines of result documents."""
     text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-        return [doc] if isinstance(doc, dict) else list(doc)
+        return [json.loads(text)]
     except json.JSONDecodeError:
         return [json.loads(line) for line in text.splitlines() if line.strip()]
 
@@ -63,13 +62,6 @@ def from_jsonl(path: Path, commit: str, side: str) -> list[dict]:
     return [r for r in read_lines(path)
             if r.get("side") == side
             and str(r.get("commit", "")).startswith(commit)]
-
-
-def metric_value(result: dict, name: str):
-    value = result.get("metrics", {}).get(name)
-    if isinstance(value, dict):  # the run's stdout form: {"value", "unit"}
-        value = value.get("value")
-    return value
 
 
 def pair_runs(parent: list[dict], change: list[dict]):
@@ -102,14 +94,13 @@ def verdict(parent: list[float], change: list[float], lower_is_better: bool,
     c_med = statistics.median(change)
     q1, q3 = quartiles(parent)
     iqr = q3 - q1
-    scale = abs(p_med) if p_med != 0 else 1.0
-    worse_by = (c_med - p_med if lower_is_better else p_med - c_med) / scale
-    if wins >= 0.9 * len(parent) and -worse_by * scale > iqr:
+    gain = p_med - c_med if lower_is_better else c_med - p_med
+    allowed = bound * abs(p_med)
+    if wins >= 0.9 * len(parent) and gain > iqr:
         return "better", wins
-    if iqr / scale > bound and not all(beats(c, p) for c in change
-                                       for p in parent):
+    if iqr > allowed and not all(beats(c, p) for c in change for p in parent):
         return "unresolved", wins
-    if worse_by > bound:
+    if -gain > allowed:
         return "worse", wins
     return "within", wins
 
@@ -163,7 +154,7 @@ def report() -> None:
             continue
         for metric in metrics:
             name = metric["name"]
-            values = [(metric_value(p, name), metric_value(c, name))
+            values = [(p["metrics"].get(name), c["metrics"].get(name))
                       for p, c in pairs]
             values = [(p, c) for p, c in values
                       if p is not None and c is not None]
