@@ -68,10 +68,11 @@ void AprioriLoop::Raise(NodeId target, CountTree* tree) {
     }
   }
   cut_->RaiseTo(target);
+  std::vector<int32_t> before;
   for (uint32_t j : changed_) {
-    tree->Update(records_[j], -1);
+    before.swap(records_[j]);
     Rekey(j);
-    tree->Update(records_[j], +1);
+    tree->Replace(before, records_[j]);
   }
 }
 

@@ -35,9 +35,11 @@ class AprioriAnonymizer : public TransactionAnonymizer {
 /// Recode numbers gens in that same order, so a count tree over keys has the
 /// shape, DFS order and first violation of one over gen ids. A raise to T
 /// changes no key outside T and gives every item under T the key T already
-/// has, so only the records holding an item under T with another key change;
-/// the loop recounts just those. Only items whose leaf position lies in
-/// [leaf_begin, leaf_end) are counted: VPA's part, or the whole domain.
+/// has, so only the records holding an item under T with another key change.
+/// The loop recounts just those, and of each just the itemsets holding a key
+/// the raise removed or added (CountTree::Replace). Only items whose leaf
+/// position lies in [leaf_begin, leaf_end) are counted: VPA's part, or the
+/// whole domain.
 /// `cut` and `subset` must outlive the loop.
 class AprioriLoop {
  public:

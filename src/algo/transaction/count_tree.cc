@@ -57,27 +57,55 @@ void CountTree::InsertRecords(const std::vector<std::vector<int32_t>>& records,
 void CountTree::Update(const std::vector<int32_t>& record, int delta) {
   if (m_ < 1) return;
   if (delta > 0) {
-    UpdateSubsets<true>(0, record, 0, m_);
+    UpdateSubsets<true>(0, record, 0, m_, /*holds=*/true);
   } else {
-    UpdateSubsets<false>(0, record, 0, m_);
+    UpdateSubsets<false>(0, record, 0, m_, /*holds=*/true);
+  }
+}
+
+void CountTree::Replace(const std::vector<int32_t>& before,
+                        const std::vector<int32_t>& after) {
+  if (m_ < 1) return;
+  MarkTouched(before, after);
+  UpdateSubsets<false>(0, before, 0, m_, /*holds=*/false);
+  MarkTouched(after, before);
+  UpdateSubsets<true>(0, after, 0, m_, /*holds=*/false);
+}
+
+void CountTree::MarkTouched(const std::vector<int32_t>& record,
+                            const std::vector<int32_t>& other) {
+  touched_.assign(record.size(), 0);
+  touched_end_ = 0;
+  size_t o = 0;
+  for (size_t i = 0; i < record.size(); ++i) {
+    while (o < other.size() && other[o] < record[i]) ++o;
+    if (o == other.size() || other[o] != record[i]) {
+      touched_[i] = 1;
+      touched_end_ = i + 1;
+    }
   }
 }
 
 template <bool kAdd>
 void CountTree::UpdateSubsets(int32_t node, const std::vector<int32_t>& record,
-                              size_t start, int sizes_left) {
-  // Combination enumeration that shares prefixes through the tree.
-  for (size_t i = start; i < record.size(); ++i) {
+                              size_t start, int sizes_left, bool holds) {
+  // Combination enumeration that shares prefixes through the tree. An
+  // itemset of untouched keys is walked through, not moved: it reaches a
+  // touched key only through a position before touched_end_. Such an
+  // itemset is one both records hold, so its node exists.
+  const size_t end = holds ? record.size() : touched_end_;
+  for (size_t i = start; i < end; ++i) {
+    const bool child_holds = holds || touched_[i] != 0;
     int32_t child;
     if constexpr (kAdd) {
       child = GetOrAddChild(node, record[i]);
-      ++nodes_[static_cast<size_t>(child)].count;
+      if (child_holds) ++nodes_[static_cast<size_t>(child)].count;
     } else {
       child = FindChild(node, record[i]);
-      --nodes_[static_cast<size_t>(child)].count;
+      if (child_holds) --nodes_[static_cast<size_t>(child)].count;
     }
     if (sizes_left > 1) {
-      UpdateSubsets<kAdd>(child, record, i + 1, sizes_left - 1);
+      UpdateSubsets<kAdd>(child, record, i + 1, sizes_left - 1, child_holds);
     }
   }
 }

@@ -2,9 +2,10 @@
 // the VLDBJ paper): a prefix tree over sorted itemsets of item keys, storing
 // the support of every itemset of size <= m that occurs in its records.
 // Building the tree is one pass over the records. It can then follow changes
-// to them: Update removes a record's itemsets or adds them. The AA loop
-// builds one tree per itemset size and, after each raise, updates just the
-// records whose keys the raise changed.
+// to them: Update removes a record's itemsets or adds them, and Replace moves
+// just the itemsets a changed record lost or gained. The AA loop builds one
+// tree per itemset size and, after each raise, replaces just the records
+// whose keys the raise changed.
 //
 // Children ascend by key, so a DFS visits itemsets in lexicographic order,
 // and FindViolations reports, in that order, the itemsets with
@@ -47,6 +48,14 @@ class CountTree {
   /// before. Every itemset of size <= m of the record moves by one.
   void Update(const std::vector<int32_t>& record, int delta);
 
+  /// Recounts a counted record that changed from `before` to `after` (each
+  /// sorted, distinct keys). Only the itemsets holding a key that one of
+  /// the two lacks move: those of `before` lose one, those of `after` gain
+  /// one. Itemsets over the keys both hold count the same either way and
+  /// are left alone.
+  void Replace(const std::vector<int32_t>& before,
+               const std::vector<int32_t>& after);
+
   /// Support of `itemset` (must be sorted); 0 if absent.
   size_t Support(const std::vector<int32_t>& itemset) const;
 
@@ -78,10 +87,15 @@ class CountTree {
   void InsertRecords(const std::vector<std::vector<int32_t>>& records,
                      size_t begin, size_t end);
   // Moves by one (up when kAdd) the count of every itemset that extends
-  // `node`'s itemset by 1..`sizes_left` keys of `record` from `start` on.
+  // `node`'s itemset by 1..`sizes_left` keys of `record` from `start` on
+  // and holds a touched key. `holds` says `node`'s itemset holds one
+  // already; otherwise touched_ flags the touched positions of `record`.
   template <bool kAdd>
   void UpdateSubsets(int32_t node, const std::vector<int32_t>& record,
-                     size_t start, int sizes_left);
+                     size_t start, int sizes_left, bool holds);
+  // Flags in touched_ the positions of `record` whose key `other` lacks.
+  void MarkTouched(const std::vector<int32_t>& record,
+                   const std::vector<int32_t>& other);
   // Adds `other`'s structure and counts into this tree.
   void MergeFrom(const CountTree& other);
 
@@ -93,6 +107,10 @@ class CountTree {
   Arena arena_;              // declared before nodes_: outlives the vectors
   std::vector<Node> nodes_;  // nodes_[0] is the root (item -1)
   int m_;
+  // Replace's scratch: touched_[i] flags position i of the record being
+  // walked, and touched_end_ is one past the last flagged position.
+  std::vector<uint8_t> touched_;
+  size_t touched_end_ = 0;
 };
 
 }  // namespace secreta

@@ -39,6 +39,10 @@ void GenSpace::InitFromIdentity() {
       }
     }
   });
+  live_.clear();
+  for (size_t g = 0; g < covers_.size(); ++g) {
+    if (!covers_[g].empty()) live_.push_back(static_cast<int32_t>(g));
+  }
   support_.assign(covers_.size(), 0);
   occurrences_.assign(covers_.size(), 0);
   gen_rows_.assign(covers_.size(), {});
@@ -65,12 +69,9 @@ void GenSpace::InitFromIdentity() {
   }
 }
 
-std::vector<int32_t> GenSpace::LiveGens() const {
-  std::vector<int32_t> live;
-  for (size_t g = 0; g < covers_.size(); ++g) {
-    if (!covers_[g].empty()) live.push_back(static_cast<int32_t>(g));
-  }
-  return live;
+void GenSpace::DropLive(int32_t g) {
+  auto it = std::lower_bound(live_.begin(), live_.end(), g);
+  if (it != live_.end() && *it == g) live_.erase(it);
 }
 
 std::string GenSpace::LabelFor(const std::vector<ItemId>& covers) const {
@@ -127,6 +128,9 @@ int32_t GenSpace::Merge(int32_t a, int32_t b) {
     new_rows.push_back(static_cast<uint32_t>(r));  // rows iterate ascending
   }
   covers_.push_back(std::move(merged));
+  DropLive(a);
+  DropLive(b);
+  live_.push_back(g);
   support_.push_back(new_support);
   gen_rows_.push_back(std::move(new_rows));
   gen_rows_[static_cast<size_t>(a)].clear();
@@ -158,6 +162,7 @@ void GenSpace::Suppress(int32_t g) {
   }
   suppressed_occurrences_ += occurrences_[static_cast<size_t>(g)];
   covers_[static_cast<size_t>(g)].clear();
+  DropLive(g);
   support_[static_cast<size_t>(g)] = 0;
   occurrences_[static_cast<size_t>(g)] = 0;
   gen_rows_[static_cast<size_t>(g)].clear();

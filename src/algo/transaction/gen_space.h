@@ -45,8 +45,10 @@ class GenSpace {
   size_t Support(int32_t g) const { return support_[static_cast<size_t>(g)]; }
   /// True if gen `g` is still live (covers at least one item).
   bool IsLive(int32_t g) const { return !covers_[static_cast<size_t>(g)].empty(); }
-  /// Ids of all live gens.
-  std::vector<int32_t> LiveGens() const;
+  /// Ids of all live gens, ascending (a merged gen takes the next id, so
+  /// Merge appends it). Merge and Suppress keep the list; the reference
+  /// stays valid, and its contents change with them.
+  const std::vector<int32_t>& LiveGens() const { return live_; }
 
   /// Merges gens `a` and `b` into a new gen (union of covers); returns its
   /// id. a and b become dead.
@@ -87,6 +89,8 @@ class GenSpace {
 
  private:
   void InitFromIdentity();
+  /// Drops gen `g` from the live list.
+  void DropLive(int32_t g);
   std::string LabelFor(const std::vector<ItemId>& covers) const;
   /// Occurrence count of gen `g`: total original item occurrences mapped to it.
   size_t Occurrences(int32_t g) const {
@@ -98,6 +102,7 @@ class GenSpace {
   std::vector<std::vector<int32_t>> records_;     // generalized form (sorted)
   std::vector<int32_t> item_gen_;                 // item -> gen / suppressed
   std::vector<std::vector<ItemId>> covers_;       // per gen
+  std::vector<int32_t> live_;                     // ascending live gen ids
   std::vector<size_t> support_;                   // per gen: #records with gen
   std::vector<size_t> occurrences_;               // per gen: #item occurrences
   Csr item_records_;                              // item -> rows containing it

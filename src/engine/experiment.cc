@@ -1,5 +1,9 @@
 #include "engine/experiment.h"
 
+#include <cmath>
+#include <utility>
+
+#include "common/string_util.h"
 #include "obs/metric_names.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -9,6 +13,14 @@
 namespace secreta {
 
 Result<std::vector<double>> ParamSweep::Values() const {
+  const std::pair<const char*, double> fields[] = {
+      {"start", start}, {"end", end}, {"step", step}};
+  for (const auto& [name, field] : fields) {
+    if (!std::isfinite(field)) {
+      return Status::InvalidArgument(
+          StrFormat("sweep %s must be finite, got %g", name, field));
+    }
+  }
   if (step <= 0) return Status::InvalidArgument("sweep step must be positive");
   if (end < start) return Status::InvalidArgument("sweep end < start");
   std::vector<double> values;
@@ -20,6 +32,14 @@ Result<std::vector<double>> ParamSweep::Values() const {
     }
   }
   return values;
+}
+
+Result<AlgorithmConfig> ParamSweep::Apply(const AlgorithmConfig& config,
+                                          double value) const {
+  AlgorithmConfig point_config = config;
+  SECRETA_RETURN_IF_ERROR(point_config.params.Set(parameter, value));
+  SECRETA_RETURN_IF_ERROR(point_config.params.Validate());
+  return point_config;
 }
 
 Result<Series> SweepResult::Extract(const std::string& metric) const {
@@ -55,57 +75,63 @@ Result<SweepResult> RunSweep(const EngineInputs& inputs,
   }
   for (size_t i = 0; i < values.size(); ++i) {
     SECRETA_RETURN_IF_ERROR(CheckCancelled(inputs.cancel, "sweep point"));
-    SECRETA_FAULT_POINT("sweep.point");
-    SECRETA_TRACE_SPAN("sweep.point");
-    double value = values[i];
-    AlgorithmConfig point_config = config;
-    SECRETA_RETURN_IF_ERROR(point_config.params.Set(sweep.parameter, value));
-    SECRETA_RETURN_IF_ERROR(point_config.params.Validate());
-    uint64_t point_key = 0;
-    bool from_checkpoint = false;
-    if (checkpoint != nullptr) {
-      point_key = CheckpointLog::PointKey(
-          point_config, checkpoint->dataset_fingerprint(),
-          checkpoint->workload_fingerprint(), config_index);
-      EvaluationReport restored;
-      if (checkpoint->Find(point_key, &restored)) {
-        // The log stores everything but the config and recodings; the config
-        // is recomputed above exactly as the recorded run computed it.
-        restored.run.config = point_config;
-        result.points.push_back({value, std::move(restored)});
-        from_checkpoint = true;
-        MetricsRegistry::Global()
-            .counter(metric_names::kCheckpointPointsRestored)
-            ->Increment();
-      }
-    }
-    if (!from_checkpoint) {
-      SECRETA_ASSIGN_OR_RETURN(RunResult run,
-                               RunAnonymization(inputs, point_config));
-      SECRETA_ASSIGN_OR_RETURN(
-          EvaluationReport report,
-          BuildReport(inputs, std::move(run), *shared_eval));
-      result.points.push_back({value, std::move(report)});
-      if (checkpoint != nullptr) {
-        SECRETA_RETURN_IF_ERROR(checkpoint->Append(
-            point_key, value, result.points.back().report));
-        MetricsRegistry::Global()
-            .counter(metric_names::kCheckpointPointsAppended)
-            ->Increment();
-      }
-    }
-    if (progress) {
-      ProgressEvent event;
-      event.config_index = config_index;
-      event.point_index = i;
-      event.total_points = values.size();
-      event.value = value;
-      event.report = &result.points.back().report;
-      event.from_checkpoint = from_checkpoint;
-      progress(event);
-    }
+    SECRETA_ASSIGN_OR_RETURN(AlgorithmConfig point_config,
+                             sweep.Apply(config, values[i]));
+    ProgressEvent cell;
+    cell.config_index = config_index;
+    cell.point_index = i;
+    cell.total_points = values.size();
+    cell.value = values[i];
+    SECRETA_ASSIGN_OR_RETURN(
+        SweepPoint point, RunSweepPoint(inputs, point_config, cell,
+                                        *shared_eval, checkpoint, progress));
+    result.points.push_back(std::move(point));
   }
   return result;
+}
+
+Result<SweepPoint> RunSweepPoint(const EngineInputs& inputs,
+                                 const AlgorithmConfig& point_config,
+                                 ProgressEvent cell, const EvalContext& eval,
+                                 CheckpointLog* checkpoint,
+                                 const ProgressCallback& progress) {
+  SECRETA_FAULT_POINT("sweep.point");
+  SECRETA_TRACE_SPAN("sweep.point");
+  SweepPoint point{cell.value, {}};
+  uint64_t point_key = 0;
+  cell.from_checkpoint = false;
+  if (checkpoint != nullptr) {
+    point_key = CheckpointLog::PointKey(
+        point_config, checkpoint->dataset_fingerprint(),
+        checkpoint->workload_fingerprint(), cell.config_index);
+    if (checkpoint->Find(point_key, &point.report)) {
+      // The log stores everything but the config and recodings; the config
+      // is recomputed by the caller exactly as the recorded run computed it.
+      point.report.run.config = point_config;
+      cell.from_checkpoint = true;
+      MetricsRegistry::Global()
+          .counter(metric_names::kCheckpointPointsRestored)
+          ->Increment();
+    }
+  }
+  if (!cell.from_checkpoint) {
+    SECRETA_ASSIGN_OR_RETURN(RunResult run,
+                             RunAnonymization(inputs, point_config));
+    SECRETA_ASSIGN_OR_RETURN(point.report,
+                             BuildReport(inputs, std::move(run), eval));
+    if (checkpoint != nullptr) {
+      SECRETA_RETURN_IF_ERROR(
+          checkpoint->Append(point_key, cell.value, point.report));
+      MetricsRegistry::Global()
+          .counter(metric_names::kCheckpointPointsAppended)
+          ->Increment();
+    }
+  }
+  if (progress) {
+    cell.report = &point.report;
+    progress(cell);
+  }
+  return point;
 }
 
 }  // namespace secreta

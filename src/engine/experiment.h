@@ -17,7 +17,8 @@ class CheckpointLog;
 
 /// Progress notification emitted after every completed sweep point — the
 /// mechanism behind the paper's "interactive and progressive" analysis: the
-/// frontend can render partial series while the experiment continues.
+/// frontend can render partial series while the experiment continues. Its
+/// first four fields also name the point to RunSweepPoint.
 struct ProgressEvent {
   size_t config_index = 0;   ///< which configuration (Comparison mode)
   size_t point_index = 0;    ///< 0-based index of the finished point
@@ -29,7 +30,10 @@ struct ProgressEvent {
 };
 
 /// Observer for progress events. In Comparison mode callbacks may fire from
-/// worker threads; CompareMethods serializes them (one at a time).
+/// worker threads; CompareMethods serializes them (one at a time), but runs
+/// the points of one configuration concurrently, so its events may arrive
+/// out of point order. Each event carries its point's own point_index,
+/// total_points and value.
 using ProgressCallback = std::function<void(const ProgressEvent&)>;
 
 /// A named (x, y) series, the unit of plotting and CSV export.
@@ -50,7 +54,13 @@ struct ParamSweep {
   double step = 2;
 
   /// The concrete values of the sweep (start, start+step, ..., <= end).
+  /// InvalidArgument when a bound or the step is not finite, the step is
+  /// not positive, end < start, or the sweep has more than 10000 points.
   Result<std::vector<double>> Values() const;
+
+  /// `config` with this sweep's parameter set to `value`, validated.
+  Result<AlgorithmConfig> Apply(const AlgorithmConfig& config,
+                                double value) const;
 };
 
 /// One point of a sweep: parameter value + full report.
@@ -87,6 +97,19 @@ Result<SweepResult> RunSweep(const EngineInputs& inputs,
                              size_t config_index = 0,
                              const EvalContext* shared_eval = nullptr,
                              CheckpointLog* checkpoint = nullptr);
+
+/// One point of a sweep: RunSweep's loop body, which CompareMethods also
+/// runs, one task per (configuration, point) cell. `point_config` is the
+/// swept configuration at the point (ParamSweep::Apply). `cell` names the
+/// point by its config_index, point_index, total_points and value; its
+/// report and from_checkpoint are filled in before `progress` (optional)
+/// fires with it. A point recorded in `checkpoint` (optional) is replayed
+/// bit-identically instead of computed; a computed point is appended to it.
+Result<SweepPoint> RunSweepPoint(const EngineInputs& inputs,
+                                 const AlgorithmConfig& point_config,
+                                 ProgressEvent cell, const EvalContext& eval,
+                                 CheckpointLog* checkpoint,
+                                 const ProgressCallback& progress);
 
 }  // namespace secreta
 

@@ -26,7 +26,7 @@
 //
 // Span naming convention: dotted lowercase paths, broad to narrow —
 // "anonymize", "anonymize.relational", "evaluate", "evaluate.are",
-// "are.batch", "compare", "compare.config", "sweep.point", "job.run",
+// "are.batch", "compare", "compare.cell", "sweep.point", "job.run",
 // "algo.<Name>". See DESIGN.md §Observability.
 
 #ifndef SECRETA_OBS_TRACE_H_

@@ -108,6 +108,24 @@ TEST_F(CliTest, SweepAndJsonExport) {
   EXPECT_NE(json.find("\"points\""), std::string::npos);
 }
 
+TEST_F(CliTest, SweepAndCompareRefuseNonFiniteBounds) {
+  ASSERT_OK(Run("generate 120 17"));
+  ASSERT_OK(Run("hierarchies auto"));
+  ASSERT_OK(Run("mode relational"));
+  ASSERT_OK(Run("algo rel Cluster"));
+  Status nan_step = Run("sweep k 2 4 nan");
+  EXPECT_EQ(nan_step.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nan_step.message().find("step must be finite"), std::string::npos)
+      << nan_step.ToString();
+  EXPECT_EQ(Run("sweep k 2 inf 2").code(), StatusCode::kInvalidArgument);
+  ASSERT_OK(Run("add-config"));
+  Status nan_start = Run("compare k nan 4 2");
+  EXPECT_EQ(nan_start.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nan_start.message().find("start must be finite"),
+            std::string::npos)
+      << nan_start.ToString();
+}
+
 TEST_F(CliTest, CompareRequiresQueuedConfigs) {
   ASSERT_OK(Run("generate 120 17"));
   ASSERT_OK(Run("hierarchies auto"));

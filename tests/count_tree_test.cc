@@ -90,10 +90,45 @@ TEST(CountTreeTest, MaxViolationsCap) {
   EXPECT_EQ(violations.size(), 2u);
 }
 
+// Every itemset of size <= m over the keys [0, keys).
+std::vector<std::vector<int32_t>> AllItemsets(int32_t keys, int m) {
+  std::vector<std::vector<int32_t>> itemsets;
+  for (int32_t a = 0; a < keys; ++a) {
+    itemsets.push_back({a});
+    for (int32_t b = a + 1; m >= 2 && b < keys; ++b) {
+      itemsets.push_back({a, b});
+      for (int32_t c = b + 1; m >= 3 && c < keys; ++c) {
+        itemsets.push_back({a, b, c});
+      }
+    }
+  }
+  return itemsets;
+}
+
+// `tree` answers exactly like `fresh`: every support, and every violation
+// report in order.
+void ExpectSameAnswers(const CountTree& tree, const CountTree& fresh,
+                       const std::vector<std::vector<int32_t>>& itemsets) {
+  for (const auto& itemset : itemsets) {
+    ASSERT_EQ(tree.Support(itemset), fresh.Support(itemset))
+        << ::testing::PrintToString(itemset);
+  }
+  for (int k : {2, 3, 5}) {
+    for (size_t max_violations : {size_t{1}, size_t{3}, SIZE_MAX}) {
+      auto got = tree.FindViolations(k, max_violations);
+      auto want = fresh.FindViolations(k, max_violations);
+      ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+      for (size_t v = 0; v < got.size(); ++v) {
+        EXPECT_EQ(got[v].itemset, want[v].itemset) << "k=" << k;
+        EXPECT_EQ(got[v].support, want[v].support) << "k=" << k;
+      }
+    }
+  }
+}
+
 // A tree kept in step by Update must answer exactly like a tree built afresh
-// over the current records: every support, and every violation report in
-// order. The steps mix the AA loop's remove-then-add of a changed record with
-// records removed outright and records added.
+// over the current records. The steps mix the remove-then-add of a changed
+// record with records removed outright and records added.
 TEST(CountTreeTest, UpdateMatchesRebuild) {
   constexpr int32_t kKeys = 12;
   Rng rng(4321);
@@ -107,17 +142,7 @@ TEST(CountTreeTest, UpdateMatchesRebuild) {
     return rec;
   };
   for (int m = 1; m <= 3; ++m) {
-    // Every itemset of size <= m over the key universe.
-    std::vector<std::vector<int32_t>> itemsets;
-    for (int32_t a = 0; a < kKeys; ++a) {
-      itemsets.push_back({a});
-      for (int32_t b = a + 1; m >= 2 && b < kKeys; ++b) {
-        itemsets.push_back({a, b});
-        for (int32_t c = b + 1; m >= 3 && c < kKeys; ++c) {
-          itemsets.push_back({a, b, c});
-        }
-      }
-    }
+    const auto itemsets = AllItemsets(kKeys, m);
     std::vector<std::vector<int32_t>> records(30);
     for (auto& rec : records) rec = random_record();
     CountTree tree(records, m);
@@ -139,22 +164,47 @@ TEST(CountTreeTest, UpdateMatchesRebuild) {
         records[j] = random_record();
         tree.Update(records[j], +1);
       }
-      CountTree fresh(records, m);
-      for (const auto& itemset : itemsets) {
-        ASSERT_EQ(tree.Support(itemset), fresh.Support(itemset))
-            << ::testing::PrintToString(itemset);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameAnswers(tree, CountTree(records, m), itemsets));
+    }
+  }
+}
+
+// The AA raise's partial update: a raise gives every key of a range
+// [lo, hi) the key lo, and Replace moves only the itemsets a changed record
+// lost or gained. Records that held lo keep it (nothing is added); the
+// others gain it.
+TEST(CountTreeTest, ReplaceMatchesRebuildAcrossKeyCollapses) {
+  constexpr int32_t kKeys = 16;
+  Rng rng(8642);
+  for (int m = 1; m <= 3; ++m) {
+    const auto itemsets = AllItemsets(kKeys, m);
+    std::vector<std::vector<int32_t>> records(40);
+    for (auto& rec : records) {
+      size_t len = static_cast<size_t>(rng.UniformInt(0, 8));
+      for (size_t idx : rng.Sample(static_cast<size_t>(kKeys), len)) {
+        rec.push_back(static_cast<int32_t>(idx));
       }
-      for (int k : {2, 3, 5}) {
-        for (size_t max_violations : {size_t{1}, size_t{3}, SIZE_MAX}) {
-          auto got = tree.FindViolations(k, max_violations);
-          auto want = fresh.FindViolations(k, max_violations);
-          ASSERT_EQ(got.size(), want.size()) << "k=" << k;
-          for (size_t v = 0; v < got.size(); ++v) {
-            EXPECT_EQ(got[v].itemset, want[v].itemset) << "k=" << k;
-            EXPECT_EQ(got[v].support, want[v].support) << "k=" << k;
-          }
-        }
+      std::sort(rec.begin(), rec.end());
+    }
+    CountTree tree(records, m);
+    for (int step = 0; step < 30; ++step) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " step " + std::to_string(step));
+      auto lo = static_cast<int32_t>(rng.UniformInt(0, kKeys - 2));
+      auto hi = static_cast<int32_t>(
+          std::min<int64_t>(kKeys, lo + 2 + rng.UniformInt(0, 4)));
+      for (auto& rec : records) {
+        if (!rng.Bernoulli(0.7)) continue;
+        std::vector<int32_t> after;
+        for (int32_t key : rec) after.push_back(key >= lo && key < hi ? lo : key);
+        std::sort(after.begin(), after.end());
+        after.erase(std::unique(after.begin(), after.end()), after.end());
+        if (after == rec) continue;
+        tree.Replace(rec, after);
+        rec = std::move(after);
       }
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameAnswers(tree, CountTree(records, m), itemsets));
     }
   }
 }

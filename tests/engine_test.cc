@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "engine/comparator.h"
 #include "engine/evaluator.h"
@@ -113,6 +116,28 @@ TEST_F(EngineTest, SweepValuesAndValidation) {
   EXPECT_FALSE(bad.Values().ok());
   ParamSweep zero_step{"k", 2, 10, 0};
   EXPECT_FALSE(zero_step.Values().ok());
+  // A non-finite bound or step is refused up front, naming the field: a NaN
+  // fails every comparison, so the value loop would end before its first
+  // point, and an infinite one would run the loop up to the size cap.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<std::string, double ParamSweep::*> fields[] = {
+      {"start", &ParamSweep::start},
+      {"end", &ParamSweep::end},
+      {"step", &ParamSweep::step}};
+  for (const auto& [name, field] : fields) {
+    for (double bad_value : {nan, inf, -inf}) {
+      ParamSweep non_finite{"k", 2, 10, 2};
+      non_finite.*field = bad_value;
+      Result<std::vector<double>> values = non_finite.Values();
+      ASSERT_FALSE(values.ok()) << name << "=" << bad_value;
+      EXPECT_EQ(values.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(values.status().message().find("sweep " + name +
+                                               " must be finite"),
+                std::string::npos)
+          << values.status().ToString();
+    }
+  }
 }
 
 TEST_F(EngineTest, SweepOverridesParameter) {

@@ -76,6 +76,7 @@ TEST_F(ProgressTest, ComparatorSerializesEventsAcrossThreads) {
         std::vector<std::string>{"Apriori", "COAT", "PCTA"}[i];
   }
   ParamSweep sweep{"k", 2, 6, 2};
+  ASSERT_OK_AND_ASSIGN(std::vector<double> values, sweep.Values());
   std::atomic<int> concurrent{0};
   std::atomic<bool> overlapped{false};
   std::mutex seen_mutex;
@@ -87,6 +88,20 @@ TEST_F(ProgressTest, ComparatorSerializesEventsAcrossThreads) {
     {
       std::lock_guard<std::mutex> lock(seen_mutex);
       seen.insert({event.config_index, event.point_index});
+    }
+    // Each event names its own cell of the grid, whatever order the cells
+    // finish in.
+    EXPECT_EQ(event.total_points, values.size());
+    if (event.config_index < configs.size() &&
+        event.point_index < values.size() && event.report != nullptr) {
+      EXPECT_EQ(event.value, values[event.point_index]);
+      const AlgorithmConfig& run_config = event.report->run.config;
+      EXPECT_EQ(run_config.params.k, static_cast<int>(event.value));
+      EXPECT_EQ(run_config.transaction_algorithm,
+                configs[event.config_index].transaction_algorithm);
+    } else {
+      ADD_FAILURE() << "bad event: config " << event.config_index
+                    << ", point " << event.point_index;
     }
     concurrent.fetch_sub(1);
   };

@@ -103,6 +103,15 @@ TEST(GenSpaceStressTest, RandomOpsMatchNaiveRecomputation) {
       // Full-state comparison.
       ASSERT_EQ(space.records(), naive.Records(txns))
           << "trial " << trial << " op " << op;
+      // The live list is kept by Merge and Suppress, not recomputed: it
+      // must hold exactly the gens with covers, ascending.
+      std::vector<int32_t> live_gens;
+      for (const auto& [gen, covers] : naive.covers) {
+        ASSERT_FALSE(covers.empty());
+        live_gens.push_back(gen);
+      }
+      ASSERT_EQ(space.LiveGens(), live_gens)
+          << "trial " << trial << " op " << op;
       for (size_t i = 0; i < num_items; ++i) {
         ASSERT_EQ(space.GenOf(static_cast<ItemId>(i)), naive.item_gen[i]);
       }

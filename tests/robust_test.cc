@@ -532,6 +532,44 @@ TEST_F(ResumeTest, ComparisonGridResumesByteIdentically) {
 }
 
 // ---------------------------------------------------------------------------
+// Cell scheduling: the comparator runs each (configuration, point) cell as
+// its own pool task, so cells finish in any order; the grid it assembles
+// must not depend on the worker count.
+
+using ComparatorTest = ResumeTest;
+
+TEST_F(ComparatorTest, CellScheduleMatchesPerConfigurationSweeps) {
+  const char* transaction_algorithms[] = {"Apriori", "COAT", "LRA"};
+  std::vector<AlgorithmConfig> configs;
+  for (const char* algorithm : transaction_algorithms) {
+    AlgorithmConfig config;
+    config.mode = AnonMode::kRt;
+    config.relational_algorithm = "Cluster";
+    config.transaction_algorithm = algorithm;
+    configs.push_back(config);
+  }
+  std::vector<SweepResult> expected;
+  for (size_t c = 0; c < configs.size(); ++c) {
+    ASSERT_OK_AND_ASSIGN(
+        SweepResult sweep,
+        RunSweep(inputs_, configs[c], sweep_, &workload_, nullptr, c));
+    ASSERT_EQ(sweep.points.size(), 3u);
+    NormalizeSweep(&sweep);
+    expected.push_back(std::move(sweep));
+  }
+  const std::string want = ComparisonToJson(expected);
+  for (size_t threads : {1, 2, 3, 8}) {
+    CompareOptions options;
+    options.num_threads = threads;
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<SweepResult> grid,
+        CompareMethods(inputs_, configs, sweep_, &workload_, options));
+    for (SweepResult& result : grid) NormalizeSweep(&result);
+    EXPECT_EQ(ComparisonToJson(grid), want) << threads << " threads";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Job retry with exponential backoff.
 
 JobScheduler::JobFn FlakyFn(std::shared_ptr<std::atomic<int>> calls,
