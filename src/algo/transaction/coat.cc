@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "algo/transaction/count_tree.h"
 #include "obs/trace.h"
 
 namespace secreta {
@@ -125,8 +124,7 @@ Result<TransactionRecoding> CoatAnonymizer::AnonymizeSubset(
     // k^m mode: derive constraints from current violations until none remain.
     while (true) {
       SECRETA_RETURN_IF_ERROR(CheckCancel("coat iteration"));
-      CountTree tree(space.records(), params.m, pool_);
-      auto violations = tree.FindViolations(params.k, 1);
+      auto violations = space.FindViolations(params.m, params.k, 1);
       if (violations.empty()) break;
       SECRETA_RETURN_IF_ERROR(FixItemsetSupport(
           &space, violations[0].itemset, params.k, utility,

@@ -7,6 +7,70 @@
 
 namespace secreta {
 
+namespace {
+
+// One GenSpace::FindViolations walk in CountTree's DFS order: the itemset
+// being visited, the violations found so far, and a dense per-gen counter
+// of one-gen extensions, all zero between prefixes.
+struct ViolationWalk {
+  const std::vector<std::vector<int32_t>>& records;
+  size_t k;
+  size_t max_violations;
+  std::vector<uint32_t> counts;
+  std::vector<int32_t> path;
+  std::vector<KmViolation> out;
+
+  // Records `path` when `support` violates; true once `out` is full.
+  bool Report(size_t support) {
+    if (support >= k) return false;
+    out.push_back({path, support});
+    return out.size() >= max_violations;
+  }
+
+  // Visits the extensions of `path` by 1..`sizes_left` gens, counted over
+  // `rows` (the ascending rows holding `path`); true once `out` is full.
+  bool Extend(const std::vector<uint32_t>& rows, int sizes_left) {
+    // Records are sorted, so a row's one-gen extensions of the prefix are
+    // its gens above the prefix's last.
+    const int32_t last = path.back();
+    std::vector<int32_t> extensions;
+    for (uint32_t r : rows) {
+      const auto& rec = records[r];
+      for (auto it = std::upper_bound(rec.begin(), rec.end(), last);
+           it != rec.end(); ++it) {
+        if (counts[static_cast<size_t>(*it)]++ == 0) extensions.push_back(*it);
+      }
+    }
+    std::sort(extensions.begin(), extensions.end());
+    // Take the supports and clear the counter before a longer prefix uses it.
+    std::vector<uint32_t> supports(extensions.size());
+    for (size_t i = 0; i < extensions.size(); ++i) {
+      uint32_t& count = counts[static_cast<size_t>(extensions[i])];
+      supports[i] = count;
+      count = 0;
+    }
+    std::vector<uint32_t> extension_rows;
+    for (size_t i = 0; i < extensions.size(); ++i) {
+      const int32_t h = extensions[i];
+      path.push_back(h);
+      if (Report(supports[i])) return true;
+      if (sizes_left > 1) {
+        extension_rows.clear();
+        for (uint32_t r : rows) {
+          if (std::binary_search(records[r].begin(), records[r].end(), h)) {
+            extension_rows.push_back(r);
+          }
+        }
+        if (Extend(extension_rows, sizes_left - 1)) return true;
+      }
+      path.pop_back();
+    }
+    return false;
+  }
+};
+
+}  // namespace
+
 GenSpace::GenSpace(std::vector<std::vector<ItemId>> transactions,
                    const Dictionary& item_dict)
     : item_dict_(&item_dict), original_(std::move(transactions)) {
@@ -32,13 +96,6 @@ GenSpace::GenSpace(std::vector<std::vector<ItemId>> transactions,
 }
 
 void GenSpace::InitFromIdentity() {
-  item_records_ = Csr::Build(item_dict_->size(), [&](auto emit) {
-    for (size_t r = 0; r < original_.size(); ++r) {
-      for (ItemId item : original_[r]) {
-        emit(static_cast<size_t>(item), static_cast<uint32_t>(r));
-      }
-    }
-  });
   live_.clear();
   for (size_t g = 0; g < covers_.size(); ++g) {
     if (!covers_[g].empty()) live_.push_back(static_cast<int32_t>(g));
@@ -100,39 +157,26 @@ int32_t GenSpace::Merge(int32_t a, int32_t b) {
              covers_[static_cast<size_t>(b)].end(),
              std::back_inserter(merged));
   for (ItemId item : merged) item_gen_[static_cast<size_t>(item)] = g;
-  // Collect the affected rows (any row containing a or b).
-  std::vector<size_t> rows;
-  for (ItemId item : merged) {
-    auto item_rows = item_records_[static_cast<size_t>(item)];
-    rows.insert(rows.end(), item_rows.begin(), item_rows.end());
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  size_t new_support = 0;
-  std::vector<uint32_t> new_rows;
-  for (size_t r : rows) {
+  // The affected rows are exactly those holding a or b.
+  const auto& rows_a = gen_rows_[static_cast<size_t>(a)];
+  const auto& rows_b = gen_rows_[static_cast<size_t>(b)];
+  std::vector<uint32_t> rows;
+  rows.reserve(rows_a.size() + rows_b.size());
+  std::set_union(rows_a.begin(), rows_a.end(), rows_b.begin(), rows_b.end(),
+                 std::back_inserter(rows));
+  for (uint32_t r : rows) {
     auto& rec = records_[r];
-    bool had = false;
-    size_t w = 0;
-    for (size_t i = 0; i < rec.size(); ++i) {
-      if (rec[i] == a || rec[i] == b) {
-        had = true;
-        continue;
-      }
-      rec[w++] = rec[i];
-    }
-    if (!had) continue;  // row contained the items only as suppressed
-    rec.resize(w);
-    rec.insert(std::lower_bound(rec.begin(), rec.end(), g), g);
-    ++new_support;
-    new_rows.push_back(static_cast<uint32_t>(r));  // rows iterate ascending
+    rec.erase(std::remove_if(rec.begin(), rec.end(),
+                             [&](int32_t x) { return x == a || x == b; }),
+              rec.end());
+    rec.push_back(g);  // g is the largest gen id yet: the record stays sorted
   }
   covers_.push_back(std::move(merged));
   DropLive(a);
   DropLive(b);
   live_.push_back(g);
-  support_.push_back(new_support);
-  gen_rows_.push_back(std::move(new_rows));
+  support_.push_back(rows.size());
+  gen_rows_.push_back(std::move(rows));
   gen_rows_[static_cast<size_t>(a)].clear();
   gen_rows_[static_cast<size_t>(b)].clear();
   occurrences_.push_back(occurrences_[static_cast<size_t>(a)] +
@@ -147,18 +191,12 @@ int32_t GenSpace::Merge(int32_t a, int32_t b) {
 }
 
 void GenSpace::Suppress(int32_t g) {
-  std::vector<size_t> rows;
   for (ItemId item : covers_[static_cast<size_t>(g)]) {
     item_gen_[static_cast<size_t>(item)] = kSuppressedGen;
-    auto item_rows = item_records_[static_cast<size_t>(item)];
-    rows.insert(rows.end(), item_rows.begin(), item_rows.end());
   }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  for (size_t r : rows) {
+  for (uint32_t r : gen_rows_[static_cast<size_t>(g)]) {
     auto& rec = records_[r];
-    auto it = std::lower_bound(rec.begin(), rec.end(), g);
-    if (it != rec.end() && *it == g) rec.erase(it);
+    rec.erase(std::lower_bound(rec.begin(), rec.end(), g));
   }
   suppressed_occurrences_ += occurrences_[static_cast<size_t>(g)];
   covers_[static_cast<size_t>(g)].clear();
@@ -166,6 +204,30 @@ void GenSpace::Suppress(int32_t g) {
   support_[static_cast<size_t>(g)] = 0;
   occurrences_[static_cast<size_t>(g)] = 0;
   gen_rows_[static_cast<size_t>(g)].clear();
+}
+
+std::vector<KmViolation> GenSpace::FindViolations(
+    int m, int k, size_t max_violations) const {
+  if (m < 1 || max_violations == 0) return {};
+  ViolationWalk walk{records_, static_cast<size_t>(k), max_violations,
+                     std::vector<uint32_t>(m > 1 ? covers_.size() : 0, 0),
+                     {}, {}};
+  for (int32_t g : live_) {
+    size_t support = support_[static_cast<size_t>(g)];
+    if (support == 0) continue;  // no record holds g: not in a count tree
+    walk.path.assign(1, g);
+    if (walk.Report(support) ||
+        (m > 1 && walk.Extend(gen_rows_[static_cast<size_t>(g)], m - 1))) {
+      break;
+    }
+  }
+  // Prefer the most fragile violations (smallest support first), sorted as
+  // CountTree::FindViolations sorts the same vector.
+  std::sort(walk.out.begin(), walk.out.end(),
+            [](const KmViolation& a, const KmViolation& b) {
+              return a.support < b.support;
+            });
+  return std::move(walk.out);
 }
 
 double GenSpace::MergeCost(int32_t a, int32_t b) const {

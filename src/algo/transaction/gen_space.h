@@ -1,7 +1,7 @@
 // GenSpace: mutable global recoding where a generalized item is an arbitrary
 // set of original items (the model of COAT [7] and PCTA [5], which do not use
 // hierarchies). Supports merge and suppress operations with incremental
-// support maintenance.
+// support maintenance, and finds k^m violations from its per-gen row lists.
 
 #ifndef SECRETA_ALGO_TRANSACTION_GEN_SPACE_H_
 #define SECRETA_ALGO_TRANSACTION_GEN_SPACE_H_
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "common/csr.h"
+#include "core/guarantees.h"
 #include "core/results.h"
 #include "data/dictionary.h"
 
@@ -51,11 +51,22 @@ class GenSpace {
   const std::vector<int32_t>& LiveGens() const { return live_; }
 
   /// Merges gens `a` and `b` into a new gen (union of covers); returns its
-  /// id. a and b become dead.
+  /// id. a and b become dead. Rewrites just the rows of a and b.
   int32_t Merge(int32_t a, int32_t b);
 
-  /// Suppresses gen `g`: its items disappear from every record.
+  /// Suppresses gen `g`: its items disappear from every record. Rewrites
+  /// just the rows of g.
   void Suppress(int32_t g);
+
+  /// Itemsets of at most `m` live gens with support in (0, k), up to
+  /// `max_violations`, smallest support first among those found: the same
+  /// vector as CountTree(records(), m).FindViolations(k, max_violations).
+  /// Itemsets are walked in the tree's DFS order (live gens ascending, each
+  /// prefix before its extensions, extensions ascending), and a prefix's
+  /// one-gen extensions are counted over the prefix's rows only, so the walk
+  /// stops at the first `max_violations` without counting the rest.
+  std::vector<KmViolation> FindViolations(int m, int k,
+                                          size_t max_violations) const;
 
   /// Marginal utility-loss of merging `a` and `b` (increase in summed
   /// occurrence penalties, normalized by total original occurrences).
@@ -71,7 +82,8 @@ class GenSpace {
   size_t ItemsetSupport(const std::vector<int32_t>& gens) const;
 
   /// Sorted rows currently containing gen `g` (the posting list
-  /// ItemsetSupport intersects; exposed for tests).
+  /// ItemsetSupport intersects, Merge and Suppress rewrite and
+  /// FindViolations counts over; exposed for tests).
   const std::vector<uint32_t>& GenRows(int32_t g) const {
     return gen_rows_[static_cast<size_t>(g)];
   }
@@ -105,7 +117,6 @@ class GenSpace {
   std::vector<int32_t> live_;                     // ascending live gen ids
   std::vector<size_t> support_;                   // per gen: #records with gen
   std::vector<size_t> occurrences_;               // per gen: #item occurrences
-  Csr item_records_;                              // item -> rows containing it
   std::vector<std::vector<uint32_t>> gen_rows_;   // gen -> rows containing it
   bool use_reference_impl_ = false;
   size_t total_occurrences_ = 0;

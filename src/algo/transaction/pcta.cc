@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "algo/transaction/coat.h"
-#include "algo/transaction/count_tree.h"
 #include "obs/trace.h"
 
 namespace secreta {
@@ -28,8 +27,8 @@ Result<TransactionRecoding> PctaAnonymizer::AnonymizeSubset(
     // k^m mode: repeatedly address the most fragile violation.
     while (true) {
       SECRETA_RETURN_IF_ERROR(CheckCancel("pcta iteration"));
-      CountTree tree(space.records(), params.m, pool_);
-      auto violations = tree.FindViolations(params.k, /*max_violations=*/16);
+      auto violations =
+          space.FindViolations(params.m, params.k, /*max_violations=*/16);
       if (violations.empty()) break;
       const KmViolation* fragile = &violations[0];
       for (const auto& v : violations) {

@@ -4,7 +4,6 @@
 
 #include "algo/transaction/apriori.h"
 #include "algo/transaction/coat.h"
-#include "algo/transaction/count_tree.h"
 #include "algo/transaction/gen_space.h"
 #include "obs/trace.h"
 
@@ -73,8 +72,7 @@ Result<TransactionRecoding> VpaAnonymizer::AnonymizeSubset(
       UtilityPolicy::Unrestricted(context.num_items());
   while (true) {
     SECRETA_RETURN_IF_ERROR(CheckCancel("vpa repair"));
-    CountTree tree(space.records(), params.m, pool_);
-    auto violations = tree.FindViolations(params.k, 1);
+    auto violations = space.FindViolations(params.m, params.k, 1);
     if (violations.empty()) break;
     SECRETA_RETURN_IF_ERROR(FixItemsetSupport(
         &space, violations[0].itemset, params.k, &unrestricted,

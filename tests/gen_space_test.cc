@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
+#include "algo/transaction/count_tree.h"
 #include "algo/transaction/cut.h"
+#include "common/random.h"
 #include "hierarchy/hierarchy_builder.h"
 #include "tests/test_util.h"
 
@@ -118,6 +123,89 @@ TEST(GenSpaceTest, InitFromExistingRecoding) {
   EXPECT_EQ(space.records()[1].size(), 1u);  // c only; d suppressed
   TransactionRecoding out = space.Export();
   EXPECT_EQ(out.suppressed_occurrences, 1u);
+}
+
+// The row-list violation search must return exactly what a count tree built
+// over the current records returns: the same itemsets, supports and order,
+// whatever the cap. Spaces start at the identity (COAT, PCTA) or at a random
+// recoding with suppressed items (VPA's phase 2), then take random merges and
+// suppressions.
+TEST(GenSpaceTest, FindViolationsMatchesCountTree) {
+  Rng rng(20141104);
+  size_t states = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    // The last few items occur in no record, as most of the domain does in
+    // a small cluster's subset: their gens are live with support 0.
+    size_t used_items = 10 + static_cast<size_t>(rng.UniformInt(0, 14));
+    size_t num_items = used_items + static_cast<size_t>(rng.UniformInt(0, 4));
+    size_t n = 20 + static_cast<size_t>(rng.UniformInt(0, 60));
+    Dictionary dict;
+    for (size_t i = 0; i < num_items; ++i) {
+      dict.GetOrAdd("it" + std::to_string(i));
+    }
+    std::vector<std::vector<ItemId>> txns(n);
+    for (auto& txn : txns) {
+      size_t len = static_cast<size_t>(rng.UniformInt(0, 7));
+      for (size_t idx : rng.Sample(used_items, len)) {
+        txn.push_back(static_cast<ItemId>(idx));
+      }
+      std::sort(txn.begin(), txn.end());
+    }
+    const bool from_recoding = trial % 2 == 1;
+    TransactionRecoding seed;
+    if (from_recoding) {
+      // Random groups of items become gens; some items start suppressed.
+      std::vector<size_t> order = rng.Sample(num_items, num_items);
+      seed.item_map.assign(num_items, kSuppressedGen);
+      size_t pos = 0;
+      while (pos < order.size()) {
+        size_t len = static_cast<size_t>(rng.UniformInt(1, 4));
+        std::vector<ItemId> covers;
+        for (; pos < order.size() && covers.size() < len; ++pos) {
+          if (rng.Bernoulli(0.1)) continue;
+          covers.push_back(static_cast<ItemId>(order[pos]));
+        }
+        if (covers.empty()) continue;
+        std::sort(covers.begin(), covers.end());
+        int32_t g = seed.AddGen("g" + std::to_string(seed.gens.size()), covers);
+        for (ItemId item : covers) seed.item_map[static_cast<size_t>(item)] = g;
+      }
+    }
+    GenSpace space = from_recoding ? GenSpace(txns, dict, seed)
+                                   : GenSpace(txns, dict);
+    for (int op = 0; op <= 30; ++op) {
+      if (op > 0) {
+        const auto& live = space.LiveGens();
+        if (live.size() < 2) break;
+        if (rng.Bernoulli(0.7)) {
+          auto pick = rng.Sample(live.size(), 2);
+          space.Merge(live[pick[0]], live[pick[1]]);
+        } else {
+          space.Suppress(live[static_cast<size_t>(rng.UniformInt(
+              0, static_cast<int64_t>(live.size() - 1)))]);
+        }
+      }
+      for (int m = 1; m <= 3; ++m) {
+        int k = static_cast<int>(rng.UniformInt(2, 6));
+        CountTree tree(space.records(), m);
+        for (size_t max : {size_t{1}, size_t{16}, SIZE_MAX}) {
+          SCOPED_TRACE("trial " + std::to_string(trial) + " op " +
+                       std::to_string(op) + " m " + std::to_string(m) +
+                       " k " + std::to_string(k) + " max " +
+                       std::to_string(max));
+          auto want = tree.FindViolations(k, max);
+          auto got = space.FindViolations(m, k, max);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].itemset, want[i].itemset) << "violation " << i;
+            ASSERT_EQ(got[i].support, want[i].support) << "violation " << i;
+          }
+          ++states;
+        }
+      }
+    }
+  }
+  EXPECT_GT(states, 1000u);
 }
 
 TEST(HierarchyCutTest, StartsAtLeavesAndRaises) {

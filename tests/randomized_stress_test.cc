@@ -115,14 +115,23 @@ TEST(GenSpaceStressTest, RandomOpsMatchNaiveRecomputation) {
       for (size_t i = 0; i < num_items; ++i) {
         ASSERT_EQ(space.GenOf(static_cast<ItemId>(i)), naive.item_gen[i]);
       }
+      const auto naive_records = naive.Records(txns);
       for (const auto& [gen, covers] : naive.covers) {
         ASSERT_EQ(space.Covers(gen), covers);
-        // Support = rows whose generalized form contains the gen.
-        size_t support = 0;
-        for (const auto& rec : naive.Records(txns)) {
-          if (std::binary_search(rec.begin(), rec.end(), gen)) ++support;
+        // Support = rows whose generalized form contains the gen, and the
+        // gen's row list is exactly those rows, ascending: Merge and
+        // Suppress rewrite the rows it lists, so a stale list would corrupt
+        // the records themselves.
+        std::vector<uint32_t> rows;
+        for (size_t r = 0; r < naive_records.size(); ++r) {
+          const auto& rec = naive_records[r];
+          if (std::binary_search(rec.begin(), rec.end(), gen)) {
+            rows.push_back(static_cast<uint32_t>(r));
+          }
         }
-        ASSERT_EQ(space.Support(gen), support);
+        ASSERT_EQ(space.Support(gen), rows.size());
+        ASSERT_EQ(space.GenRows(gen), rows)
+            << "trial " << trial << " op " << op << " gen " << gen;
       }
     }
   }

@@ -100,7 +100,8 @@ INTERNAL_TOP_DIRS: set[str] = set()
 
 # src/ headers the test oracles (tests/oracle/) must not reach.
 ORACLE_FORBIDDEN = ("query/query_evaluator.h", "query/query_index.h",
-                    "core/recoding.h")
+                    "core/recoding.h", "core/guarantees.h", "core/audit.h",
+                    "algo/transaction/count_tree.h")
 TESTS_INCLUDE = re.compile(r"^(\.\./)*tests/")
 
 
