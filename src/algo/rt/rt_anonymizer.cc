@@ -67,10 +67,9 @@ double RelationalDistance(const RelationalContext& context,
 
 }  // namespace
 
-Result<RtResult> RtAnonymizer::Anonymize(const RelationalContext& rel_context,
-                                         const TransactionContext& txn_context,
-                                         const AnonParams& params,
-                                         const CancellationToken* cancel) const {
+Result<RtResult> RtAnonymizer::Anonymize(
+    const RelationalContext& rel_context, const TransactionContext& txn_context,
+    const AnonParams& params, const CancellationToken* cancel) const {
   SECRETA_RETURN_IF_ERROR(params.Validate());
   const Dataset& data = rel_context.dataset();
   if (&data != &txn_context.dataset()) {

@@ -9,7 +9,8 @@ namespace secreta {
 namespace {
 
 // Utility-constraint group of a live gen (-1 = unconstrained, may not merge).
-int32_t GroupOf(const GenSpace& space, const UtilityPolicy* utility, int32_t g) {
+int32_t GroupOf(const GenSpace& space, const UtilityPolicy* utility,
+                int32_t g) {
   if (utility == nullptr) return 0;
   return utility->constraint_of[static_cast<size_t>(space.Covers(g)[0])];
 }

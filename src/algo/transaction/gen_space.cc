@@ -247,8 +247,9 @@ double GenSpace::MergeCost(int32_t a, int32_t b) const {
 
 double GenSpace::SuppressCost(int32_t g) const {
   double denom = num_items() > 1 ? static_cast<double>(num_items() - 1) : 1.0;
-  double p = (static_cast<double>(covers_[static_cast<size_t>(g)].size()) - 1.0) /
-             denom;
+  double p =
+      (static_cast<double>(covers_[static_cast<size_t>(g)].size()) - 1.0) /
+      denom;
   double delta = static_cast<double>(Occurrences(g)) * (1.0 - p);
   return total_occurrences_ > 0
              ? delta / static_cast<double>(total_occurrences_)

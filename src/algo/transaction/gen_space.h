@@ -44,7 +44,9 @@ class GenSpace {
   /// Number of records currently containing gen `g`.
   size_t Support(int32_t g) const { return support_[static_cast<size_t>(g)]; }
   /// True if gen `g` is still live (covers at least one item).
-  bool IsLive(int32_t g) const { return !covers_[static_cast<size_t>(g)].empty(); }
+  bool IsLive(int32_t g) const {
+    return !covers_[static_cast<size_t>(g)].empty();
+  }
   /// Ids of all live gens, ascending (a merged gen takes the next id, so
   /// Merge appends it). Merge and Suppress keep the list; the reference
   /// stays valid, and its contents change with them.

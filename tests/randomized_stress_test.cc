@@ -186,7 +186,8 @@ TEST(QueryStressTest, IdentityRecodingsGiveZeroAreOnRandomWorkloads) {
                          RelationalContext::Create(ds, hierarchies));
     RelationalRecoding rel_identity = IdentityRecoding(ctx);
     std::vector<std::vector<ItemId>> txns;
-    for (size_t r = 0; r < ds.num_records(); ++r) txns.push_back(ds.items(r).raw());
+    for (size_t r = 0; r < ds.num_records(); ++r)
+      txns.push_back(ds.items(r).raw());
     TransactionRecoding txn_identity = IdentityTransactionRecoding(
         txns, ds.item_dictionary().size(), ds.item_dictionary());
     WorkloadGenOptions options;
