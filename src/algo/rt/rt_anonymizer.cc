@@ -209,17 +209,10 @@ Result<RtResult> RtAnonymizer::Anonymize(
     if (!cluster.alive) continue;
     std::vector<int32_t> remap(cluster.txn.gens.size());
     for (size_t g = 0; g < cluster.txn.gens.size(); ++g) {
-      // Look up before inserting: emplace would copy the covers into a new
-      // node even when they are already there.
-      const auto& covers = cluster.txn.gens[g].covers;
-      auto it = gen_index.find(covers);
-      if (it == gen_index.end()) {
-        it = gen_index
-                 .emplace(covers,
-                          static_cast<int32_t>(result.transaction.gens.size()))
-                 .first;
-        result.transaction.gens.push_back(cluster.txn.gens[g]);
-      }
+      auto [it, inserted] = gen_index.try_emplace(
+          cluster.txn.gens[g].covers,
+          static_cast<int32_t>(result.transaction.gens.size()));
+      if (inserted) result.transaction.gens.push_back(cluster.txn.gens[g]);
       remap[g] = it->second;
     }
     result.transaction.suppressed_occurrences +=

@@ -1,6 +1,7 @@
 #include "algo/transaction/gen_space.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/string_util.h"
 #include "kernels/kernels.h"
@@ -9,14 +10,18 @@ namespace secreta {
 
 namespace {
 
+// The gens above the last of the itemset being visited, in a record that
+// holds it. Records are sorted, so these are the one-gen extensions of the
+// itemset that the record holds.
+using Tail = std::span<const int32_t>;
+
 // One GenSpace::FindViolations walk in CountTree's DFS order: the itemset
-// being visited, the violations found so far, and a dense per-gen counter
-// of one-gen extensions, all zero between prefixes.
+// being visited, the violations found so far, and a dense per-gen counter,
+// all zero between prefixes.
 struct ViolationWalk {
-  const std::vector<std::vector<int32_t>>& records;
   size_t k;
   size_t max_violations;
-  std::vector<uint32_t> counts;
+  std::vector<size_t> counts;
   std::vector<int32_t> path;
   std::vector<KmViolation> out;
 
@@ -28,41 +33,51 @@ struct ViolationWalk {
   }
 
   // Visits the extensions of `path` by 1..`sizes_left` gens, counted over
-  // `rows` (the ascending rows holding `path`); true once `out` is full.
-  bool Extend(const std::vector<uint32_t>& rows, int sizes_left) {
-    // Records are sorted, so a row's one-gen extensions of the prefix are
-    // its gens above the prefix's last.
-    const int32_t last = path.back();
+  // `tails` (one per record holding `path`); true once `out` is full.
+  bool Extend(std::span<const Tail> tails, int sizes_left) {
     std::vector<int32_t> extensions;
-    for (uint32_t r : rows) {
-      const auto& rec = records[r];
-      for (auto it = std::upper_bound(rec.begin(), rec.end(), last);
-           it != rec.end(); ++it) {
-        if (counts[static_cast<size_t>(*it)]++ == 0) extensions.push_back(*it);
+    for (Tail tail : tails) {
+      for (int32_t g : tail) {
+        if (counts[static_cast<size_t>(g)]++ == 0) extensions.push_back(g);
       }
     }
     std::sort(extensions.begin(), extensions.end());
-    // Take the supports and clear the counter before a longer prefix uses it.
-    std::vector<uint32_t> supports(extensions.size());
+    // Take the supports, and turn each count into the offset of its
+    // extension's tails in `extension_tails`, which lays them out back to
+    // back in ascending extension order.
+    std::vector<size_t> supports(extensions.size());
+    size_t offset = 0;
     for (size_t i = 0; i < extensions.size(); ++i) {
-      uint32_t& count = counts[static_cast<size_t>(extensions[i])];
+      size_t& count = counts[static_cast<size_t>(extensions[i])];
       supports[i] = count;
-      count = 0;
+      count = offset;
+      offset += supports[i];
     }
-    std::vector<uint32_t> extension_rows;
-    for (size_t i = 0; i < extensions.size(); ++i) {
-      const int32_t h = extensions[i];
-      path.push_back(h);
-      if (Report(supports[i])) return true;
-      if (sizes_left > 1) {
-        extension_rows.clear();
-        for (uint32_t r : rows) {
-          if (std::binary_search(records[r].begin(), records[r].end(), h)) {
-            extension_rows.push_back(r);
-          }
+    // A second pass over the tails files, under each extension a tail
+    // holds, the rest of the tail after it.
+    std::vector<Tail> extension_tails;
+    if (sizes_left > 1) {
+      extension_tails.resize(offset);
+      for (Tail tail : tails) {
+        for (size_t p = 0; p < tail.size(); ++p) {
+          extension_tails[counts[static_cast<size_t>(tail[p])]++] =
+              tail.subspan(p + 1);
         }
-        if (Extend(extension_rows, sizes_left - 1)) return true;
       }
+    }
+    // Clear the counter before a longer prefix uses it.
+    for (int32_t g : extensions) counts[static_cast<size_t>(g)] = 0;
+    offset = 0;
+    for (size_t i = 0; i < extensions.size(); ++i) {
+      path.push_back(extensions[i]);
+      if (Report(supports[i])) return true;
+      if (sizes_left > 1 &&
+          Extend(std::span<const Tail>(extension_tails)
+                     .subspan(offset, supports[i]),
+                 sizes_left - 1)) {
+        return true;
+      }
+      offset += supports[i];
       path.pop_back();
     }
     return false;
@@ -209,17 +224,23 @@ void GenSpace::Suppress(int32_t g) {
 std::vector<KmViolation> GenSpace::FindViolations(
     int m, int k, size_t max_violations) const {
   if (m < 1 || max_violations == 0) return {};
-  ViolationWalk walk{records_, static_cast<size_t>(k), max_violations,
-                     std::vector<uint32_t>(m > 1 ? covers_.size() : 0, 0),
+  ViolationWalk walk{static_cast<size_t>(k), max_violations,
+                     std::vector<size_t>(m > 1 ? covers_.size() : 0, 0),
                      {}, {}};
+  std::vector<Tail> tails;
   for (int32_t g : live_) {
     size_t support = support_[static_cast<size_t>(g)];
     if (support == 0) continue;  // no record holds g: not in a count tree
     walk.path.assign(1, g);
-    if (walk.Report(support) ||
-        (m > 1 && walk.Extend(gen_rows_[static_cast<size_t>(g)], m - 1))) {
-      break;
+    if (walk.Report(support)) break;
+    if (m == 1) continue;
+    tails.clear();
+    for (uint32_t r : gen_rows_[static_cast<size_t>(g)]) {
+      const auto& rec = records_[r];
+      tails.emplace_back(std::upper_bound(rec.begin(), rec.end(), g),
+                         rec.end());
     }
+    if (walk.Extend(tails, m - 1)) break;
   }
   // Prefer the most fragile violations (smallest support first), sorted as
   // CountTree::FindViolations sorts the same vector.

@@ -18,13 +18,8 @@ EquivalenceClasses GroupRows(size_t num_records, size_t width,
   std::vector<NodeId> key(width);
   for (size_t r = 0; r < num_records; ++r) {
     for (size_t q = 0; q < width; ++q) key[q] = get(r, q);
-    // Look up before inserting: emplace would copy the key into a new node
-    // even when the key is already there.
-    auto it = index.find(key);
-    if (it == index.end()) {
-      it = index.emplace(key, out.groups.size()).first;
-      out.groups.emplace_back();
-    }
+    auto [it, inserted] = index.try_emplace(key, out.groups.size());
+    if (inserted) out.groups.emplace_back();
     out.groups[it->second].push_back(r);
     out.group_of[r] = it->second;
   }

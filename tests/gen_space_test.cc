@@ -185,7 +185,9 @@ TEST(GenSpaceTest, FindViolationsMatchesCountTree) {
               0, static_cast<int64_t>(live.size() - 1)))]);
         }
       }
-      for (int m = 1; m <= 3; ++m) {
+      // m = 4 also files record tails below a prefix of two gens, from
+      // the tails a one-gen prefix's second pass filed.
+      for (int m = 1; m <= 4; ++m) {
         int k = static_cast<int>(rng.UniformInt(2, 6));
         CountTree tree(space.records(), m);
         for (size_t max : {size_t{1}, size_t{16}, SIZE_MAX}) {
