@@ -272,7 +272,6 @@ int main(int argc, char** argv) {
   }
 
   // --- Determinism: pool vs serial must be byte-identical ------------------
-  // --quick stays above 2,048 records so the AA loop's count tree shards.
   const size_t par_records = quick ? 2500 : 20000;
   Dataset par_data = bench::BenchDataset(par_records, /*seed=*/7);
   auto par_hier = bench::CheckOk(BuildAllColumnHierarchies(par_data),
@@ -318,12 +317,11 @@ int main(int argc, char** argv) {
     Gate(identical, what);
     printf("%-10s parallel == serial: %s\n", name, identical ? "yes" : "NO");
   };
-  // k^m-mode COAT finds its violations in GenSpace's row lists, which never
-  // touch the pool: this gate checks that a pool still changes nothing.
+  // Neither k^m-mode COAT nor Apriori touches the pool: both find their
+  // violations with the serial walk over per-key row lists. These gates
+  // check that a pool still changes nothing.
   CoatAnonymizer coat;
   check_txn(coat, "COAT");
-  // The AA loop builds each itemset size's count tree over the pool, sharded
-  // at >= 2,048 records.
   AprioriAnonymizer apriori;
   check_txn(apriori, "Apriori");
 

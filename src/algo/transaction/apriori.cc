@@ -1,7 +1,9 @@
 #include "algo/transaction/apriori.h"
 
 #include <algorithm>
+#include <iterator>
 
+#include "algo/transaction/violation_walk.h"
 #include "metrics/information_loss.h"
 #include "obs/trace.h"
 
@@ -9,34 +11,25 @@ namespace secreta {
 
 AprioriLoop::AprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset,
                          int32_t leaf_begin, int32_t leaf_end)
-    : cut_(cut), subset_(&subset), leaf_begin_(leaf_begin) {
+    : cut_(cut), subset_(&subset) {
   const TransactionContext& context = cut->context();
   const Hierarchy& h = context.hierarchy();
-  const Dataset& data = context.dataset();
-  auto pos_of = [&](ItemId item) {
-    return h.leaf_interval_begin(context.Leaf(item));
-  };
   key_of_item_.assign(context.num_items(), -1);
   for (size_t item = 0; item < key_of_item_.size(); ++item) {
-    int32_t pos = pos_of(static_cast<ItemId>(item));
+    auto id = static_cast<ItemId>(item);
+    int32_t pos = h.leaf_interval_begin(context.Leaf(id));
     if (pos >= leaf_begin && pos < leaf_end) {
-      key_of_item_[item] =
-          cut->FirstItemUnder(cut->NodeOf(static_cast<ItemId>(item)));
+      key_of_item_[item] = cut->FirstItemUnder(cut->NodeOf(id));
     }
   }
-  const auto num_positions = static_cast<size_t>(leaf_end - leaf_begin);
-  rows_ = Csr::Build(num_positions, [&](auto emit) {
-    for (size_t j = 0; j < subset.size(); ++j) {
-      for (ItemId item : data.items(subset[j]).raw()) {
-        if (key_of_item_[static_cast<size_t>(item)] < 0) continue;
-        emit(static_cast<size_t>(pos_of(item) - leaf_begin),
-             static_cast<uint32_t>(j));
-      }
-    }
-  });
   records_.resize(subset.size());
-  for (size_t j = 0; j < subset.size(); ++j) Rekey(j);
-  stamp_.assign(subset.size(), 0);
+  key_rows_.resize(context.num_items());
+  for (size_t j = 0; j < subset.size(); ++j) {
+    Rekey(j);
+    for (int32_t key : records_[j]) {
+      key_rows_[static_cast<size_t>(key)].push_back(static_cast<uint32_t>(j));
+    }
+  }
 }
 
 void AprioriLoop::Rekey(size_t j) {
@@ -50,47 +43,51 @@ void AprioriLoop::Rekey(size_t j) {
   rec.erase(std::unique(rec.begin(), rec.end()), rec.end());
 }
 
-void AprioriLoop::Raise(NodeId target, CountTree* tree) {
+void AprioriLoop::Raise(NodeId target) {
   const TransactionContext& context = cut_->context();
   const Hierarchy& h = context.hierarchy();
-  int32_t key = cut_->FirstItemUnder(target);
-  ++epoch_;
-  changed_.clear();
+  const int32_t key = cut_->FirstItemUnder(target);
+  // The records holding a key the raise replaces. Items of one cut node
+  // share its key, whose rows the first of them moves and clears.
+  std::vector<uint32_t> moved;
   for (int32_t pos = h.leaf_interval_begin(target);
        pos < h.leaf_interval_end(target); ++pos) {
     ItemId item = context.ItemOfLeaf(h.leaves()[static_cast<size_t>(pos)]);
-    if (item < 0 || key_of_item_[static_cast<size_t>(item)] == key) continue;
-    key_of_item_[static_cast<size_t>(item)] = key;
-    for (uint32_t j : rows_[static_cast<size_t>(pos - leaf_begin_)]) {
-      if (stamp_[j] == epoch_) continue;
-      stamp_[j] = epoch_;
-      changed_.push_back(j);
-    }
+    if (item < 0) continue;
+    int32_t& item_key = key_of_item_[static_cast<size_t>(item)];
+    if (item_key == key) continue;
+    std::vector<uint32_t>& rows = key_rows_[static_cast<size_t>(item_key)];
+    moved.insert(moved.end(), rows.begin(), rows.end());
+    rows.clear();
+    item_key = key;
   }
   cut_->RaiseTo(target);
-  std::vector<int32_t> before;
-  for (uint32_t j : changed_) {
-    before.swap(records_[j]);
-    Rekey(j);
-    tree->Replace(before, records_[j]);
-  }
+  std::sort(moved.begin(), moved.end());
+  moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
+  std::vector<uint32_t>& rows = key_rows_[static_cast<size_t>(key)];
+  std::vector<uint32_t> merged;
+  merged.reserve(rows.size() + moved.size());
+  std::set_union(rows.begin(), rows.end(), moved.begin(), moved.end(),
+                 std::back_inserter(merged));
+  rows = std::move(merged);
+  for (uint32_t j : moved) Rekey(j);
 }
 
 Result<bool> AprioriLoop::RunSize(int size, int k, int min_depth,
-                                  ThreadPool* pool,
                                   const CancellationToken* cancel) {
   const Hierarchy& h = cut_->context().hierarchy();
-  // Count-tree support counting ([10] Sec. 5), kept across the raises.
-  CountTree tree(records_, size, pool);
+  // Every itemset whose first key lies below `from` has support 0 or >= k.
+  int32_t from = 0;
   while (true) {
     SECRETA_RETURN_IF_ERROR(CheckCancelled(cancel, "apriori raise"));
-    auto violations = tree.FindViolations(k, 1);
+    auto violations = WalkKmViolations(key_rows_, records_, size, k, 1, from);
     if (violations.empty()) return true;
+    const std::vector<int32_t>& itemset = violations[0].itemset;
     // Candidate raises: the distinct cut nodes of the violating itemset
     // that are still below the raise ceiling.
     NodeId best_target = kNoNode;
     double best_cost = 0;
-    for (int32_t key : violations[0].itemset) {
+    for (int32_t key : itemset) {
       NodeId node = cut_->NodeOf(key);
       if (h.depth(node) <= min_depth) continue;  // cannot raise further
       NodeId parent = h.parent(node);
@@ -102,19 +99,26 @@ Result<bool> AprioriLoop::RunSize(int size, int k, int min_depth,
     }
     // Every node of the violating itemset is at the ceiling.
     if (best_target == kNoNode) return false;
-    Raise(best_target, &tree);
+    Raise(best_target);
+    // Resume below the violation when the raise's key is smaller. After the
+    // raise, an itemset whose first key lies below both either holds no
+    // replaced key, so its support is unchanged (or 0 if it holds a retired
+    // key), or holds the raise's key, so its rows are the union of the rows
+    // of the same itemset with each merged key in its place. Those itemsets
+    // start below the violation too, so each had support 0 or >= k, and so
+    // does their union.
+    from = std::min(itemset[0], cut_->FirstItemUnder(best_target));
   }
 }
 
 Status RunAprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset,
-                      int k, int m, ThreadPool* pool,
-                      const CancellationToken* cancel) {
+                      int k, int m, const CancellationToken* cancel) {
   auto num_leaves =
       static_cast<int32_t>(cut->context().hierarchy().num_leaves());
   AprioriLoop loop(cut, subset, 0, num_leaves);
   for (int i = 1; i <= m; ++i) {
     SECRETA_ASSIGN_OR_RETURN(bool done,
-                             loop.RunSize(i, k, /*min_depth=*/0, pool, cancel));
+                             loop.RunSize(i, k, /*min_depth=*/0, cancel));
     if (!done) {
       cut->SuppressAll();
       break;
@@ -133,7 +137,7 @@ Result<TransactionRecoding> AprioriAnonymizer::AnonymizeSubset(
   }
   HierarchyCut cut(context);
   SECRETA_RETURN_IF_ERROR(
-      RunAprioriLoop(&cut, subset, params.k, params.m, pool_, cancel_));
+      RunAprioriLoop(&cut, subset, params.k, params.m, cancel_));
   return std::move(cut.Materialize(subset).recoding);
 }
 

@@ -122,11 +122,15 @@ Result<TransactionRecoding> CoatAnonymizer::AnonymizeSubset(
     utility = &unrestricted;
   }
   if (privacy_.empty()) {
-    // k^m mode: derive constraints from current violations until none remain.
+    // k^m mode: derive constraints from current violations until none
+    // remain. Each search resumes at the last violation's first gen
+    // (GenSpace::FindViolations).
+    int32_t from = 0;
     while (true) {
       SECRETA_RETURN_IF_ERROR(CheckCancel("coat iteration"));
-      auto violations = space.FindViolations(params.m, params.k, 1);
+      auto violations = space.FindViolations(params.m, params.k, 1, from);
       if (violations.empty()) break;
+      from = violations[0].itemset[0];
       SECRETA_RETURN_IF_ERROR(FixItemsetSupport(
           &space, violations[0].itemset, params.k, utility,
           /*prefer_global_cheapest=*/false));

@@ -1,90 +1,12 @@
 #include "algo/transaction/gen_space.h"
 
 #include <algorithm>
-#include <span>
 
+#include "algo/transaction/violation_walk.h"
 #include "common/string_util.h"
 #include "kernels/kernels.h"
 
 namespace secreta {
-
-namespace {
-
-// The gens above the last of the itemset being visited, in a record that
-// holds it. Records are sorted, so these are the one-gen extensions of the
-// itemset that the record holds.
-using Tail = std::span<const int32_t>;
-
-// One GenSpace::FindViolations walk in CountTree's DFS order: the itemset
-// being visited, the violations found so far, and a dense per-gen counter,
-// all zero between prefixes.
-struct ViolationWalk {
-  size_t k;
-  size_t max_violations;
-  std::vector<size_t> counts;
-  std::vector<int32_t> path;
-  std::vector<KmViolation> out;
-
-  // Records `path` when `support` violates; true once `out` is full.
-  bool Report(size_t support) {
-    if (support >= k) return false;
-    out.push_back({path, support});
-    return out.size() >= max_violations;
-  }
-
-  // Visits the extensions of `path` by 1..`sizes_left` gens, counted over
-  // `tails` (one per record holding `path`); true once `out` is full.
-  bool Extend(std::span<const Tail> tails, int sizes_left) {
-    std::vector<int32_t> extensions;
-    for (Tail tail : tails) {
-      for (int32_t g : tail) {
-        if (counts[static_cast<size_t>(g)]++ == 0) extensions.push_back(g);
-      }
-    }
-    std::sort(extensions.begin(), extensions.end());
-    // Take the supports, and turn each count into the offset of its
-    // extension's tails in `extension_tails`, which lays them out back to
-    // back in ascending extension order.
-    std::vector<size_t> supports(extensions.size());
-    size_t offset = 0;
-    for (size_t i = 0; i < extensions.size(); ++i) {
-      size_t& count = counts[static_cast<size_t>(extensions[i])];
-      supports[i] = count;
-      count = offset;
-      offset += supports[i];
-    }
-    // A second pass over the tails files, under each extension a tail
-    // holds, the rest of the tail after it.
-    std::vector<Tail> extension_tails;
-    if (sizes_left > 1) {
-      extension_tails.resize(offset);
-      for (Tail tail : tails) {
-        for (size_t p = 0; p < tail.size(); ++p) {
-          extension_tails[counts[static_cast<size_t>(tail[p])]++] =
-              tail.subspan(p + 1);
-        }
-      }
-    }
-    // Clear the counter before a longer prefix uses it.
-    for (int32_t g : extensions) counts[static_cast<size_t>(g)] = 0;
-    offset = 0;
-    for (size_t i = 0; i < extensions.size(); ++i) {
-      path.push_back(extensions[i]);
-      if (Report(supports[i])) return true;
-      if (sizes_left > 1 &&
-          Extend(std::span<const Tail>(extension_tails)
-                     .subspan(offset, supports[i]),
-                 sizes_left - 1)) {
-        return true;
-      }
-      offset += supports[i];
-      path.pop_back();
-    }
-    return false;
-  }
-};
-
-}  // namespace
 
 GenSpace::GenSpace(std::vector<std::vector<ItemId>> transactions,
                    const Dictionary& item_dict)
@@ -221,34 +143,12 @@ void GenSpace::Suppress(int32_t g) {
   gen_rows_[static_cast<size_t>(g)].clear();
 }
 
-std::vector<KmViolation> GenSpace::FindViolations(
-    int m, int k, size_t max_violations) const {
-  if (m < 1 || max_violations == 0) return {};
-  ViolationWalk walk{static_cast<size_t>(k), max_violations,
-                     std::vector<size_t>(m > 1 ? covers_.size() : 0, 0),
-                     {}, {}};
-  std::vector<Tail> tails;
-  for (int32_t g : live_) {
-    size_t support = support_[static_cast<size_t>(g)];
-    if (support == 0) continue;  // no record holds g: not in a count tree
-    walk.path.assign(1, g);
-    if (walk.Report(support)) break;
-    if (m == 1) continue;
-    tails.clear();
-    for (uint32_t r : gen_rows_[static_cast<size_t>(g)]) {
-      const auto& rec = records_[r];
-      tails.emplace_back(std::upper_bound(rec.begin(), rec.end(), g),
-                         rec.end());
-    }
-    if (walk.Extend(tails, m - 1)) break;
-  }
-  // Prefer the most fragile violations (smallest support first), sorted as
-  // CountTree::FindViolations sorts the same vector.
-  std::sort(walk.out.begin(), walk.out.end(),
-            [](const KmViolation& a, const KmViolation& b) {
-              return a.support < b.support;
-            });
-  return std::move(walk.out);
+std::vector<KmViolation> GenSpace::FindViolations(int m, int k,
+                                                  size_t max_violations,
+                                                  int32_t from) const {
+  // Dead gens and live gens of support 0 have no rows, so the walk over
+  // gen_rows_ visits just the live gens that some record holds.
+  return WalkKmViolations(gen_rows_, records_, m, k, max_violations, from);
 }
 
 double GenSpace::MergeCost(int32_t a, int32_t b) const {

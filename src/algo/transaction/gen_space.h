@@ -61,14 +61,14 @@ class GenSpace {
   void Suppress(int32_t g);
 
   /// Itemsets of at most `m` live gens with support in (0, k), up to
-  /// `max_violations`, smallest support first among those found: the same
-  /// vector as CountTree(records(), m).FindViolations(k, max_violations).
-  /// Itemsets are walked in the tree's DFS order (live gens ascending, each
-  /// prefix before its extensions, extensions ascending), and a prefix's
-  /// one-gen extensions are counted over the prefix's rows only, so the walk
-  /// stops at the first `max_violations` without counting the rest.
-  std::vector<KmViolation> FindViolations(int m, int k,
-                                          size_t max_violations) const;
+  /// `max_violations`, smallest support first among those found
+  /// (WalkKmViolations over the per-gen row lists), starting at the
+  /// itemsets whose first gen is `from`. Pass 0, or the smallest itemset[0]
+  /// among the last search's violations: a merge's gen takes the largest id
+  /// and a suppression only removes gens, so neither makes an itemset
+  /// violate whose first gen lies below that.
+  std::vector<KmViolation> FindViolations(int m, int k, size_t max_violations,
+                                          int32_t from = 0) const;
 
   /// Marginal utility-loss of merging `a` and `b` (increase in summed
   /// occurrence penalties, normalized by total original occurrences).

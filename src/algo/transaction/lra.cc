@@ -33,7 +33,9 @@ Result<TransactionRecoding> LraAnonymizer::AnonymizeSubset(
   // internally homogeneous and per-partition AA generalizes less.
   std::vector<size_t> support(context.num_items(), 0);
   for (size_t row : subset) {
-    for (ItemId item : data.items(row).raw()) support[static_cast<size_t>(item)]++;
+    for (ItemId item : data.items(row).raw()) {
+      support[static_cast<size_t>(item)]++;
+    }
   }
   std::vector<size_t> freq_order(context.num_items());
   std::iota(freq_order.begin(), freq_order.end(), 0);
@@ -82,8 +84,8 @@ Result<TransactionRecoding> LraAnonymizer::AnonymizeSubset(
     part_rows.reserve(end - begin);
     for (size_t j = begin; j < end; ++j) part_rows.push_back(subset[order[j]]);
     HierarchyCut cut(context);
-    SECRETA_RETURN_IF_ERROR(RunAprioriLoop(&cut, part_rows, params.k,
-                                           params.m, pool_, cancel_));
+    SECRETA_RETURN_IF_ERROR(
+        RunAprioriLoop(&cut, part_rows, params.k, params.m, cancel_));
     CutRecoding part = cut.Materialize(part_rows);
     out.suppressed_occurrences += part.recoding.suppressed_occurrences;
     // Remap part gens into the shared pool and place records at their

@@ -24,15 +24,20 @@ Result<TransactionRecoding> PctaAnonymizer::AnonymizeSubset(
     utility = &unrestricted;
   }
   if (privacy_.empty()) {
-    // k^m mode: repeatedly address the most fragile violation.
+    // k^m mode: repeatedly address the most fragile violation. Each search
+    // resumes at the smallest first gen of the last search's violations
+    // (GenSpace::FindViolations): the first one found, not the most fragile.
+    int32_t from = 0;
     while (true) {
       SECRETA_RETURN_IF_ERROR(CheckCancel("pcta iteration"));
-      auto violations =
-          space.FindViolations(params.m, params.k, /*max_violations=*/16);
+      auto violations = space.FindViolations(
+          params.m, params.k, /*max_violations=*/16, from);
       if (violations.empty()) break;
       const KmViolation* fragile = &violations[0];
+      from = violations[0].itemset[0];
       for (const auto& v : violations) {
         if (v.support < fragile->support) fragile = &v;
+        from = std::min(from, v.itemset[0]);
       }
       SECRETA_RETURN_IF_ERROR(FixItemsetSupport(
           &space, fragile->itemset, params.k, utility,

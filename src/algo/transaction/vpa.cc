@@ -57,8 +57,7 @@ Result<TransactionRecoding> VpaAnonymizer::AnonymizeSubset(
     AprioriLoop loop(&cut, subset, part.begin, part.end);
     for (int i = 1; i <= params.m; ++i) {
       SECRETA_RETURN_IF_ERROR(
-          loop.RunSize(i, params.k, /*min_depth=*/1, pool_, cancel_)
-              .status());
+          loop.RunSize(i, params.k, /*min_depth=*/1, cancel_).status());
     }
   }
   // Phase 2: global repair. Cross-part itemsets (and any per-part residue)
@@ -70,10 +69,12 @@ Result<TransactionRecoding> VpaAnonymizer::AnonymizeSubset(
                  cut.Materialize(subset).recoding);
   UtilityPolicy unrestricted =
       UtilityPolicy::Unrestricted(context.num_items());
+  int32_t from = 0;
   while (true) {
     SECRETA_RETURN_IF_ERROR(CheckCancel("vpa repair"));
-    auto violations = space.FindViolations(params.m, params.k, 1);
+    auto violations = space.FindViolations(params.m, params.k, 1, from);
     if (violations.empty()) break;
+    from = violations[0].itemset[0];
     SECRETA_RETURN_IF_ERROR(FixItemsetSupport(
         &space, violations[0].itemset, params.k, &unrestricted,
         /*prefer_global_cheapest=*/true));

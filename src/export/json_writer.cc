@@ -1,5 +1,6 @@
 #include "export/json_writer.h"
 
+#include <charconv>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -51,10 +52,15 @@ void JsonWriter::String(const std::string& value) {
   Escape(value);
 }
 
+// std::to_chars writes printf's "%.12g" and "%lld" bytes in the C locale,
+// without printf's format parsing or a temporary string.
 void JsonWriter::Number(double value) {
   Separate();
   if (std::isfinite(value)) {
-    out_ += StrFormat("%.12g", value);
+    char buf[32];  // "%.12g" of a double needs at most 19
+    auto result = std::to_chars(buf, buf + sizeof buf, value,
+                                std::chars_format::general, 12);
+    out_.append(buf, result.ptr);
   } else {
     out_ += "null";  // JSON has no NaN/Inf
   }
@@ -62,7 +68,8 @@ void JsonWriter::Number(double value) {
 
 void JsonWriter::Int(int64_t value) {
   Separate();
-  out_ += StrFormat("%lld", static_cast<long long>(value));
+  char buf[24];  // INT64_MIN is 20 characters
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 void JsonWriter::Bool(bool value) {

@@ -14,8 +14,8 @@
 #define SECRETA_SECRETA_H_
 
 #include "algo/rt/rt_anonymizer.h"
-#include "algo/transaction/count_tree.h"
 #include "algo/transaction/rho_uncertainty.h"
+#include "algo/transaction/violation_walk.h"
 #include "common/status.h"
 #include "core/algorithm.h"
 #include "core/audit.h"

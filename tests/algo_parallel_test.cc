@@ -1,8 +1,7 @@
 // Determinism and equivalence tests for the parallelized anonymization
 // algorithms: every algorithm must produce byte-identical recodings with and
-// without a thread pool, the optimized counting paths must match their
-// preserved reference implementations, and the sharded count-tree build must
-// agree with the serial one.
+// without a thread pool, and the optimized counting paths must match their
+// preserved reference implementations.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "algo/relational/topdown.h"
 #include "algo/transaction/apriori.h"
 #include "algo/transaction/coat.h"
-#include "algo/transaction/count_tree.h"
 #include "algo/transaction/gen_space.h"
 #include "algo/transaction/lra.h"
 #include "algo/transaction/pcta.h"
@@ -159,9 +157,8 @@ TEST(AlgoParallelTest, TransactionAlgosPoolInvariant) {
   }
 }
 
-// Both AA-loop tests run at >= 2,048 records per AA subset, so each itemset
-// size's first count tree is built in shards over the pool and then updated
-// serially across the raises.
+// The AA loop searches serially over its key row lists: a pool must still
+// change nothing, on subsets of thousands of records.
 TEST(AlgoParallelTest, AprioriPoolInvariantWithHierarchy) {
   Dataset dataset = testing::SmallRtDataset(2400, 12);
   auto hierarchy =
@@ -199,46 +196,6 @@ TEST(AlgoParallelTest, LraPoolInvariantWithHierarchy) {
   TransactionRecoding parallel =
       std::move(algo.Anonymize(context, params)).ValueOrDie();
   EXPECT_TRUE(SameTransaction(serial, parallel));
-}
-
-// Sharded count-tree construction must agree with the serial build on
-// supports and on the violation report (itemsets and their supports).
-TEST(AlgoParallelTest, ShardedCountTreeMatchesSerial) {
-  std::mt19937_64 rng(17);
-  std::vector<std::vector<int32_t>> records(6000);
-  for (auto& rec : records) {
-    size_t len = 1 + rng() % 6;
-    for (size_t i = 0; i < len; ++i) {
-      rec.push_back(static_cast<int32_t>(rng() % 40));
-    }
-    std::sort(rec.begin(), rec.end());
-    rec.erase(std::unique(rec.begin(), rec.end()), rec.end());
-  }
-  for (int m : {1, 2, 3}) {
-    CountTree serial(records, m, /*pool=*/nullptr);
-    CountTree sharded(records, m, &SharedEvalPool());
-    // Spot-check supports of random itemsets plus all singletons.
-    for (int32_t item = 0; item < 40; ++item) {
-      EXPECT_EQ(serial.Support({item}), sharded.Support({item})) << "m=" << m;
-    }
-    for (int trial = 0; trial < 200; ++trial) {
-      std::vector<int32_t> probe;
-      for (int i = 0; i < m; ++i) {
-        probe.push_back(static_cast<int32_t>(rng() % 40));
-      }
-      std::sort(probe.begin(), probe.end());
-      probe.erase(std::unique(probe.begin(), probe.end()), probe.end());
-      EXPECT_EQ(serial.Support(probe), sharded.Support(probe)) << "m=" << m;
-    }
-    for (int k : {2, 8}) {
-      auto a = serial.FindViolations(k, 1000);
-      auto b = sharded.FindViolations(k, 1000);
-      std::map<std::vector<int32_t>, size_t> want, got;
-      for (const auto& v : a) want[v.itemset] = v.support;
-      for (const auto& v : b) got[v.itemset] = v.support;
-      EXPECT_EQ(want, got) << "m=" << m << " k=" << k;
-    }
-  }
 }
 
 // GenSpace's posting-list ItemsetSupport vs the preserved full-scan

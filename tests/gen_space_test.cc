@@ -10,7 +10,6 @@
 #include <numeric>
 #include <string>
 
-#include "algo/transaction/count_tree.h"
 #include "algo/transaction/cut.h"
 #include "common/random.h"
 #include "hierarchy/hierarchy_builder.h"
@@ -125,11 +124,14 @@ TEST(GenSpaceTest, InitFromExistingRecoding) {
   EXPECT_EQ(out.suppressed_occurrences, 1u);
 }
 
-// The row-list violation search must return exactly what a count tree built
-// over the current records returns: the same itemsets, supports and order,
-// whatever the cap. Spaces start at the identity (COAT, PCTA) or at a random
-// recoding with suppressed items (VPA's phase 2), then take random merges and
-// suppressions.
+// The row-list violation search must return exactly what a count tree over
+// the current records returns, here its plainest form, a std::map of every
+// itemset's support: the same itemsets, supports and order, whatever the cap.
+// Spaces start at the identity (COAT, PCTA) or at a random recoding with
+// suppressed items (VPA's phase 2), then take random merges and
+// suppressions. After each, a search resumed where the last search of the
+// trial's (m, k) found its first violation returns what a search from the
+// first gen returns.
 TEST(GenSpaceTest, FindViolationsMatchesCountTree) {
   Rng rng(20141104);
   size_t states = 0;
@@ -173,6 +175,9 @@ TEST(GenSpaceTest, FindViolationsMatchesCountTree) {
     }
     GenSpace space = from_recoding ? GenSpace(txns, dict, seed)
                                    : GenSpace(txns, dict);
+    const int resume_m = static_cast<int>(rng.UniformInt(1, 3));
+    const int resume_k = static_cast<int>(rng.UniformInt(2, 6));
+    int32_t from = 0;
     for (int op = 0; op <= 30; ++op) {
       if (op > 0) {
         const auto& live = space.LiveGens();
@@ -189,13 +194,13 @@ TEST(GenSpaceTest, FindViolationsMatchesCountTree) {
       // the tails a one-gen prefix's second pass filed.
       for (int m = 1; m <= 4; ++m) {
         int k = static_cast<int>(rng.UniformInt(2, 6));
-        CountTree tree(space.records(), m);
         for (size_t max : {size_t{1}, size_t{16}, SIZE_MAX}) {
           SCOPED_TRACE("trial " + std::to_string(trial) + " op " +
                        std::to_string(op) + " m " + std::to_string(m) +
                        " k " + std::to_string(k) + " max " +
                        std::to_string(max));
-          auto want = tree.FindViolations(k, max);
+          auto want = testing::EnumeratedKmViolations(space.records(), m, k,
+                                                      max);
           auto got = space.FindViolations(m, k, max);
           ASSERT_EQ(got.size(), want.size());
           for (size_t i = 0; i < want.size(); ++i) {
@@ -205,6 +210,24 @@ TEST(GenSpaceTest, FindViolationsMatchesCountTree) {
           ++states;
         }
       }
+      std::vector<KmViolation> first;
+      for (size_t max : {size_t{1}, size_t{16}, SIZE_MAX}) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " op " +
+                     std::to_string(op) + " resumed at " +
+                     std::to_string(from) + " max " + std::to_string(max));
+        auto resumed = space.FindViolations(resume_m, resume_k, max, from);
+        auto fresh = space.FindViolations(resume_m, resume_k, max);
+        ASSERT_EQ(resumed.size(), fresh.size());
+        for (size_t i = 0; i < fresh.size(); ++i) {
+          ASSERT_EQ(resumed[i].itemset, fresh[i].itemset) << "violation " << i;
+          ASSERT_EQ(resumed[i].support, fresh[i].support) << "violation " << i;
+        }
+        if (max == 16) first = std::move(resumed);
+      }
+      // Where COAT, PCTA and VPA's repair resume: the smallest first gen of
+      // the violations found, or past every gen once there are none.
+      from = INT32_MAX;
+      for (const auto& v : first) from = std::min(from, v.itemset[0]);
     }
   }
   EXPECT_GT(states, 1000u);

@@ -5,7 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 
 #include "hierarchy/hierarchy_builder.h"
 #include "tests/test_util.h"
@@ -66,6 +72,59 @@ TEST(JsonWriterTest, NonFiniteNumbersBecomeNull) {
   w.Number(std::numeric_limits<double>::quiet_NaN());
   w.EndArray();
   EXPECT_EQ(w.TakeString(), "[null,null]");
+}
+
+// Number and Int write the bytes of printf's "%.12g" and "%" PRId64: edge
+// values first, then random finite bit patterns.
+TEST(JsonWriterTest, NumbersMatchPrintfBytes) {
+  auto printf_bytes = [](const char* format, auto value) {
+    char buf[64];
+    int n = std::snprintf(buf, sizeof buf, format, value);
+    return std::string(buf, static_cast<size_t>(n));
+  };
+  auto written = [](auto write) {
+    JsonWriter w;
+    write(w);
+    return w.TakeString();
+  };
+  std::vector<double> doubles{0.0,
+                              -0.0,
+                              1e-5,
+                              0.1,
+                              1e21,
+                              123456789012.5,
+                              -123456789012.5,
+                              4.9406564584124654e-324,  // smallest subnormal
+                              DBL_MIN,
+                              -DBL_MIN,
+                              DBL_MAX,
+                              -DBL_MAX,
+                              1.0,
+                              0.25,
+                              1e12,
+                              999999999999.5,
+                              1.0 / 3.0};
+  std::mt19937_64 rng(20140324);
+  size_t random = 0;
+  while (random < 120000) {
+    uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof value);
+    if (!std::isfinite(value)) continue;
+    doubles.push_back(value);
+    ++random;
+  }
+  for (double value : doubles) {
+    ASSERT_EQ(written([&](JsonWriter& w) { w.Number(value); }),
+              printf_bytes("%.12g", value))
+        << std::hexfloat << value;
+  }
+  for (int64_t value : {int64_t{0}, int64_t{-1}, int64_t{42},
+                        std::numeric_limits<int64_t>::min(),
+                        std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(written([&](JsonWriter& w) { w.Int(value); }),
+              printf_bytes("%" PRId64, value));
+  }
 }
 
 class JsonReportTest : public ::testing::Test {

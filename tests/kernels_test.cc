@@ -1,6 +1,6 @@
 // Property tests for the SIMD kernel layer: bit-identity of every available
-// backend tier against the scalar reference at awkward tail widths, the
-// arena allocator, and RecordBitmap's memoized cardinality.
+// backend tier against the scalar reference at awkward tail widths, and
+// RecordBitmap's memoized cardinality.
 
 #include "kernels/kernels.h"
 
@@ -12,7 +12,6 @@
 #include <set>
 #include <vector>
 
-#include "kernels/arena.h"
 #include "query/query_index.h"
 #include "tests/test_util.h"
 
@@ -125,48 +124,6 @@ TEST(KernelsTest, SetTierRejectsUnknownAndUnavailable) {
                      : kernels::TierAvailable(Tier::kNeon) ? "neon"
                                                            : "scalar";
   ASSERT_OK(kernels::SetTier(best));
-}
-
-// --- Arena -----------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreAlignedAndDistinct) {
-  Arena arena;
-  void* p1 = arena.Allocate(3, alignof(char));
-  void* p2 = arena.Allocate(8, alignof(uint64_t));
-  void* p3 = arena.Allocate(1024, 64);
-  EXPECT_NE(p1, nullptr);
-  EXPECT_NE(p2, p1);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p2) % alignof(uint64_t), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p3) % 64, 0u);
-  EXPECT_GE(arena.allocated_bytes(), 3u + 8u + 1024u);
-  EXPECT_GE(arena.reserved_bytes(), arena.allocated_bytes());
-}
-
-TEST(ArenaTest, GrowsAcrossChunksAndResets) {
-  Arena arena;
-  for (int i = 0; i < 100; ++i) {
-    void* p = arena.Allocate(1000, 8);
-    ASSERT_NE(p, nullptr);
-    std::memset(p, 0xAB, 1000);  // must be writable
-  }
-  EXPECT_GE(arena.allocated_bytes(), 100000u);
-  arena.Reset();
-  EXPECT_EQ(arena.allocated_bytes(), 0u);
-  void* p = arena.Allocate(16, 8);
-  EXPECT_NE(p, nullptr);
-}
-
-TEST(ArenaTest, StlContainersRunOnArenaAllocator) {
-  Arena arena;
-  std::vector<int32_t, ArenaAllocator<int32_t>> v{ArenaAllocator<int32_t>(
-      &arena)};
-  for (int32_t i = 0; i < 1000; ++i) v.push_back(i);
-  ASSERT_EQ(v.size(), 1000u);
-  for (int32_t i = 0; i < 1000; ++i) EXPECT_EQ(v[static_cast<size_t>(i)], i);
-  EXPECT_GT(arena.allocated_bytes(), 0u);
-  ArenaAllocator<int32_t> narrow(&arena);
-  ArenaAllocator<int64_t> rebound(narrow);
-  EXPECT_TRUE(ArenaAllocator<int64_t>(&arena) == rebound);
 }
 
 // --- RecordBitmap memoized cardinality --------------------------------------

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "core/guarantees.h"
 #include "data/dataset.h"
 #include "datagen/synthetic.h"
 
@@ -51,6 +56,41 @@ inline Dataset SmallRtDataset(size_t n = 200, uint64_t seed = 5) {
   options.seed = seed;
   auto ds = GenerateRtDataset(options);
   return std::move(ds).ValueOrDie();
+}
+
+/// k^m violations counted the plainest way: a std::map from every itemset
+/// of at most `m` keys of some record in `records` (each sorted, distinct)
+/// to its support. The map's lexicographic order is the count tree's DFS
+/// order ([10] Sec. 5), so the first `max_violations` itemsets of support
+/// below `k` whose first key is at least `from`, sorted by support as the
+/// production walk sorts them, are exactly the vector that walk returns.
+inline std::vector<KmViolation> EnumeratedKmViolations(
+    const std::vector<std::vector<int32_t>>& records, int m, int k,
+    size_t max_violations, int32_t from = 0) {
+  std::map<std::vector<int32_t>, size_t> support;
+  std::vector<int32_t> itemset;
+  auto count = [&](auto&& self, const std::vector<int32_t>& rec,
+                   size_t start) -> void {
+    for (size_t i = start; i < rec.size(); ++i) {
+      itemset.push_back(rec[i]);
+      ++support[itemset];
+      if (itemset.size() < static_cast<size_t>(m)) self(self, rec, i + 1);
+      itemset.pop_back();
+    }
+  };
+  if (m >= 1) {
+    for (const auto& rec : records) count(count, rec, 0);
+  }
+  std::vector<KmViolation> out;
+  for (const auto& [set, n] : support) {
+    if (out.size() >= max_violations) break;
+    if (set[0] >= from && n < static_cast<size_t>(k)) out.push_back({set, n});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const KmViolation& a, const KmViolation& b) {
+              return a.support < b.support;
+            });
+  return out;
 }
 
 /// The bytes of the file at `path`.

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <numeric>
 
+#include "algo/transaction/coat.h"
+#include "algo/transaction/gen_space.h"
 #include "algo/transaction/vpa.h"
 #include "common/cancellation.h"
+#include "common/random.h"
 #include "core/guarantees.h"
 #include "policy/policy_generator.h"
 #include "engine/registry.h"
@@ -219,6 +222,74 @@ TEST(CoatSpecificTest, HonoursExplicitPolicies) {
                          algo->Anonymize(ctx, params));
     EXPECT_TRUE(SatisfiesPrivacyPolicy(privacy, recoding, params.k)) << name;
     EXPECT_TRUE(SatisfiesUtilityPolicy(utility, recoding)) << name;
+  }
+}
+
+// k^m-mode COAT or PCTA as it ran before its searches resumed: every
+// search starts at the first gen, and the fix goes to the most fragile of
+// the first `max_violations` violations.
+TransactionRecoding RestartingKmLoop(const TransactionContext& ctx,
+                                     const std::vector<size_t>& subset,
+                                     const AnonParams& params,
+                                     size_t max_violations,
+                                     bool prefer_global_cheapest) {
+  std::vector<std::vector<ItemId>> txns;
+  for (size_t row : subset) txns.push_back(ctx.dataset().items(row).raw());
+  GenSpace space(std::move(txns), ctx.dataset().item_dictionary());
+  UtilityPolicy unrestricted = UtilityPolicy::Unrestricted(ctx.num_items());
+  while (true) {
+    auto violations = space.FindViolations(params.m, params.k, max_violations);
+    if (violations.empty()) break;
+    const KmViolation* fragile = &violations[0];
+    for (const auto& v : violations) {
+      if (v.support < fragile->support) fragile = &v;
+    }
+    EXPECT_OK(FixItemsetSupport(&space, fragile->itemset, params.k,
+                                &unrestricted, prefer_global_cheapest));
+  }
+  return space.Export();
+}
+
+void ExpectSameRecoding(const TransactionRecoding& got,
+                        const TransactionRecoding& want) {
+  EXPECT_EQ(got.records, want.records);
+  EXPECT_EQ(got.item_map, want.item_map);
+  EXPECT_EQ(got.suppressed_occurrences, want.suppressed_occurrences);
+  ASSERT_EQ(got.gens.size(), want.gens.size());
+  for (size_t g = 0; g < got.gens.size(); ++g) {
+    EXPECT_EQ(got.gens[g].label, want.gens[g].label) << "gen " << g;
+    EXPECT_EQ(got.gens[g].covers, want.gens[g].covers) << "gen " << g;
+  }
+}
+
+// COAT and PCTA resume each violation search at the smallest first gen of
+// the last search's violations (PCTA's 16, not just its most fragile), so
+// they must leave the recoding of the loops that restart every search.
+TEST(CoatSpecificTest, ResumedSearchesMatchRestartingLoops) {
+  Rng rng(20111104);
+  for (int trial = 0; trial < 24; ++trial) {
+    size_t n = 30 + static_cast<size_t>(rng.UniformInt(0, 150));
+    Dataset ds = testing::SmallRtDataset(n, 700 + static_cast<uint64_t>(trial));
+    ASSERT_OK_AND_ASSIGN(TransactionContext ctx,
+                         TransactionContext::Create(ds, nullptr));
+    std::vector<size_t> subset;
+    for (size_t row = 0; row < n; ++row) {
+      if (rng.Bernoulli(0.7)) subset.push_back(row);
+    }
+    AnonParams params;
+    params.k = static_cast<int>(rng.UniformInt(2, 6));
+    params.m = static_cast<int>(rng.UniformInt(1, 3));
+    SCOPED_TRACE("trial " + std::to_string(trial) + " k=" +
+                 std::to_string(params.k) + " m=" + std::to_string(params.m));
+    for (const char* name : {"COAT", "PCTA"}) {
+      SCOPED_TRACE(name);
+      const bool pcta = std::string(name) == "PCTA";
+      ASSERT_OK_AND_ASSIGN(auto algo, MakeTransactionAnonymizer(name));
+      ASSERT_OK_AND_ASSIGN(TransactionRecoding got,
+                           algo->AnonymizeSubset(ctx, subset, params));
+      ExpectSameRecoding(got, RestartingKmLoop(ctx, subset, params,
+                                               pcta ? 16 : 1, pcta));
+    }
   }
 }
 

@@ -101,7 +101,7 @@ INTERNAL_TOP_DIRS: set[str] = set()
 # src/ headers the test oracles (tests/oracle/) must not reach.
 ORACLE_FORBIDDEN = ("query/query_evaluator.h", "query/query_index.h",
                     "core/recoding.h", "core/guarantees.h", "core/audit.h",
-                    "algo/transaction/count_tree.h")
+                    "algo/transaction/violation_walk.h")
 TESTS_INCLUDE = re.compile(r"^(\.\./)*tests/")
 
 
