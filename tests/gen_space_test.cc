@@ -199,14 +199,9 @@ TEST(GenSpaceTest, FindViolationsMatchesCountTree) {
                        std::to_string(op) + " m " + std::to_string(m) +
                        " k " + std::to_string(k) + " max " +
                        std::to_string(max));
-          auto want = testing::EnumeratedKmViolations(space.records(), m, k,
-                                                      max);
-          auto got = space.FindViolations(m, k, max);
-          ASSERT_EQ(got.size(), want.size());
-          for (size_t i = 0; i < want.size(); ++i) {
-            ASSERT_EQ(got[i].itemset, want[i].itemset) << "violation " << i;
-            ASSERT_EQ(got[i].support, want[i].support) << "violation " << i;
-          }
+          ASSERT_NO_FATAL_FAILURE(testing::ExpectSameViolations(
+              space.FindViolations(m, k, max),
+              testing::EnumeratedKmViolations(space.records(), m, k, max)));
           ++states;
         }
       }
@@ -216,12 +211,8 @@ TEST(GenSpaceTest, FindViolationsMatchesCountTree) {
                      std::to_string(op) + " resumed at " +
                      std::to_string(from) + " max " + std::to_string(max));
         auto resumed = space.FindViolations(resume_m, resume_k, max, from);
-        auto fresh = space.FindViolations(resume_m, resume_k, max);
-        ASSERT_EQ(resumed.size(), fresh.size());
-        for (size_t i = 0; i < fresh.size(); ++i) {
-          ASSERT_EQ(resumed[i].itemset, fresh[i].itemset) << "violation " << i;
-          ASSERT_EQ(resumed[i].support, fresh[i].support) << "violation " << i;
-        }
+        ASSERT_NO_FATAL_FAILURE(testing::ExpectSameViolations(
+            resumed, space.FindViolations(resume_m, resume_k, max)));
         if (max == 16) first = std::move(resumed);
       }
       // Where COAT, PCTA and VPA's repair resume: the smallest first gen of

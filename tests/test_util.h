@@ -93,6 +93,16 @@ inline std::vector<KmViolation> EnumeratedKmViolations(
   return out;
 }
 
+/// Fails unless `got` holds `want`'s itemsets and supports in its order.
+inline void ExpectSameViolations(const std::vector<KmViolation>& got,
+                                 const std::vector<KmViolation>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].itemset, want[i].itemset) << "violation " << i;
+    ASSERT_EQ(got[i].support, want[i].support) << "violation " << i;
+  }
+}
+
 /// The bytes of the file at `path`.
 inline std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -225,9 +225,8 @@ TEST(CoatSpecificTest, HonoursExplicitPolicies) {
   }
 }
 
-// k^m-mode COAT or PCTA as it ran before its searches resumed: every
-// search starts at the first gen, and the fix goes to the most fragile of
-// the first `max_violations` violations.
+// k^m-mode COAT or PCTA with every search started at the first gen: the
+// fix goes to the most fragile of the first `max_violations` violations.
 TransactionRecoding RestartingKmLoop(const TransactionContext& ctx,
                                      const std::vector<size_t>& subset,
                                      const AnonParams& params,

@@ -23,6 +23,7 @@ namespace secreta {
 namespace {
 
 using testing::EnumeratedKmViolations;
+using testing::ExpectSameViolations;
 
 // The ascending rows holding each key of `records`.
 std::vector<std::vector<uint32_t>> KeyRows(
@@ -53,15 +54,6 @@ std::map<std::vector<int32_t>, size_t> AsMap(
   return out;
 }
 
-void ExpectSameVector(const std::vector<KmViolation>& got,
-                      const std::vector<KmViolation>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got[i].itemset, want[i].itemset) << "violation " << i;
-    ASSERT_EQ(got[i].support, want[i].support) << "violation " << i;
-  }
-}
-
 // With k above every support, every itemset some record holds violates, so
 // the walk reports each with its support.
 TEST(ViolationWalkTest, SupportsOfKnownItemsets) {
@@ -89,7 +81,8 @@ TEST(ViolationWalkTest, FindViolationsMatchesReference) {
       auto walked = Walk(records, m, k, 1000);
       auto reference = FindKmViolations(records, k, m, nullptr, 1000);
       EXPECT_EQ(AsMap(walked), AsMap(reference));
-      ExpectSameVector(walked, EnumeratedKmViolations(records, m, k, 1000));
+      ExpectSameViolations(walked,
+                           EnumeratedKmViolations(records, m, k, 1000));
     }
   }
 }
@@ -121,8 +114,9 @@ TEST(ViolationWalkTest, RandomizedAgreementWithReference) {
       for (int32_t from = 0; from <= 12; ++from) {
         SCOPED_TRACE("max " + std::to_string(max) + " from " +
                      std::to_string(from));
-        ExpectSameVector(Walk(records, m, k, max, from),
-                         EnumeratedKmViolations(records, m, k, max, from));
+        ASSERT_NO_FATAL_FAILURE(ExpectSameViolations(
+            Walk(records, m, k, max, from),
+            EnumeratedKmViolations(records, m, k, max, from)));
       }
     }
   }
@@ -192,8 +186,7 @@ void ExpectSameCut(const HierarchyCut& got, const HierarchyCut& want) {
   }
 }
 
-// A random subset of `n` rows, some repeated, as LRA's partitions and the
-// RT clusters pass them.
+// A random subset of the `n` rows, some of them twice.
 std::vector<size_t> RandomSubset(Rng* rng, size_t n) {
   std::vector<size_t> subset;
   for (size_t row = 0; row < n; ++row) {
