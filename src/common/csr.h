@@ -1,8 +1,8 @@
 // Compressed sparse rows (CSR): write-once lists of uint32_t values keyed by
 // a dense range of ids, all values in one array and one offset per key. Every
-// such key -> list map in the library (posting lists, recoding caches, the AA
-// loop's and GenSpace's row lists, hash shard plans) uses this one layout and
-// its one counting-sort builder (DESIGN.md §1.6).
+// such key -> list map in the library (posting lists, recoding caches, hash
+// shard plans) uses this one layout and its one counting-sort builder
+// (DESIGN.md §1.6).
 
 #ifndef SECRETA_COMMON_CSR_H_
 #define SECRETA_COMMON_CSR_H_

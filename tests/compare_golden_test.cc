@@ -136,7 +136,7 @@ TEST(CompareGoldenTest, RtGridMatchesPinnedMetrics) {
 
 // The same grid at m = 3 over a 200-item domain: item ids past the second
 // 64-bit word (the last word partial) and three-item itemsets in every
-// count tree.
+// violation search.
 TEST(CompareGoldenTest, WideDomainM3GridMatchesPinnedMetrics) {
   SyntheticOptions data;
   data.num_records = 300;

@@ -87,28 +87,30 @@ TEST(JsonWriterTest, NumbersMatchPrintfBytes) {
     write(w);
     return w.TakeString();
   };
-  std::vector<double> doubles{0.0,
-                              -0.0,
-                              1e-5,
-                              0.1,
-                              1e21,
-                              123456789012.5,
-                              -123456789012.5,
-                              4.9406564584124654e-324,  // smallest subnormal
-                              DBL_MIN,
-                              -DBL_MIN,
-                              DBL_MAX,
-                              -DBL_MAX,
-                              1.0,
-                              0.25,
-                              1e12,
-                              999999999999.5,
-                              1.0 / 3.0};
+  std::vector<double> doubles{
+      0.0,
+      -0.0,
+      1e-5,
+      0.1,
+      1e21,
+      123456789012.5,
+      -123456789012.5,
+      4.9406564584124654e-324,  // smallest subnormal
+      DBL_MIN,
+      -DBL_MIN,
+      DBL_MAX,
+      -DBL_MAX,
+      1.0,
+      0.25,
+      1e12,
+      999999999999.5,
+      1.0 / 3.0,
+  };
   std::mt19937_64 rng(20140324);
   size_t random = 0;
   while (random < 120000) {
     uint64_t bits = rng();
-    double value;
+    double value = 0;
     std::memcpy(&value, &bits, sizeof value);
     if (!std::isfinite(value)) continue;
     doubles.push_back(value);

@@ -60,8 +60,14 @@ TEST(ViolationWalkTest, SupportsOfKnownItemsets) {
   std::vector<std::vector<int32_t>> records{{1, 2, 3}, {1, 2}, {2, 3}, {4}};
   auto support = AsMap(Walk(records, 2, 100, SIZE_MAX));
   std::map<std::vector<int32_t>, size_t> want{
-      {{1}, 2},    {{2}, 3},    {{3}, 2}, {{4}, 1},
-      {{1, 2}, 2}, {{1, 3}, 1}, {{2, 3}, 2}};
+      {{1}, 2},
+      {{2}, 3},
+      {{3}, 2},
+      {{4}, 1},
+      {{1, 2}, 2},
+      {{1, 3}, 1},
+      {{2, 3}, 2},
+  };
   // m = 2: triples are not counted; absent itemsets are not reported.
   EXPECT_EQ(support, want);
 }
