@@ -215,6 +215,8 @@ TEST(AprioriLoopTest, RunAprioriLoopMatchesRecountingAa) {
     std::vector<size_t> subset = RandomSubset(&rng, n);
     int k = static_cast<int>(rng.UniformInt(2, 6));
     int m = static_cast<int>(rng.UniformInt(1, 3));
+    // Fewer than k records leave a violation at the root: all suppressed.
+    if (trial % 5 == 4) subset.resize(static_cast<size_t>(k - 1));
     SCOPED_TRACE("trial " + std::to_string(trial) + " k=" +
                  std::to_string(k) + " m=" + std::to_string(m));
     HierarchyCut loop_cut(ctx);
