@@ -5,9 +5,10 @@
 // Three families of checks, all of which also assert correctness:
 //  - micro: the active tier's fused AND+popcount / popcount-range /
 //    sorted-intersection kernels against the scalar reference, on identical
-//    inputs (results must match exactly; on an AVX2 host the fused
-//    AND+popcount must run >= 4x the scalar loop — the gate relaxes to
-//    >= 1x-within-noise when only the scalar tier exists);
+//    inputs (results must match exactly; when a SIMD tier is active the
+//    fused AND+popcount must run >= 4x the scalar loop — the gate relaxes to
+//    >= 1x-within-noise when the scalar tier is active, because the host
+//    has no other or SECRETA_KERNELS=scalar forces it);
 //  - end-to-end: Incognito (packed-key counting vs the original
 //    map-of-vector-keys scan) and COAT (posting-list ItemsetSupport vs the
 //    original full-record scan) timed optimized-vs-reference on the same
@@ -106,7 +107,9 @@ int main(int argc, char** argv) {
   }
   const bool avx2 = kernels::TierAvailable(kernels::Tier::kAvx2);
   const bool neon = kernels::TierAvailable(kernels::Tier::kNeon);
-  const bool simd = avx2 || neon;
+  // The tier in use, not the tiers the CPU offers: with the scalar tier
+  // forced, the dispatched kernels are the scalar reference itself.
+  const bool simd = kernels::ActiveTier() != kernels::Tier::kScalar;
   printf("== KERNB: kernel + algorithm speedup gates (tier=%s)%s ==\n",
          kernels::ActiveTierName(), quick ? " [quick]" : "");
 
@@ -189,7 +192,7 @@ int main(int argc, char** argv) {
     bench::PrintRow({row.name, scalar_c, active_c, speed_c});
   }
   // The headline micro gate: fused AND+popcount. A SIMD tier must deliver
-  // >= 4x; a scalar-only host compares the dispatcher against the same code,
+  // >= 4x; the scalar tier compares the dispatcher against the same code,
   // so only dispatch overhead could lose — allow 10% noise.
   double and_speedup = micro[0].speedup();
   Gate(and_speedup >= (simd ? 4.0 : 0.9),

@@ -1,6 +1,7 @@
 #include "algo/relational/bottomup.h"
 
 #include <algorithm>
+#include <span>
 
 #include "algo/relational/cut_state.h"
 #include "core/equivalence.h"
@@ -52,9 +53,10 @@ Result<RelationalRecoding> BottomUpAnonymizer::Anonymize(
     for (size_t qi = 0; qi < q; ++qi) {
       viol[qi].assign(context.hierarchy(qi).num_leaves() + 1, 0);
     }
-    for (const auto& group : classes.groups) {
+    for (size_t c = 0; c < classes.num_groups(); ++c) {
+      std::span<const uint32_t> group = classes.groups[c];
       if (group.size() >= static_cast<size_t>(params.k)) continue;
-      for (size_t r : group) {
+      for (uint32_t r : group) {
         for (size_t qi = 0; qi < q; ++qi) {
           const Hierarchy& h = context.hierarchy(qi);
           viol[qi][static_cast<size_t>(

@@ -11,6 +11,11 @@ namespace secreta {
 
 namespace {
 
+// Candidates scanned per greedy addition: a random sample of the remaining
+// records, or all of them when fewer remain. A larger pool gives tighter
+// clusters and costs proportionally more.
+constexpr size_t kCandidatePool = 192;
+
 // Flattened per-record context: record -> leaf per QI (skips the
 // dataset-value + leaf-map double indirection in the O(clusters x k x pool)
 // cost scans) and node -> NCP per hierarchy (NodeNcp is pure per node).
@@ -58,6 +63,52 @@ struct ClusterHead {
   }
 };
 
+// ClusterHead::CostWith for one greedy step's candidates, memoized per QI by
+// the candidate's leaf: a step's candidates share few leaves, and the joined
+// node's NCP depends on the head and the leaf alone. A term is valid while
+// its stamp equals the current step. The terms are the doubles CostWith
+// adds, summed in the same QI order, so the costs are bit-identical.
+class StepCosts {
+ public:
+  StepCosts(const RelationalContext& context, const FlatContext& flat)
+      : context_(context), flat_(flat), term_(context.num_qi()),
+        stamp_(context.num_qi()) {
+    for (size_t qi = 0; qi < context.num_qi(); ++qi) {
+      term_[qi].resize(context.hierarchy(qi).num_nodes());
+      stamp_[qi].assign(context.hierarchy(qi).num_nodes(), 0);
+    }
+  }
+
+  // Starts a step for `head`; earlier steps' terms go stale.
+  void NewStep(const ClusterHead* head) {
+    head_ = head;
+    ++step_;
+  }
+
+  double CostWith(size_t row) {
+    double cost = 0;
+    for (size_t qi = 0; qi < term_.size(); ++qi) {
+      NodeId leaf = flat_.leaf_cols[qi][row];
+      size_t slot = static_cast<size_t>(leaf);
+      if (stamp_[qi][slot] != step_) {
+        stamp_[qi][slot] = step_;
+        NodeId joined = context_.hierarchy(qi).Lca(head_->lca[qi], leaf);
+        term_[qi][slot] = flat_.node_ncp[qi][static_cast<size_t>(joined)];
+      }
+      cost += term_[qi][slot];
+    }
+    return cost;
+  }
+
+ private:
+  const RelationalContext& context_;
+  const FlatContext& flat_;
+  const ClusterHead* head_ = nullptr;
+  std::vector<std::vector<double>> term_;     // qi -> per-leaf NCP term
+  std::vector<std::vector<uint32_t>> stamp_;  // qi -> step that wrote term_
+  uint32_t step_ = 0;
+};
+
 }  // namespace
 
 Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
@@ -86,10 +137,11 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
   // cluster's cost is computed independently, then a serial argmin applies
   // the strict-< first-minimum rule of a sequential loop — identical picks,
   // identical clusters, with or without a pool. The greedy step's candidate
-  // scan stays serial: its at most candidate_cap_ costs take a few
+  // scan stays serial: its at most kCandidatePool costs take a few
   // microseconds, less than a fan-out over the pool costs.
   std::vector<double> costs;
   std::vector<ClusterHead> clusters;
+  StepCosts step_costs(context, flat);
   while (remaining.size() >= k) {
     SECRETA_RETURN_IF_ERROR(CheckCancel("cluster seed"));
     // Seed a new cluster with a random remaining record.
@@ -105,7 +157,7 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
     // Greedily add the closest record until the cluster has k members,
     // scanning a bounded candidate pool for scalability.
     while (head.members.size() < k) {
-      size_t pool = std::min(candidate_cap_, remaining.size());
+      size_t pool = std::min(kCandidatePool, remaining.size());
       std::vector<size_t> candidates;
       if (pool == remaining.size()) {
         candidates.resize(pool);
@@ -113,10 +165,11 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
       } else {
         candidates = rng.Sample(remaining.size(), pool);
       }
+      step_costs.NewStep(&head);
       size_t best_pos = candidates[0];
-      double best_cost = head.CostWith(context, flat, remaining[best_pos]);
+      double best_cost = step_costs.CostWith(remaining[best_pos]);
       for (size_t ci = 1; ci < candidates.size(); ++ci) {
-        double cost = head.CostWith(context, flat, remaining[candidates[ci]]);
+        double cost = step_costs.CostWith(remaining[candidates[ci]]);
         if (cost < best_cost) {
           best_cost = cost;
           best_pos = candidates[ci];

@@ -14,18 +14,10 @@ namespace secreta {
 
 class ClusterAnonymizer : public RelationalAnonymizer {
  public:
-  /// Candidate pool scanned per greedy addition; larger = better clusters,
-  /// slower. The full remaining set is scanned when it is below the cap.
-  explicit ClusterAnonymizer(size_t candidate_cap = 192)
-      : candidate_cap_(candidate_cap) {}
-
   std::string name() const override { return "Cluster"; }
 
   Result<RelationalRecoding> Anonymize(const RelationalContext& context,
                                        const AnonParams& params) override;
-
- private:
-  size_t candidate_cap_;
 };
 
 }  // namespace secreta

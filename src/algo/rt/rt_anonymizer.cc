@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -109,7 +110,8 @@ Result<RtResult> RtAnonymizer::Anonymize(
   for (size_t c = 0; c < classes.num_groups(); ++c) {
     SECRETA_RETURN_IF_ERROR(CheckCancelled(cancel, "rt transaction phase"));
     Cluster& cluster = clusters[c];
-    cluster.rows = classes.groups[c];
+    std::span<const uint32_t> members = classes.groups[c];
+    cluster.rows.assign(members.begin(), members.end());
     cluster.nodes.resize(rel_context.num_qi());
     for (size_t qi = 0; qi < rel_context.num_qi(); ++qi) {
       cluster.nodes[qi] = result.relational.at(cluster.rows[0], qi);

@@ -26,17 +26,24 @@ size_t Rng::Zipf(size_t n, double s) {
 
 std::vector<size_t> Rng::Sample(size_t n, size_t m) {
   m = std::min(m, n);
-  // Partial Fisher-Yates over an index vector; O(n) memory but n is the
-  // domain size of an attribute, never the dataset row count squared.
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < n; ++i) indices[i] = i;
+  while (identity_.size() < n) identity_.push_back(identity_.size());
+  // Partial Fisher-Yates over [0, n): step i swaps position i with a uniform
+  // j in [i, n). `sample` first records each step's j.
+  std::vector<size_t> sample(m);
   for (size_t i = 0; i < m; ++i) {
     size_t j = static_cast<size_t>(UniformInt(static_cast<int64_t>(i),
                                               static_cast<int64_t>(n - 1)));
-    std::swap(indices[i], indices[j]);
+    std::swap(identity_[i], identity_[j]);
+    sample[i] = j;
   }
-  indices.resize(m);
-  return indices;
+  // Undo the swaps in reverse. No step after step i touches position i, so
+  // just before undoing step i, position i holds the i-th draw.
+  for (size_t i = m; i-- > 0;) {
+    size_t j = sample[i];
+    sample[i] = identity_[i];
+    std::swap(identity_[i], identity_[j]);
+  }
+  return sample;
 }
 
 }  // namespace secreta

@@ -39,7 +39,9 @@ class Rng {
   /// item-domain sizes SECRETA benchmarks use (<= a few thousand) this is fine.
   size_t Zipf(size_t n, double s);
 
-  /// Random subset of size `m` drawn without replacement from [0, n).
+  /// Random subset of size min(m, n) drawn without replacement from [0, n),
+  /// in draw order. A partial Fisher-Yates shuffle: O(m) time per call
+  /// after the first call with a given n.
   std::vector<size_t> Sample(size_t n, size_t m);
 
   std::mt19937_64& engine() { return engine_; }
@@ -50,6 +52,8 @@ class Rng {
   size_t zipf_n_ = 0;
   double zipf_s_ = -1.0;
   std::vector<double> zipf_cdf_;
+  // Sample's shuffle positions: the identity over [0, size) between calls.
+  std::vector<size_t> identity_;
 };
 
 }  // namespace secreta

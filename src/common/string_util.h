@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,12 +61,16 @@ uint64_t Fnv1a64(std::string_view input, uint64_t hash = kFnv1a64Basis);
 /// Combines two 64-bit hashes order-dependently (boost::hash_combine-style).
 uint64_t HashCombine(uint64_t seed, uint64_t value);
 
-/// FNV-1a over an int vector, one 32-bit word per element: the hash of every
-/// unordered_map keyed by node tuples, itemsets or gen covers. It is the same
-/// on every run and platform, so those maps iterate in the same order and
-/// whatever is built by walking them keeps its bytes.
+/// FNV-1a over an int vector or span, one 32-bit word per element: the hash
+/// of every unordered_map keyed by node tuples, itemsets or gen covers, and
+/// of the equivalence-class table's QI vectors. It is the same on every run
+/// and platform, so those maps iterate in the same order and whatever is
+/// built by walking them keeps its bytes.
 struct IntVectorHash {
-  size_t operator()(const std::vector<int32_t>& v) const {
+  size_t operator()(const std::vector<int32_t>& v) const { return Of(v); }
+  /// The same hash of any contiguous ints. Not an operator() overload, so a
+  /// braced list still converts to the vector.
+  static size_t Of(std::span<const int32_t> v) {
     uint64_t h = kFnv1a64Basis;
     for (int32_t x : v) {
       h ^= static_cast<uint32_t>(x);

@@ -5,21 +5,24 @@
 #ifndef SECRETA_CORE_EQUIVALENCE_H_
 #define SECRETA_CORE_EQUIVALENCE_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "common/csr.h"
 #include "core/context.h"
 #include "core/results.h"
 
 namespace secreta {
 
-/// Partition of record indices into equivalence classes.
+/// Partition of record indices into equivalence classes. Classes are
+/// numbered in the order of their first record.
 struct EquivalenceClasses {
-  /// Record indices of each class.
-  std::vector<std::vector<size_t>> groups;
+  /// Record indices of each class, ascending.
+  Csr groups;
   /// Class index of each record.
-  std::vector<size_t> group_of;
+  std::vector<uint32_t> group_of;
 
-  size_t num_groups() const { return groups.size(); }
+  size_t num_groups() const { return groups.num_keys(); }
   /// Size of the smallest class (0 when there are no records).
   size_t MinGroupSize() const;
 };

@@ -61,7 +61,9 @@ bool IsKKmAnonymous(const RelationalRecoding& recoding,
   if (recoding.num_records() == 0) return true;
   EquivalenceClasses classes = GroupByRecoding(recoding);
   if (classes.MinGroupSize() < static_cast<size_t>(k)) return false;
-  for (const auto& group : classes.groups) {
+  std::vector<size_t> group;
+  for (size_t c = 0; c < classes.num_groups(); ++c) {
+    group.assign(classes.groups[c].begin(), classes.groups[c].end());
     if (!FindKmViolations(txn_records, k, m, &group).empty()) return false;
   }
   return true;

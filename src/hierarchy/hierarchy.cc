@@ -81,6 +81,9 @@ Status Hierarchy::Finalize() {
   leaf_order_.clear();
   post_order_.clear();
   post_order_.reserve(n);
+  preorder_.assign(n, 0);
+  by_preorder_.clear();
+  by_preorder_.reserve(n);
   // Iterative DFS assigning depths and leaf intervals.
   struct Frame {
     NodeId node;
@@ -93,6 +96,8 @@ Status Hierarchy::Finalize() {
     Frame& frame = stack.back();
     size_t idx = static_cast<size_t>(frame.node);
     if (frame.next_child == 0) {
+      preorder_[idx] = static_cast<int32_t>(by_preorder_.size());
+      by_preorder_.push_back(frame.node);
       leaf_begin_[idx] = static_cast<int32_t>(leaf_order_.size());
       if (children_[idx].empty()) leaf_order_.push_back(frame.node);
     }
@@ -104,6 +109,23 @@ Status Hierarchy::Finalize() {
       leaf_end_[idx] = static_cast<int32_t>(leaf_order_.size());
       post_order_.push_back(frame.node);
       stack.pop_back();
+    }
+  }
+  // LCA sparse table (see Lca): row 0 is pre(parent) of each non-root node
+  // by pre-order position, row j the minimum over two halves of row j - 1.
+  size_t columns = n - 1;
+  size_t levels = static_cast<size_t>(std::bit_width(columns));
+  lca_table_.assign(levels * columns, 0);
+  for (size_t i = 0; i < columns; ++i) {
+    lca_table_[i] = preorder_[static_cast<size_t>(
+        parents_[static_cast<size_t>(by_preorder_[i + 1])])];
+  }
+  for (size_t j = 1; j < levels; ++j) {
+    const int32_t* below = lca_table_.data() + (j - 1) * columns;
+    int32_t* row = lca_table_.data() + j * columns;
+    size_t half = size_t{1} << (j - 1);
+    for (size_t i = 0; i + 2 * half <= columns; ++i) {
+      row[i] = std::min(below[i], below[i + half]);
     }
   }
   height_ = 0;
@@ -158,24 +180,15 @@ std::vector<NodeId> Hierarchy::LeavesUnder(NodeId node) const {
       leaf_order_.begin() + leaf_end_[idx]);
 }
 
-NodeId Hierarchy::Lca(NodeId a, NodeId b) const {
-  while (depth(a) > depth(b)) a = parent(a);
-  while (depth(b) > depth(a)) b = parent(b);
-  while (a != b) {
-    a = parent(a);
-    b = parent(b);
-  }
-  return a;
-}
-
 Result<NodeId> Hierarchy::LcaOfSet(const std::vector<NodeId>& nodes) const {
   if (nodes.empty()) return Status::InvalidArgument("LCA of empty set");
-  NodeId lca = nodes[0];
-  for (size_t i = 1; i < nodes.size(); ++i) {
-    if (lca == root_) break;
-    lca = Lca(lca, nodes[i]);
-  }
-  return lca;
+  // Every common ancestor's subtree is a pre-order interval holding the
+  // first and the last node, and so every node between them.
+  auto by_pre = [&](NodeId x, NodeId y) {
+    return preorder_[static_cast<size_t>(x)] < preorder_[static_cast<size_t>(y)];
+  };
+  auto [first, last] = std::minmax_element(nodes.begin(), nodes.end(), by_pre);
+  return Lca(*first, *last);
 }
 
 NodeId Hierarchy::AncestorAtLevel(NodeId node, int level) const {

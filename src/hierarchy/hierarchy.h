@@ -6,6 +6,8 @@
 #ifndef SECRETA_HIERARCHY_HIERARCHY_H_
 #define SECRETA_HIERARCHY_HIERARCHY_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,8 +26,9 @@ inline constexpr NodeId kNoNode = -1;
 /// \brief A generalization hierarchy (rooted tree, immutable once finalized).
 ///
 /// After Finalize(), leaves are numbered in DFS order and every node knows the
-/// contiguous leaf interval it covers, which makes subtree tests, leaf counts
-/// and LCA queries O(1)/O(depth).
+/// contiguous leaf interval it covers, which makes subtree tests and leaf
+/// counts O(1). Finalize() also builds a sparse table over the DFS pre-order
+/// that answers LCA queries in O(1).
 class Hierarchy {
  public:
   Hierarchy() = default;
@@ -98,10 +101,27 @@ class Hierarchy {
            depths_[a] <= depths_[n];
   }
 
-  /// Lowest common ancestor of two nodes.
-  NodeId Lca(NodeId a, NodeId b) const;
-  /// Lowest common ancestor of a set of nodes (root if empty-makes-no-sense;
-  /// fails on empty input).
+  /// Lowest common ancestor of two nodes, in O(1).
+  ///
+  /// For a != b with pre(a) < pre(b) in DFS pre-order, every node w with
+  /// pre(a) < pre(w) <= pre(b) lies in the LCA's subtree strictly below the
+  /// LCA, and the shallowest of them is the LCA's child; so pre(LCA) is the
+  /// minimum of pre(parent(w)) over that range, which two overlapping
+  /// power-of-two windows of the sparse table cover.
+  NodeId Lca(NodeId a, NodeId b) const {
+    if (a == b) return a;
+    size_t lo = static_cast<size_t>(preorder_[static_cast<size_t>(a)]);
+    size_t hi = static_cast<size_t>(preorder_[static_cast<size_t>(b)]);
+    if (lo > hi) std::swap(lo, hi);
+    // Table columns are pre-order positions 1..n-1, so (lo, hi] is columns
+    // [lo, hi).
+    size_t level = static_cast<size_t>(std::bit_width(hi - lo)) - 1;
+    const int32_t* row = lca_table_.data() + level * (num_nodes() - 1);
+    int32_t top = std::min(row[lo], row[hi - (size_t{1} << level)]);
+    return by_preorder_[static_cast<size_t>(top)];
+  }
+  /// Lowest common ancestor of a non-empty set of nodes: the LCA of its
+  /// first and last node in DFS pre-order. Fails on an empty set.
   Result<NodeId> LcaOfSet(const std::vector<NodeId>& nodes) const;
 
   /// The ancestor reached by walking `level` steps up from `node` (clamped at
@@ -148,6 +168,12 @@ class Hierarchy {
   std::vector<int32_t> leaf_end_;
   std::vector<NodeId> leaf_order_;  // leaf ids by DFS position
   std::vector<NodeId> post_order_;  // all ids, children before parents
+  std::vector<int32_t> preorder_;   // node -> DFS pre-order position
+  std::vector<NodeId> by_preorder_;  // DFS pre-order position -> node
+  // LCA sparse table: row j, column i (a row per power of two, n - 1
+  // columns) holds the minimum of pre(parent(node at position p)) over
+  // positions p in [i + 1, i + 1 + 2^j).
+  std::vector<int32_t> lca_table_;
   std::unordered_map<std::string, NodeId> leaf_index_;
   std::unordered_map<std::string, NodeId> node_index_;
   std::vector<double> range_lo_;

@@ -42,7 +42,9 @@ Histogram GeneralizedItemHistogram(const TransactionRecoding& recoding) {
 
 Histogram ClassSizeHistogram(const EquivalenceClasses& classes) {
   std::map<size_t, size_t> by_size;
-  for (const auto& group : classes.groups) ++by_size[group.size()];
+  for (size_t c = 0; c < classes.num_groups(); ++c) {
+    ++by_size[classes.groups[c].size()];
+  }
   Histogram hist;
   for (const auto& [size, count] : by_size) {
     hist.push_back({std::to_string(size) + " records", count});

@@ -119,18 +119,21 @@ double TransactionUl(const TransactionRecoding& recoding,
 
 double Discernibility(const EquivalenceClasses& classes) {
   double dm = 0;
-  for (const auto& g : classes.groups) {
-    dm += static_cast<double>(g.size()) * static_cast<double>(g.size());
+  for (size_t c = 0; c < classes.num_groups(); ++c) {
+    double size = static_cast<double>(classes.groups[c].size());
+    dm += size * size;
   }
   return dm;
 }
 
 double AverageClassSize(const EquivalenceClasses& classes, int k) {
-  if (classes.groups.empty() || k <= 0) return 0.0;
+  if (classes.num_groups() == 0 || k <= 0) return 0.0;
   size_t n = 0;
-  for (const auto& g : classes.groups) n += g.size();
-  return static_cast<double>(n) /
-         (static_cast<double>(classes.groups.size()) * static_cast<double>(k));
+  for (size_t c = 0; c < classes.num_groups(); ++c) {
+    n += classes.groups[c].size();
+  }
+  return static_cast<double>(n) / (static_cast<double>(classes.num_groups()) *
+                                   static_cast<double>(k));
 }
 
 }  // namespace secreta

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -91,6 +92,44 @@ TEST(RngTest, SampleWithoutReplacement) {
   for (size_t v : sample) EXPECT_LT(v, 50u);
   EXPECT_EQ(rng.Sample(5, 10).size(), 5u);  // m clamped to n
   EXPECT_TRUE(rng.Sample(0, 3).empty());
+}
+
+// Reference Sample: the partial Fisher-Yates shuffle over a fresh identity
+// vector of all n indices.
+std::vector<size_t> SampleByFullShuffle(Rng& rng, size_t n, size_t m) {
+  m = std::min(m, n);
+  std::vector<size_t> indices(n);
+  for (size_t i = 0; i < n; ++i) indices[i] = i;
+  for (size_t i = 0; i < m; ++i) {
+    size_t j = static_cast<size_t>(rng.UniformInt(static_cast<int64_t>(i),
+                                                  static_cast<int64_t>(n - 1)));
+    std::swap(indices[i], indices[j]);
+  }
+  indices.resize(m);
+  return indices;
+}
+
+TEST(RngTest, SampleMatchesFullShuffle) {
+  // Interleaved calls on one Rng with n growing and shrinking, so a shuffle
+  // left half undone would show in a later call.
+  Rng rng(91);
+  Rng reference(91);
+  Rng sizes(5);
+  for (int call = 0; call < 2000; ++call) {
+    size_t n = static_cast<size_t>(sizes.UniformInt(0, call % 3 == 0 ? 8 : 300));
+    size_t m = static_cast<size_t>(sizes.UniformInt(0, 1 + n + n / 4));
+    ASSERT_EQ(rng.Sample(n, m), SampleByFullShuffle(reference, n, m))
+        << "call " << call << ": n " << n << ", m " << m;
+  }
+  // Edge sizes: nothing to draw, everything, more than everything.
+  for (auto [n, m] : std::vector<std::pair<size_t, size_t>>{
+           {0, 0}, {0, 5}, {1, 0}, {1, 1}, {1, 9}, {700, 0}, {700, 700},
+           {700, 701}, {3, 2}, {5000, 192}, {10, 10}}) {
+    ASSERT_EQ(rng.Sample(n, m), SampleByFullShuffle(reference, n, m))
+        << "n " << n << ", m " << m;
+  }
+  // Both generators made the same draws.
+  EXPECT_EQ(rng.UniformInt(0, 1 << 30), reference.UniformInt(0, 1 << 30));
 }
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {

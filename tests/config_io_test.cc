@@ -66,8 +66,7 @@ TEST(ConfigIoTest, FormatParsesBack) {
 }
 
 TEST(ClassSizeHistogramTest, CountsClassesBySize) {
-  EquivalenceClasses classes;
-  classes.groups = {{0, 1}, {2, 3}, {4, 5, 6}};
+  EquivalenceClasses classes = testing::ClassesOf({{0, 1}, {2, 3}, {4, 5, 6}});
   Histogram hist = ClassSizeHistogram(classes);
   ASSERT_EQ(hist.size(), 2u);
   EXPECT_EQ(hist[0].label, "2 records");

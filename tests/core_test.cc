@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 
+#include "common/random.h"
 #include "core/equivalence.h"
 #include "core/guarantees.h"
 #include "core/params.h"
@@ -137,6 +139,102 @@ TEST(EquivalenceTest, GroupsByVector) {
   EXPECT_EQ(classes.MinGroupSize(), 2u);
   EXPECT_EQ(classes.group_of[0], classes.group_of[2]);
   EXPECT_NE(classes.group_of[0], classes.group_of[1]);
+}
+
+// Reference grouping: a std::map from QI vector to class id, ids given in
+// order of first appearance, each class's records in ascending order.
+struct MapGrouping {
+  std::vector<uint32_t> group_of;
+  std::vector<std::vector<uint32_t>> groups;
+};
+
+template <typename Get>
+MapGrouping GroupWithMap(size_t num_records, size_t width, Get get) {
+  MapGrouping out;
+  std::map<std::vector<NodeId>, uint32_t> ids;
+  for (size_t r = 0; r < num_records; ++r) {
+    std::vector<NodeId> key(width);
+    for (size_t q = 0; q < width; ++q) key[q] = get(r, q);
+    auto [it, inserted] =
+        ids.emplace(key, static_cast<uint32_t>(out.groups.size()));
+    if (inserted) out.groups.emplace_back();
+    out.groups[it->second].push_back(static_cast<uint32_t>(r));
+    out.group_of.push_back(it->second);
+  }
+  return out;
+}
+
+void ExpectSameClasses(const EquivalenceClasses& got, const MapGrouping& want) {
+  ASSERT_EQ(got.group_of, want.group_of);
+  ASSERT_EQ(got.num_groups(), want.groups.size());
+  for (size_t c = 0; c < want.groups.size(); ++c) {
+    std::vector<uint32_t> members(got.groups[c].begin(), got.groups[c].end());
+    ASSERT_EQ(members, want.groups[c]) << "class " << c;
+  }
+}
+
+TEST(EquivalenceTest, GroupByRecodingMatchesMapGrouping) {
+  Rng rng(2611);
+  for (int trial = 0; trial < 60; ++trial) {
+    size_t n = static_cast<size_t>(rng.UniformInt(0, 400));
+    size_t q = static_cast<size_t>(rng.UniformInt(1, 5));
+    // From one value per QI (all keys equal) to mostly distinct keys; the
+    // node ids spread over many bits.
+    int64_t values = rng.UniformInt(1, 40);
+    int32_t scale = static_cast<int32_t>(rng.UniformInt(1, 1 << 20));
+    RelationalRecoding recoding(n, q);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t qi = 0; qi < q; ++qi) {
+        recoding.set(r, qi,
+                     static_cast<NodeId>(rng.UniformInt(0, values - 1)) * scale);
+      }
+    }
+    ExpectSameClasses(GroupByRecoding(recoding),
+                      GroupWithMap(n, q, [&](size_t r, size_t qi) {
+                        return recoding.at(r, qi);
+                      }));
+  }
+}
+
+TEST(EquivalenceTest, AllEqualAndAllDistinctKeys) {
+  const size_t n = 20000;
+  RelationalRecoding equal(n, 3);
+  RelationalRecoding distinct(n, 2);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t qi = 0; qi < 3; ++qi) equal.set(r, qi, 7);
+    // Keys that differ only in one QI and share their low bits.
+    distinct.set(r, 0, 5);
+    distinct.set(r, 1, static_cast<NodeId>(r << 10));
+  }
+  EquivalenceClasses one = GroupByRecoding(equal);
+  ASSERT_EQ(one.num_groups(), 1u);
+  EXPECT_EQ(one.MinGroupSize(), n);
+  ExpectSameClasses(one, GroupWithMap(n, 3, [&](size_t r, size_t qi) {
+                      return equal.at(r, qi);
+                    }));
+  EquivalenceClasses all = GroupByRecoding(distinct);
+  ASSERT_EQ(all.num_groups(), n);
+  EXPECT_EQ(all.MinGroupSize(), 1u);
+  ExpectSameClasses(all, GroupWithMap(n, 2, [&](size_t r, size_t qi) {
+                      return distinct.at(r, qi);
+                    }));
+  EquivalenceClasses none = GroupByRecoding(RelationalRecoding(0, 2));
+  EXPECT_EQ(none.num_groups(), 0u);
+  EXPECT_EQ(none.MinGroupSize(), 0u);
+}
+
+TEST(EquivalenceTest, GroupByOriginalMatchesMapGrouping) {
+  for (uint64_t seed : {3u, 17u}) {
+    Dataset ds = testing::SmallRtDataset(300, seed);
+    ASSERT_OK_AND_ASSIGN(auto hierarchies, BuildAllColumnHierarchies(ds));
+    ASSERT_OK_AND_ASSIGN(RelationalContext ctx,
+                         RelationalContext::Create(ds, hierarchies));
+    ExpectSameClasses(GroupByOriginal(ctx),
+                      GroupWithMap(ctx.num_records(), ctx.num_qi(),
+                                   [&](size_t r, size_t qi) {
+                                     return ctx.Leaf(r, qi);
+                                   }));
+  }
 }
 
 TEST(GuaranteesTest, KAnonymity) {

@@ -114,8 +114,7 @@ TEST(UlTest, PartialGeneralization) {
 }
 
 TEST(DiscernibilityTest, Behaviour) {
-  EquivalenceClasses classes;
-  classes.groups = {{0, 1}, {2, 3, 4}};
+  EquivalenceClasses classes = testing::ClassesOf({{0, 1}, {2, 3, 4}});
   EXPECT_DOUBLE_EQ(Discernibility(classes), 4 + 9);
   EXPECT_DOUBLE_EQ(AverageClassSize(classes, 2), 5.0 / (2 * 2));
 }

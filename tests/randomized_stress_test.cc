@@ -139,6 +139,42 @@ TEST(GenSpaceStressTest, RandomOpsMatchNaiveRecomputation) {
 
 // --- Hierarchy: random trees keep every invariant ----------------------------
 
+// Reference LCA: the first node on `b`'s path to the root that is also on
+// `a`'s.
+NodeId NaiveLca(const Hierarchy& h, NodeId a, NodeId b) {
+  std::set<NodeId> ancestors;
+  for (NodeId x = a; x != kNoNode; x = h.parent(x)) ancestors.insert(x);
+  NodeId naive = b;
+  while (ancestors.find(naive) == ancestors.end()) naive = h.parent(naive);
+  return naive;
+}
+
+// Lca of every node pair (interior nodes and a == b included) and LcaOfSet
+// of random node sets against NaiveLca.
+void ExpectLcaMatchesNaive(const Hierarchy& h, Rng& rng) {
+  NodeId n = static_cast<NodeId>(h.num_nodes());
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = 0; b < n; ++b) {
+      NodeId lca = h.Lca(a, b);
+      ASSERT_EQ(lca, NaiveLca(h, a, b)) << "nodes " << a << ", " << b;
+      ASSERT_TRUE(h.IsAncestorOrSelf(lca, a));
+      ASSERT_TRUE(h.IsAncestorOrSelf(lca, b));
+    }
+  }
+  for (int probe = 0; probe < 40; ++probe) {
+    size_t size = 1 + static_cast<size_t>(rng.UniformInt(0, 5));
+    std::vector<NodeId> nodes;
+    for (size_t i = 0; i < size; ++i) {
+      nodes.push_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)));
+    }
+    NodeId naive = nodes[0];
+    for (NodeId node : nodes) naive = NaiveLca(h, naive, node);
+    ASSERT_OK_AND_ASSIGN(NodeId lca, h.LcaOfSet(nodes));
+    ASSERT_EQ(lca, naive) << "probe " << probe;
+  }
+  EXPECT_FALSE(h.LcaOfSet({}).ok());
+}
+
 TEST(HierarchyStressTest, RandomBalancedTreesValidateAndAnswerLca) {
   Rng rng(777);
   for (int trial = 0; trial < 10; ++trial) {
@@ -154,25 +190,45 @@ TEST(HierarchyStressTest, RandomBalancedTreesValidateAndAnswerLca) {
                          BuildBalancedHierarchy(values, "x", options));
     ASSERT_OK(h.Validate());
     ASSERT_EQ(h.num_leaves(), domain);
-    // LCA agrees with the naive ancestor-set intersection.
-    for (int probe = 0; probe < 20; ++probe) {
-      NodeId a = h.leaves()[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(domain - 1)))];
-      NodeId b = h.leaves()[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(domain - 1)))];
-      std::set<NodeId> ancestors;
-      for (NodeId x = a; x != kNoNode; x = h.parent(x)) ancestors.insert(x);
-      NodeId naive = b;
-      while (ancestors.find(naive) == ancestors.end()) naive = h.parent(naive);
-      EXPECT_EQ(h.Lca(a, b), naive);
-      // IsAncestorOrSelf consistent with LCA.
-      EXPECT_TRUE(h.IsAncestorOrSelf(h.Lca(a, b), a));
-      EXPECT_TRUE(h.IsAncestorOrSelf(h.Lca(a, b), b));
-    }
+    ExpectLcaMatchesNaive(h, rng);
     // LeavesUnder matches leaf intervals.
     for (NodeId node = 0; node < static_cast<NodeId>(h.num_nodes()); ++node) {
       EXPECT_EQ(h.LeavesUnder(node).size(), h.LeafCount(node));
     }
+  }
+}
+
+TEST(HierarchyStressTest, RandomUnbalancedTreesWithChainsAnswerLca) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 30; ++trial) {
+    // Random tree over labels n0 (the root) .. n{size-1}: each node hangs
+    // under the node made just before it (growing a single-child chain) or
+    // under a random earlier node.
+    size_t size = 1 + static_cast<size_t>(rng.UniformInt(0, 80));
+    double chain = rng.UniformDouble(0.0, 0.9);
+    std::vector<size_t> parent(size, 0);
+    std::vector<bool> has_child(size, false);
+    for (size_t i = 1; i < size; ++i) {
+      parent[i] = rng.Bernoulli(chain)
+                      ? i - 1
+                      : static_cast<size_t>(
+                            rng.UniformInt(0, static_cast<int64_t>(i - 1)));
+      has_child[parent[i]] = true;
+    }
+    std::vector<std::vector<std::string>> paths;
+    for (size_t leaf = 0; leaf < size; ++leaf) {
+      if (has_child[leaf]) continue;
+      std::vector<std::string> path;
+      for (size_t x = leaf; x != 0; x = parent[x]) {
+        path.push_back("n" + std::to_string(x));
+      }
+      path.push_back("n0");
+      paths.push_back(std::move(path));
+    }
+    ASSERT_OK_AND_ASSIGN(Hierarchy h, Hierarchy::FromPaths(paths));
+    ASSERT_OK(h.Validate());
+    ASSERT_EQ(h.num_nodes(), size) << "trial " << trial;
+    ExpectLcaMatchesNaive(h, rng);
   }
 }
 

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/csr.h"
+#include "core/equivalence.h"
 #include "core/guarantees.h"
 #include "data/dataset.h"
 #include "datagen/synthetic.h"
@@ -109,6 +111,24 @@ inline std::string ReadFileBytes(const std::string& path) {
   EXPECT_TRUE(in) << path;
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+/// Equivalence classes with the given record lists, numbered in list order.
+inline EquivalenceClasses ClassesOf(
+    const std::vector<std::vector<uint32_t>>& groups) {
+  EquivalenceClasses classes;
+  for (size_t c = 0; c < groups.size(); ++c) {
+    for (uint32_t r : groups[c]) {
+      if (r >= classes.group_of.size()) classes.group_of.resize(r + 1);
+      classes.group_of[r] = static_cast<uint32_t>(c);
+    }
+  }
+  classes.groups = Csr::Build(groups.size(), [&](auto&& emit) {
+    for (size_t c = 0; c < groups.size(); ++c) {
+      for (uint32_t r : groups[c]) emit(c, r);
+    }
+  });
+  return classes;
 }
 
 /// Replaces the file at `path` with `bytes`.
