@@ -63,52 +63,6 @@ struct ClusterHead {
   }
 };
 
-// ClusterHead::CostWith for one greedy step's candidates, memoized per QI by
-// the candidate's leaf: a step's candidates share few leaves, and the joined
-// node's NCP depends on the head and the leaf alone. A term is valid while
-// its stamp equals the current step. The terms are the doubles CostWith
-// adds, summed in the same QI order, so the costs are bit-identical.
-class StepCosts {
- public:
-  StepCosts(const RelationalContext& context, const FlatContext& flat)
-      : context_(context), flat_(flat), term_(context.num_qi()),
-        stamp_(context.num_qi()) {
-    for (size_t qi = 0; qi < context.num_qi(); ++qi) {
-      term_[qi].resize(context.hierarchy(qi).num_nodes());
-      stamp_[qi].assign(context.hierarchy(qi).num_nodes(), 0);
-    }
-  }
-
-  // Starts a step for `head`; earlier steps' terms go stale.
-  void NewStep(const ClusterHead* head) {
-    head_ = head;
-    ++step_;
-  }
-
-  double CostWith(size_t row) {
-    double cost = 0;
-    for (size_t qi = 0; qi < term_.size(); ++qi) {
-      NodeId leaf = flat_.leaf_cols[qi][row];
-      size_t slot = static_cast<size_t>(leaf);
-      if (stamp_[qi][slot] != step_) {
-        stamp_[qi][slot] = step_;
-        NodeId joined = context_.hierarchy(qi).Lca(head_->lca[qi], leaf);
-        term_[qi][slot] = flat_.node_ncp[qi][static_cast<size_t>(joined)];
-      }
-      cost += term_[qi][slot];
-    }
-    return cost;
-  }
-
- private:
-  const RelationalContext& context_;
-  const FlatContext& flat_;
-  const ClusterHead* head_ = nullptr;
-  std::vector<std::vector<double>> term_;     // qi -> per-leaf NCP term
-  std::vector<std::vector<uint32_t>> stamp_;  // qi -> step that wrote term_
-  uint32_t step_ = 0;
-};
-
 }  // namespace
 
 Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
@@ -141,7 +95,18 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
   // microseconds, less than a fan-out over the pool costs.
   std::vector<double> costs;
   std::vector<ClusterHead> clusters;
-  StepCosts step_costs(context, flat);
+  // The greedy step's ClusterHead::CostWith, memoized per QI by the
+  // candidate's leaf: a step's candidates share few leaves, and the joined
+  // node's NCP depends on the head and the leaf alone. A term is valid while
+  // its stamp is the current step. The terms are the doubles CostWith adds,
+  // summed in the same QI order, so the costs are bit-identical.
+  std::vector<std::vector<double>> term(q);     // qi -> per-leaf NCP term
+  std::vector<std::vector<uint32_t>> stamp(q);  // qi -> step that wrote term
+  for (size_t qi = 0; qi < q; ++qi) {
+    term[qi].resize(context.hierarchy(qi).num_nodes());
+    stamp[qi].assign(context.hierarchy(qi).num_nodes(), 0);
+  }
+  uint32_t step = 0;
   while (remaining.size() >= k) {
     SECRETA_RETURN_IF_ERROR(CheckCancel("cluster seed"));
     // Seed a new cluster with a random remaining record.
@@ -165,11 +130,25 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
       } else {
         candidates = rng.Sample(remaining.size(), pool);
       }
-      step_costs.NewStep(&head);
+      ++step;
+      auto cost_with = [&](size_t row) {
+        double cost = 0;
+        for (size_t qi = 0; qi < q; ++qi) {
+          NodeId leaf = flat.leaf_cols[qi][row];
+          size_t slot = static_cast<size_t>(leaf);
+          if (stamp[qi][slot] != step) {
+            stamp[qi][slot] = step;
+            NodeId joined = context.hierarchy(qi).Lca(head.lca[qi], leaf);
+            term[qi][slot] = flat.node_ncp[qi][static_cast<size_t>(joined)];
+          }
+          cost += term[qi][slot];
+        }
+        return cost;
+      };
       size_t best_pos = candidates[0];
-      double best_cost = step_costs.CostWith(remaining[best_pos]);
+      double best_cost = cost_with(remaining[best_pos]);
       for (size_t ci = 1; ci < candidates.size(); ++ci) {
-        double cost = step_costs.CostWith(remaining[candidates[ci]]);
+        double cost = cost_with(remaining[candidates[ci]]);
         if (cost < best_cost) {
           best_cost = cost;
           best_pos = candidates[ci];
