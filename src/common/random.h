@@ -40,8 +40,8 @@ class Rng {
   size_t Zipf(size_t n, double s);
 
   /// Random subset of size min(m, n) drawn without replacement from [0, n),
-  /// in draw order. A partial Fisher-Yates shuffle: O(m) time per call
-  /// after the first call with a given n.
+  /// in draw order. A partial Fisher-Yates shuffle: O(m) time per call once
+  /// some call has passed an n at least this large.
   std::vector<size_t> Sample(size_t n, size_t m);
 
   std::mt19937_64& engine() { return engine_; }
